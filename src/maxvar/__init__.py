@@ -8,9 +8,8 @@ from .geometry import AxisBall, Contact, InfeasibleBallError, cap_angle, cap_are
     cap_first_moment, classify_contact
 from .quadrature import (IDENTITY_QUADRATURE, OPTIMIZER_QUADRATURE,
                          QuadratureConfig, QuadratureError)
-from .search import (BestBallResult, GridSpec, MaximalProfile, SearchConfig,
-                     derivative_by_fd, derivative_by_formula, maximal_profile,
-                     objective, search)
+from .search import (BestBallResult, GridSpec, MaximalProfile, derivative_by_fd,
+                     derivative_by_formula, maximal_profile, objective, search)
 from .variation import VariationReport, family_sweep, lq_norm_derivative, \
     variation_report
 
@@ -20,9 +19,8 @@ __all__ = [
     "AmbientParams", "AxisBall", "BestBallResult", "Contact", "GridSpec",
     "IDENTITY_QUADRATURE", "InfeasibleBallError", "MaximalProfile",
     "OPTIMIZER_QUADRATURE", "ProfileError", "QuadratureConfig", "QuadratureError",
-    "RadialProfile", "SearchConfig", "VariationReport", "cap_angle", "cap_area",
-    "cap_first_moment", "classify_contact", "derivative_by_fd",
-    "derivative_by_formula", "family_sweep", "gradient_l1_norm", "l1_norm",
-    "level_intervals", "load_profile", "lq_norm_derivative", "maximal_profile",
-    "objective", "search", "variation_report",
+    "RadialProfile", "VariationReport", "cap_angle", "cap_area", "cap_first_moment",
+    "classify_contact", "derivative_by_fd", "derivative_by_formula", "family_sweep",
+    "gradient_l1_norm", "l1_norm", "level_intervals", "load_profile",
+    "lq_norm_derivative", "maximal_profile", "objective", "search", "variation_report",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import AmbientParams, RadialProfile
 from .geometry import AxisBall, cap_area, cap_first_moment, sin_power_total
-from .quadrature import QuadratureConfig, geometric_presplit, integrate_adaptive
+from .quadrature import QuadratureConfig, integrate_adaptive
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ def _ball_range(profile: RadialProfile, ball: AxisBall):
 
 
 _GEO_OFFSETS = 0.25 ** np.arange(1, 11)
+_RANKING_NODES = 96  # midpoint nodes per ball in batch_objective
 
 
 def _ball_breakpoints(profile: RadialProfile, ball: AxisBall, lo: float, hi: float):
@@ -89,6 +90,28 @@ def _abs_slope_weighted_to(profile: RadialProfile, c: float, weight) -> float:
     raise TypeError(f"unsupported weight {weight!r}")
 
 
+def _integrate(fun, pts, qcfg: QuadratureConfig, scale: float) -> float:
+    """Adaptive integral over pts, the absolute tolerance floored at
+    rel_tol * scale for a scale that bounds the integral."""
+    cfg = QuadratureConfig(qcfg.rel_tol, max(qcfg.abs_tol, qcfg.rel_tol * scale),
+                           qcfg.max_subdivisions)
+    return integrate_adaptive(fun, pts, cfg)
+
+
+def _ball_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
+                   qcfg: QuadratureConfig, fun, peak) -> float:
+    """Integral of the radial integrand fun over the ball, divided by its volume.
+
+    peak(hi) bounds fun / (cap kernel) on [0, hi]; it sets the tolerance floor.
+    """
+    lo, hi = _ball_range(profile, ball)
+    if hi <= lo:
+        return 0.0
+    volume = params.omega_n * ball.r ** params.n
+    scale = peak(hi) * params.sigma_n * hi ** (params.n - 1) * (hi - lo)
+    return _integrate(fun, _ball_breakpoints(profile, ball, lo, hi), qcfg, scale) / volume
+
+
 def _even_integral(fn_to, a: float, b: float) -> float:
     """Integral over [a, b] of an even integrand given its [0, c] primitive."""
     if a >= 0.0:
@@ -103,15 +126,8 @@ def ball_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
     if params.n == 1:
         vals = _odd_antiderivative(profile, np.array([d + r, d - r]))
         return float(vals[0] - vals[1]) / (2.0 * r)
-    lo, hi = _ball_range(profile, ball)
-    if hi <= lo:
-        return 0.0
-    volume = params.omega_n * r ** params.n
-    scale = profile.max_value * params.sigma_n * hi ** (params.n - 1) * (hi - lo)
-    cfg = QuadratureConfig(qcfg.rel_tol, max(qcfg.abs_tol, qcfg.rel_tol * scale),
-                           qcfg.max_subdivisions)
     fun = lambda t: profile.value(t) * cap_area(t, d, r, params)
-    return integrate_adaptive(fun, _ball_breakpoints(profile, ball, lo, hi), cfg) / volume
+    return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: profile.max_value)
 
 
 def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -133,10 +149,8 @@ def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams
             pts.append(float(np.arccos(np.clip(u, -1.0, 1.0))))
     k = params.n - 2
     fun = lambda phi: profile.value(rho_vals(phi)) * np.sin(phi) ** k
-    scale = profile.max_value * np.pi
-    cfg = QuadratureConfig(qcfg.rel_tol, max(qcfg.abs_tol, qcfg.rel_tol * scale),
-                           qcfg.max_subdivisions)
-    return integrate_adaptive(fun, np.unique(pts), cfg) / sin_power_total(k)
+    return _integrate(fun, np.unique(pts), qcfg, profile.max_value * np.pi) \
+        / sin_power_total(k)
 
 
 def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -151,16 +165,9 @@ def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: Amb
         return float(profile.value(d + r) - profile.value(abs(d - r))) / (2.0 * r)
     if d == 0.0:
         return 0.0
-    lo, hi = _ball_range(profile, ball)
-    if hi <= lo:
-        return 0.0
-    volume = params.omega_n * r ** params.n
     slope_max = float(np.max(np.abs(profile.slopes)))
-    scale = slope_max * params.sigma_n * hi ** (params.n - 1) * (hi - lo)
-    cfg = QuadratureConfig(qcfg.rel_tol, max(qcfg.abs_tol, qcfg.rel_tol * scale),
-                           qcfg.max_subdivisions)
     fun = lambda t: profile.slope(t) * cap_first_moment(t, d, r, params)
-    return integrate_adaptive(fun, _ball_breakpoints(profile, ball, lo, hi), cfg) / volume
+    return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: slope_max)
 
 
 def gradient_radial_moment(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -170,16 +177,9 @@ def gradient_radial_moment(profile: RadialProfile, ball: AxisBall, params: Ambie
     if params.n == 1:
         val = _even_integral(lambda c: _slope_moment_to(profile, c), d - r, d + r)
         return val / (2.0 * r)
-    lo, hi = _ball_range(profile, ball)
-    if hi <= lo:
-        return 0.0
-    volume = params.omega_n * r ** params.n
     slope_max = float(np.max(np.abs(profile.slopes)))
-    scale = slope_max * hi * params.sigma_n * hi ** (params.n - 1) * (hi - lo)
-    cfg = QuadratureConfig(qcfg.rel_tol, max(qcfg.abs_tol, qcfg.rel_tol * scale),
-                           qcfg.max_subdivisions)
     fun = lambda t: profile.slope(t) * t * cap_area(t, d, r, params)
-    return integrate_adaptive(fun, _ball_breakpoints(profile, ball, lo, hi), cfg) / volume
+    return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: slope_max * hi)
 
 
 def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -193,12 +193,13 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
     if params.n == 1:
         val = _even_integral(lambda c: _abs_slope_weighted_to(profile, c, weight), d - r, d + r)
         return val / (2.0 * r)
-    lo, hi = _ball_range(profile, ball)
-    if hi <= lo:
-        return 0.0
-    volume = params.omega_n * r ** params.n
+    slope_max = float(np.max(np.abs(profile.slopes)))
     if isinstance(weight, LevelSetWeight):
         # restrict the domain to the level set so the integrand stays continuous
+        lo, hi = _ball_range(profile, ball)
+        if hi <= lo:
+            return 0.0
+        fun = lambda t: np.abs(profile.slope(t)) * cap_area(t, d, r, params)
         total = 0.0
         for a, b in weight.intervals:
             a2, b2 = max(lo, a), min(hi, b)
@@ -206,13 +207,9 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
                 continue
             pts = _ball_breakpoints(profile, ball, lo, hi)
             pts = np.unique(np.clip(np.concatenate((pts, [a2, b2])), a2, b2))
-            fun = lambda t: np.abs(profile.slope(t)) * cap_area(t, d, r, params)
-            slope_max = float(np.max(np.abs(profile.slopes)))
             scale = slope_max * params.sigma_n * hi ** (params.n - 1) * (b2 - a2)
-            cfg = QuadratureConfig(qcfg.rel_tol, max(qcfg.abs_tol, qcfg.rel_tol * scale),
-                                   qcfg.max_subdivisions)
-            total += integrate_adaptive(fun, pts, cfg)
-        return total / volume
+            total += _integrate(fun, pts, qcfg, scale)
+        return total / (params.omega_n * r ** params.n)
 
     if weight is None:
         wfun = lambda t: 1.0
@@ -221,40 +218,37 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
         wfun = lambda t: t / s
     else:
         raise TypeError(f"unsupported weight {weight!r}")
-    slope_max = float(np.max(np.abs(profile.slopes)))
-    wmax = 1.0 if weight is None else hi / weight.s
-    scale = slope_max * wmax * params.sigma_n * hi ** (params.n - 1) * (hi - lo)
-    cfg = QuadratureConfig(qcfg.rel_tol, max(qcfg.abs_tol, qcfg.rel_tol * scale),
-                           qcfg.max_subdivisions)
+    peak = lambda hi: slope_max * (1.0 if weight is None else hi / weight.s)
     fun = lambda t: np.abs(profile.slope(t)) * wfun(t) * cap_area(t, d, r, params)
-    return integrate_adaptive(fun, _ball_breakpoints(profile, ball, lo, hi), cfg) / volume
+    return _ball_integral(profile, ball, params, qcfg, fun, peak)
 
 
-def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams,
-                    beta: float | None = None, n_nodes: int = 96):
+def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
     """Vectorized r^beta * ball-average for arrays of balls (coarse search).
 
-    Composite midpoint rule with ~1e-4 relative accuracy; used only to
-    rank candidate balls, never for reported values.
+    Composite midpoint rule on _RANKING_NODES nodes; used only to rank
+    candidate balls, never for reported values.  Against the identity
+    quadrature its relative error on balls meeting the support reaches
+    7e-3 on 40-knot random profiles (n = 2, 3, 5), and grows with the
+    knot count.
     """
     ds = np.asarray(ds, dtype=float)
     rs = np.asarray(rs, dtype=float)
-    beta = params.beta if beta is None else beta
     if params.n == 1:
         upper = _odd_antiderivative(profile, ds + rs)
         lower = _odd_antiderivative(profile, ds - rs)
         avg = (upper - lower) / (2.0 * rs)
-        return rs**beta * avg
+        return rs**params.beta * avg
     lo = np.maximum(0.0, ds - rs)
     hi = np.minimum(ds + rs, profile.support_radius)
     length = np.maximum(hi - lo, 0.0)
     out = np.zeros_like(ds)
     live = length > 0.0
     if np.any(live):
-        xi = (np.arange(n_nodes) + 0.5) / n_nodes
+        xi = (np.arange(_RANKING_NODES) + 0.5) / _RANKING_NODES
         t = lo[live, None] + length[live, None] * xi[None, :]
         area = cap_area(t, ds[live, None], rs[live, None], params)
         vals = profile.value(t.ravel()).reshape(t.shape)
-        integral = (vals * area).sum(axis=1) * (length[live] / n_nodes)
+        integral = (vals * area).sum(axis=1) * (length[live] / _RANKING_NODES)
         out[live] = integral / (params.omega_n * rs[live] ** params.n)
-    return rs**beta * out
+    return rs**params.beta * out

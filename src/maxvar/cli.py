@@ -19,13 +19,13 @@ from .averages import ball_average
 from .core import AmbientParams, ProfileError, RadialProfile, load_profile
 from .families import random_profile
 from .geometry import AxisBall
-from .identities import (annulus_suite, check_divergence, format_reports,
-                         reports_to_json, suite_outcome, sweep_identity_suite,
-                         _random_ball)
+from .identities import (_annulus_ball, _random_ball, check_annulus_average,
+                         check_divergence, format_reports, reports_to_json,
+                         suite_outcome, sweep_identity_suite)
 from .oracles import (oracle_1d_maximal, oracle_dense_average_2d,
                       oracle_mc_ball_average)
 from .quadrature import IDENTITY_QUADRATURE, QuadratureError
-from .search import GridSpec, SearchConfig, maximal_profile, search
+from .search import GridSpec, maximal_profile, search
 from .variation import UnconvergedSweepError, family_sweep, variation_report
 
 EXIT_OK = 0
@@ -228,11 +228,10 @@ def _cmd_verify(args) -> int:
             reports.append(check_divergence(profile, ball, params, IDENTITY_QUADRATURE))
     if args.suite in ("all", "annulus"):
         for _ in range(args.count):
-            d = rng.uniform(0.3 * T, 1.5 * T)
-            r = rng.uniform(0.05, 0.5) * d / 2.0
-            from .identities import check_annulus_average
-            reports.append(check_annulus_average(profile, AxisBall(d, r), params,
-                                                 IDENTITY_QUADRATURE))
+            ball = _annulus_ball(rng, T)
+            if ball is not None:
+                reports.append(check_annulus_average(profile, ball, params,
+                                                     IDENTITY_QUADRATURE))
     sweep_checks = {"stationarity": ("stationarity",), "boundary": ("boundary",),
                     "inner": ("inner",), "keylemma": ("keylemma",),
                     "comparison": ("comparison",),

@@ -27,13 +27,14 @@ def standard_family() -> dict[str, RadialProfile]:
 def random_profile(rng: np.random.Generator, n_knots: int = 6, t_max: float = 2.0) -> RadialProfile:
     """Seeded random piecewise-linear profile with support [0, t_max].
 
-    Interior knots come from a jittered lattice, keeping separations above
-    1% of the support; genuinely steep ramps are built deliberately via
-    duplicate radii in load_profile, not sampled here.
+    Interior knots come from a jittered lattice of max(40, n_knots - 2)
+    cells, so separations stay above half a cell (1% of the support up to
+    42 knots); genuinely steep ramps are built deliberately via duplicate
+    radii in load_profile, not sampled here.
     """
     if n_knots < 3:
         raise ValueError("need at least 3 knots")
-    cells = np.linspace(0.05 * t_max, 0.95 * t_max, 40)
+    cells = np.linspace(0.05 * t_max, 0.95 * t_max, max(40, n_knots - 2))
     centers = np.sort(rng.choice(cells, size=n_knots - 2, replace=False))
     jitter = rng.uniform(-0.25, 0.25, size=n_knots - 2) * (cells[1] - cells[0])
     t = np.concatenate(([0.0], centers + jitter, [t_max]))

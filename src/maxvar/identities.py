@@ -113,15 +113,16 @@ def check_stationarity(profile: RadialProfile, s: float, result: BestBallResult,
 
 def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
                         params: AmbientParams, qcfg: QuadratureConfig,
-                        tolerance: float = BEST_BALL_TOL,
-                        steps=(1e-3, 1e-4, 1e-5)) -> IdentityReport:
+                        tolerance: float = BEST_BALL_TOL) -> IdentityReport:
     """Scaling-family derivative against its closed form.
 
     The family maps the ball to center (1+h)d - h s and radius (1+h)r;
     the derivative of the objective at h = 0 must equal
     r^beta * avg(Df.(y-x)) + beta * objective for any ball, and both
-    vanish at a best ball.  The finite difference uses a step sweep with
-    Richardson extrapolation; an inconsistent sweep is flagged.
+    vanish at a best ball.  The finite difference uses the steps 1e-3,
+    1e-4, 1e-5 with Richardson extrapolation; an inconsistent sweep is
+    flagged.  A moved center below 0 is evaluated at its mirror image,
+    which has the same average because f is radial.
     """
     d, r = ball.d, ball.r
     # the finite differences divide out the step, so the objective needs a
@@ -130,13 +131,13 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
                              abs_tol=qcfg.abs_tol, max_subdivisions=8000)
 
     def phi(h):
-        moved = AxisBall((1.0 + h) * d - h * s, (1.0 + h) * r)
+        moved = AxisBall(abs((1.0 + h) * d - h * s), (1.0 + h) * r)
         return moved.r ** params.beta * ball_average(profile, moved, params, tight)
 
     value = phi(0.0)
     scale_der = params.beta * value
-    diffs = [(phi(h) - phi(-h)) / (2.0 * h) for h in steps]
-    # steps shrink by 10: Richardson on the two smallest central estimates
+    diffs = [(phi(h) - phi(-h)) / (2.0 * h) for h in (1e-3, 1e-4, 1e-5)]
+    # Richardson on the two smallest central estimates
     fd = (100.0 * diffs[-1] - diffs[-2]) / 99.0
     threshold = tolerance * max(abs(scale_der), 1e-300)
     trend_ok = abs(diffs[2] - diffs[1]) <= abs(diffs[1] - diffs[0]) + 0.05 * threshold
@@ -279,6 +280,15 @@ def _random_ball(rng: np.random.Generator, T: float) -> AxisBall:
             return AxisBall(d, r)
 
 
+def _annulus_ball(rng: np.random.Generator, T: float) -> AxisBall | None:
+    """Random ball in the annulus; None when its double misses the support."""
+    d = rng.uniform(0.3 * T, 1.5 * T)
+    r = rng.uniform(0.05, 0.5) * d / 2.0
+    if min(d + 2 * r, T) <= max(0.0, d - 2 * r):
+        return None
+    return AxisBall(d, r)
+
+
 def divergence_suite(seed: int, per_n: int = 100, dims=(1, 2, 3), beta: float = 0.5,
                      qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
     """Random (profile, ball) divergence checks per dimension."""
@@ -302,13 +312,9 @@ def annulus_suite(seed: int, count: int = 50, n: int = 2, beta: float = 0.5,
     reports = []
     for _ in range(count):
         prof = random_profile(rng, n_knots=int(rng.integers(4, 9)))
-        T = prof.support_radius
-        d = rng.uniform(0.3 * T, 1.5 * T)
-        r = rng.uniform(0.05, 0.5) * d / 2.0
-        lo, hi = max(0.0, d - 2 * r), min(d + 2 * r, T)
-        if hi <= lo:
-            continue
-        reports.append(check_annulus_average(prof, AxisBall(d, r), params, qcfg))
+        ball = _annulus_ball(rng, prof.support_radius)
+        if ball is not None:
+            reports.append(check_annulus_average(prof, ball, params, qcfg))
     return reports
 
 

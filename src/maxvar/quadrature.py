@@ -123,21 +123,3 @@ def integrate_adaptive(fun, breakpoints, qcfg: QuadratureConfig) -> float:
         lo, hi = new_lo, new_hi
         splits += n_bad
 
-
-def geometric_presplit(lo: float, hi: float, singular_lo: bool, singular_hi: bool, levels: int = 6):
-    """Breakpoints on [lo, hi] geometrically refined toward singular ends.
-
-    Used for cap-kernel integrands whose derivative blows up like an
-    inverse square root at a regime boundary.
-    """
-    if hi <= lo:
-        return np.array([lo, hi])
-    pts = [lo, hi]
-    length = hi - lo
-    for k in range(1, levels + 1):
-        off = length * 0.25 ** k
-        if singular_lo:
-            pts.append(lo + off)
-        if singular_hi:
-            pts.append(hi - off)
-    return np.unique(np.clip(np.asarray(pts), lo, hi))

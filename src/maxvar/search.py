@@ -22,33 +22,21 @@ import numpy as np
 from .averages import ball_average, batch_objective, gradient_axial_component
 from .core import AmbientParams, RadialProfile
 from .geometry import AxisBall, Contact, InfeasibleBallError, classify_contact
-from .quadrature import IDENTITY_QUADRATURE, QuadratureConfig
+from .quadrature import IDENTITY_QUADRATURE, OPTIMIZER_QUADRATURE, QuadratureConfig
 
 REGION_LABELS = ("zero_derivative", "E1", "E2", "E3", "unclassified")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the coarse grid, multistart refinement and tie-breaking."""
-
-    r_per_decade: int = 24
-    d_per_row: int = 48
-    multistarts: int = 8
-    refine_tol: float = 1e-7
-    tie_tol: float = 1e-9
-    r_min_frac: float = 1e-4
-    contact_tol: float = 1e-6
-    boundary_points: int = 256
-    coarse_nodes: int = 96
-    refine_max_evals: int = 4000
-
-    def __post_init__(self):
-        if min(self.r_per_decade, self.d_per_row, self.multistarts, self.boundary_points) < 1:
-            raise ValueError("grid sizes and multistart count must be positive")
-        if not (0.0 < self.r_min_frac < 1.0):
-            raise ValueError("r_min fraction must lie in (0, 1)")
-        if min(self.refine_tol, self.tie_tol, self.contact_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+# coarse grid, multistart refinement and tie-breaking
+R_PER_DECADE = 24
+D_PER_ROW = 48
+MULTISTARTS = 8
+REFINE_TOL = 1e-7
+TIE_TOL = 1e-9
+R_MIN_FRAC = 1e-4
+CONTACT_TOL = 1e-6
+BOUNDARY_POINTS = 256
+REFINE_MAX_EVALS = 4000
 
 
 @dataclass(frozen=True)
@@ -125,27 +113,24 @@ def objective(profile: RadialProfile, s: float, ball: AxisBall, params: AmbientP
 class _Objective:
     """Counts evaluations and dispatches to the fast or accurate integrator."""
 
-    def __init__(self, profile, s, params, qcfg, coarse_nodes):
+    def __init__(self, profile, params):
         self.profile = profile
-        self.s = s
         self.params = params
-        self.qcfg = qcfg
-        self.coarse_nodes = coarse_nodes
         self.evals = 0
 
     def batch(self, ds, rs):
         self.evals += len(ds)
-        return batch_objective(self.profile, ds, rs, self.params, n_nodes=self.coarse_nodes)
+        return batch_objective(self.profile, ds, rs, self.params)
 
     def fast(self, d, r):
         self.evals += 1
         return float(batch_objective(self.profile, np.array([d]), np.array([r]),
-                                     self.params, n_nodes=self.coarse_nodes)[0])
+                                     self.params)[0])
 
     def accurate(self, d, r):
         self.evals += 1
         return r ** self.params.beta * ball_average(
-            self.profile, AxisBall(d, r), self.params, self.qcfg)
+            self.profile, AxisBall(d, r), self.params, OPTIMIZER_QUADRATURE)
 
 
 def _compass_2d(fun, d0, r0, step_d, step_r, project, tol, max_evals, batch_fun=None):
@@ -154,6 +139,8 @@ def _compass_2d(fun, d0, r0, step_d, step_r, project, tol, max_evals, batch_fun=
     After an improving move the step doubles along the same direction while
     it keeps improving, so long travels cost log many evaluations.  With
     batch_fun the four neighbors are evaluated in one vectorized call.
+    With step_r = 0 and a projection that pins r to the center, it searches
+    along a curve in one variable.
     """
     d, r = project(d0, r0)
     best = fun(d, r)
@@ -203,40 +190,6 @@ def _compass_2d(fun, d0, r0, step_d, step_r, project, tol, max_evals, batch_fun=
     return d, r, best, evals, False
 
 
-def _compass_1d(fun, u0, step, lo, hi, tol, max_evals):
-    u = min(max(u0, lo), hi)
-    best = fun(u)
-    evals = 1
-    st = step
-    while evals < max_evals:
-        if st <= tol:
-            return u, best, evals, True
-        moved = False
-        for sign in (1.0, -1.0):
-            cu = min(max(u + sign * st, lo), hi)
-            if cu == u:
-                continue
-            val = fun(cu)
-            evals += 1
-            if val > best:
-                u, best, moved = cu, val, True
-                grow = 2.0
-                while evals < max_evals:
-                    cu = min(max(u + sign * st * grow, lo), hi)
-                    if cu == u:
-                        break
-                    val = fun(cu)
-                    evals += 1
-                    if val <= best:
-                        break
-                    u, best = cu, val
-                    grow *= 2.0
-                break
-        if not moved:
-            st *= 0.5
-    return u, best, evals, False
-
-
 def _dedupe_candidates(cands, limit, rel=0.05):
     """Keep the top candidates that differ by more than rel in (d, r)."""
     kept = []
@@ -255,7 +208,6 @@ def _dedupe_candidates(cands, limit, rel=0.05):
 
 
 def search(profile: RadialProfile, s: float, params: AmbientParams,
-           scfg: SearchConfig | None = None, qcfg: QuadratureConfig | None = None,
            warm: AxisBall | None = None) -> BestBallResult:
     """Globally maximize the objective over feasible axis balls at radius s.
 
@@ -263,14 +215,12 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     the smallest center distance.  The returned value is recomputed at the
     identity-suite quadrature tolerance.
     """
-    scfg = scfg or SearchConfig()
-    qcfg = qcfg or QuadratureConfig(rel_tol=1e-6, max_subdivisions=400)
     if s < 0.0:
         raise ValueError("evaluation radius must be nonnegative")
     T = profile.support_radius
-    r_min = scfg.r_min_frac * T
+    r_min = R_MIN_FRAC * T
     r_max = s + T
-    ob = _Objective(profile, s, params, qcfg, scfg.coarse_nodes)
+    ob = _Objective(profile, params)
 
     def project(d, r):
         d = max(d, 0.0)
@@ -281,16 +231,16 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     # balls cannot reach the support (r <= (s - T)/2) carry zero objective
     r_low = max(r_min, 0.5 * (s - T))
     decades = math.log10(r_max / max(r_low, 1e-300))
-    n_r = max(2, int(math.ceil(scfg.r_per_decade * decades)) + 1)
+    n_r = max(2, int(math.ceil(R_PER_DECADE * decades)) + 1)
     rs_rows = np.geomspace(r_low, r_max, n_r)
     lo_d = np.maximum(0.0, s - rs_rows)
     hi_d = np.minimum(s, T) + rs_rows
-    frac = np.linspace(0.0, 1.0, scfg.d_per_row)
+    frac = np.linspace(0.0, 1.0, D_PER_ROW)
     ds_grid = (lo_d[:, None] + np.maximum(hi_d - lo_d, 0.0)[:, None] * frac[None, :]).ravel()
-    rs_grid = np.repeat(rs_rows, scfg.d_per_row)
+    rs_grid = np.repeat(rs_rows, D_PER_ROW)
 
     # --- dedicated boundary family r = |d - s|
-    rs_b = np.geomspace(r_low, r_max, scfg.boundary_points)
+    rs_b = np.geomspace(r_low, r_max, BOUNDARY_POINTS)
     if s <= T:  # outer-contact balls span [s, s+2r]; dead beyond the support
         d_outer, rs_outer = s + rs_b, rs_b
     else:
@@ -304,14 +254,14 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     order = np.argsort(values)[::-1]
     top_val = float(values[order[0]])
     pool = []
-    for i in order[: 16 * scfg.multistarts]:
+    for i in order[: 16 * MULTISTARTS]:
         v = float(values[i])
         if v < 0.5 * top_val or v <= 0.0:
             break
         pool.append((v, float(ds_all[i]), float(rs_all[i])))
     if not pool:
         pool = [(top_val, float(ds_all[order[0]]), float(rs_all[order[0]]))]
-    starts = _dedupe_candidates(pool, scfg.multistarts)
+    starts = _dedupe_candidates(pool, MULTISTARTS)
     if warm is not None:
         dw, rw = project(warm.d, warm.r)
         starts.append((ob.fast(dw, rw), dw, rw))
@@ -325,20 +275,20 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
         step_r = grid_step_r * scale
         step_d = max(scale * grid_step_r, 1e-3 * scale)
         d1, r1, v1, _, _ = _compass_2d(ob.fast, d0, r0, step_d, step_r, project,
-                                       1e-4 * scale, scfg.refine_max_evals,
+                                       1e-4 * scale, REFINE_MAX_EVALS,
                                        batch_fun=ob.batch)
         stage_one.append((v1, d1, r1))
     # fast-stage endpoints scatter within the midpoint-rule noise plateau,
     # so clusters tighter than 1% are the same basin
     stage_one.sort(key=lambda c: -c[0])
-    survivors = _dedupe_candidates(stage_one, scfg.multistarts, rel=0.01)
+    survivors = _dedupe_candidates(stage_one, MULTISTARTS, rel=0.01)
 
     finals = []
     for _, d1, r1 in survivors:
         scale = max(r1, r_min)
         d2, r2, v2, _, ok = _compass_2d(ob.accurate, d1, r1, 1e-3 * scale, 1e-3 * scale,
-                                        project, scfg.refine_tol * scale,
-                                        scfg.refine_max_evals)
+                                        project, REFINE_TOL * scale,
+                                        REFINE_MAX_EVALS)
         finals.append((v2, d2, r2, ok))
 
     # slide along the boundary family from the leaders pinned at the constraint
@@ -346,7 +296,7 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     for v2, d2, r2, _ in list(finals):
         if v2 < provisional * (1.0 - 0.02):
             continue
-        if r2 - abs(d2 - s) > 4.0 * scfg.contact_tol * r2:
+        if r2 - abs(d2 - s) > 4.0 * CONTACT_TOL * r2:
             continue
         scale = max(r2, r_min)
         if d2 >= s:
@@ -355,19 +305,23 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
             lo_u, hi_u = 0.0, max(s - r_min, 0.0)
         if hi_u <= lo_u:
             continue
-        fun_u = lambda u: ob.accurate(u, max(abs(u - s), r_min))
-        u3, v3, _, ok3 = _compass_1d(fun_u, d2, 1e-3 * scale, lo_u, hi_u,
-                                     scfg.refine_tol * scale, scfg.refine_max_evals)
-        finals.append((v3, u3, max(abs(u3 - s), r_min), ok3))
+
+        def pinned(u, _r):
+            u = min(max(u, lo_u), hi_u)
+            return u, max(abs(u - s), r_min)
+
+        d3, r3, v3, _, ok3 = _compass_2d(ob.accurate, d2, r2, 1e-3 * scale, 0.0, pinned,
+                                         REFINE_TOL * scale, REFINE_MAX_EVALS)
+        finals.append((v3, d3, r3, ok3))
 
     best_val = max(f[0] for f in finals)
-    tie = [f for f in finals if f[0] >= best_val - scfg.tie_tol * abs(best_val)]
+    tie = [f for f in finals if f[0] >= best_val - TIE_TOL * abs(best_val)]
     tie.sort(key=lambda f: (f[2], f[1]))
     v, d, r, ok = tie[0]
     ball = AxisBall(d, r)
     final_value = ball.r ** params.beta * ball_average(profile, ball, params,
                                                        IDENTITY_QUADRATURE)
-    contact = classify_contact(ball, s, scfg.contact_tol)
+    contact = classify_contact(ball, s, CONTACT_TOL)
     region = _region_label(contact, s)
     return BestBallResult(s=s, value=float(final_value), ball=ball, contact=contact,
                           region=region, objective_evals=ob.evals, converged=bool(ok),
@@ -388,21 +342,19 @@ def _region_label(contact: Contact, s: float) -> str:
 
 
 def _sweep_chunk(args):
-    profile, pts, params, scfg, qcfg, warm_start = args
+    profile, pts, params, warm_start = args
     results = []
     prev = None
     for s in pts:
-        res = search(profile, float(s), params, scfg, qcfg,
-                     warm=prev.ball if (warm_start and prev is not None) else None)
+        warm = prev.ball if (warm_start and prev is not None) else None
+        res = search(profile, float(s), params, warm=warm)
         results.append(res)
         prev = res
     return results
 
 
 def maximal_profile(profile: RadialProfile, grid, params: AmbientParams,
-                    scfg: SearchConfig | None = None, qcfg: QuadratureConfig | None = None,
-                    warm_start: bool = True, workers: int | None = None,
-                    deriv_qcfg: QuadratureConfig | None = None) -> MaximalProfile:
+                    warm_start: bool = True, workers: int | None = None) -> MaximalProfile:
     """Sweep the grid, warm-starting each point from its neighbor's ball.
 
     Warm starts only add refinement candidates; the global coarse stage
@@ -417,18 +369,17 @@ def maximal_profile(profile: RadialProfile, grid, params: AmbientParams,
         workers = int(os.environ.get("MAXVAR_THREADS", "1"))
     workers = max(1, min(workers, len(pts)))
     if workers == 1:
-        results = _sweep_chunk((profile, pts, params, scfg, qcfg, warm_start))
+        results = _sweep_chunk((profile, pts, params, warm_start))
     else:
         from concurrent.futures import ProcessPoolExecutor
         chunks = np.array_split(pts, workers)
-        jobs = [(profile, c, params, scfg, qcfg, warm_start) for c in chunks if len(c)]
+        jobs = [(profile, c, params, warm_start) for c in chunks if len(c)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for part in pool.map(_sweep_chunk, jobs) for r in part]
     mp = MaximalProfile(grid=pts, values=np.array([r.value for r in results]),
                         results=results)
-    dq = deriv_qcfg or IDENTITY_QUADRATURE
     mp.deriv_formula = np.array([
-        derivative_by_formula(profile, r, params, dq) for r in results])
+        derivative_by_formula(profile, r, params, IDENTITY_QUADRATURE) for r in results])
     derivative_by_fd(mp, profile)
     return mp
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .core import AmbientParams, RadialProfile, gradient_l1_norm, l1_norm
 from .families import dilate_profile
-from .quadrature import QuadratureConfig
-from .search import GridSpec, MaximalProfile, SearchConfig, maximal_profile
+from .search import GridSpec, MaximalProfile, maximal_profile
 
 
 @dataclass(frozen=True)
@@ -91,15 +90,13 @@ def region_histogram(mp: MaximalProfile) -> dict:
 
 
 def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSpec,
-                     scfg: SearchConfig | None = None,
-                     qcfg: QuadratureConfig | None = None,
                      include_refinement: bool = True,
                      include_dilation: bool = True,
                      dilation_lambda: float = 2.0) -> VariationReport:
     """Full pipeline: sweep, derivatives, norms, ratio, stability studies."""
 
     def ratio_of(prof, g):
-        mp = maximal_profile(prof, g, params, scfg, qcfg)
+        mp = maximal_profile(prof, g, params)
         lq = lq_norm_derivative(mp, params)
         l1 = gradient_l1_norm(prof, params)
         return mp, lq, l1, lq / l1
@@ -133,8 +130,6 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
 
 
 def family_sweep(members: dict, params_list, grid_count: int = 64,
-                 scfg: SearchConfig | None = None,
-                 qcfg: QuadratureConfig | None = None,
                  include_refinement: bool = True,
                  include_dilation: bool = True):
     """variation_report across a family; returns rows plus per-(n, beta) maxima."""
@@ -143,8 +138,8 @@ def family_sweep(members: dict, params_list, grid_count: int = 64,
         profile = members[name]
         for params in params_list:
             grid = GridSpec.standard(profile, grid_count)
-            rep = variation_report(profile, params, grid, scfg, qcfg,
-                                   include_refinement, include_dilation)
+            rep = variation_report(profile, params, grid, include_refinement,
+                                   include_dilation)
             rows.append({"name": name, "report": rep})
     maxima = {}
     for row in rows:

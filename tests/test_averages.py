@@ -254,3 +254,20 @@ class TestBatchObjective:
             # ranking evaluator: percent-level accuracy, absolute floor for
             # balls that barely graze the support
             assert abs(fast[i] - acc) <= 1e-2 * max(acc, 1e-3 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_many_knots_within_documented_error(self, n):
+        # the docstring's figure: 7e-3 relative on 40-knot random profiles
+        params = AmbientParams(n, 0.5)
+        rng2 = np.random.default_rng(2024 + n)
+        for _ in range(5):
+            prof = random_profile(rng2, 40)
+            T = prof.support_radius
+            ds = rng2.uniform(0.0, 1.2 * T, size=20)
+            rs = rng2.uniform(0.05 * T, 1.5 * T, size=20)
+            fast = batch_objective(prof, ds, rs, params)
+            scale = prof.max_value * (1.5 * T) ** params.beta
+            for i in range(20):
+                acc = rs[i] ** params.beta * ball_average(
+                    prof, AxisBall(ds[i], rs[i]), params, Q)
+                assert abs(fast[i] - acc) <= 8e-3 * max(acc, 1e-3 * scale)

@@ -108,6 +108,14 @@ class TestVerify:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_annulus_skips_balls_missing_the_support(self, tent_json, capsys):
+        rc = main(["verify", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--suite", "annulus", "--seed", "7", "--count", "20",
+                   "--format", "json"])
+        reports = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert reports and all(rep["rhs"] != 0.0 for rep in reports)
+
     def test_stationarity_suite(self, tent_json, capsys):
         rc = main(["verify", "--n", "2", "--beta", "0.5", "--profile", tent_json,
                    "--suite", "stationarity", "--grid", "0.3:2:8:log"])

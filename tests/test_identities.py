@@ -97,6 +97,13 @@ class TestAffineFamily:
         assert rel_err(rep.lhs, rep.info["derivative_scale"]) <= 1e-6
         assert rep.info["trend_ok"]
 
+    def test_center_at_origin(self, params2_mod, tent_mod):
+        # the moved center (1+h)d - hs is negative for every h > 0: the
+        # family is evaluated at its mirror image
+        rep = check_affine_family(tent_mod, 0.2, AxisBall(0.0, 0.5), params2_mod, Q)
+        assert rep.passed and rep.info["trend_ok"]
+        assert abs(rep.lhs - rep.rhs) <= 1e-9 * rep.info["derivative_scale"]
+
     def test_nonoptimal_direction_reported(self, params2_mod, tent_mod):
         res = search(tent_mod, 0.9, params2_mod)
         rep = check_affine_family(tent_mod, 0.9, perturbed_ball(res).ball,

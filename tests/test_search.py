@@ -9,7 +9,7 @@ from maxvar.families import dilate_profile, random_profile, scale_profile, tent
 from maxvar.geometry import AxisBall, InfeasibleBallError
 from maxvar.oracles import oracle_1d_maximal
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
-from maxvar.search import (GridSpec, MaximalProfile, SearchConfig,
+from maxvar.search import (CONTACT_TOL, GridSpec, MaximalProfile,
                            derivative_by_fd, derivative_by_formula,
                            maximal_profile, objective, search)
 
@@ -61,14 +61,13 @@ class TestSearch:
             assert rel_err(res.value, oracle) <= 1e-3
 
     def test_feasibility_and_radius_bound(self, params2, rng):
-        scfg = SearchConfig()
         for _ in range(4):
             prof = random_profile(rng, 6)
             T = prof.support_radius
             s = float(rng.uniform(0.05 * T, 3.0 * T))
-            res = search(prof, s, params2, scfg)
+            res = search(prof, s, params2)
             assert res.ball.d >= 0.0
-            assert abs(res.ball.d - s) <= res.ball.r * (1 + scfg.contact_tol)
+            assert abs(res.ball.d - s) <= res.ball.r * (1 + CONTACT_TOL)
             r_max = s + T
             covering = objective(prof, s, AxisBall(0.0, r_max), params2, Q)
             assert res.ball.r < r_max * (1 - 1e-6) or \
@@ -82,7 +81,6 @@ class TestSearch:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_beats_dense_grid_probe(self, params2, tent_profile):
-        scfg = SearchConfig()
         for s, res_grid in ((0.7, 200), (1.6, 400)):
             res = search(tent_profile, s, params2)
             T = tent_profile.support_radius
