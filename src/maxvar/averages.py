@@ -2,9 +2,12 @@
 
 All n >= 2 averages reduce to 1D integrals in the radius t against the
 cap kernels; n = 1 uses exact piecewise integration of the even extension
-F(|u|).  Quadrature nodes always include profile knots and cap regime
-boundaries, with a geometric presplit at the regime endpoints where the
-kernels have square-root behavior.
+F(|u|).  The single-ball averages integrate adaptively on nodes that
+include profile knots and cap regime boundaries, with a geometric presplit
+at the regime endpoints where the kernels have square-root behavior.  Two
+batched objectives serve the search: a midpoint rule ranks its coarse grid,
+and a fixed Gauss-Legendre rule, after a substitution that makes the
+kernels smooth, refines it.
 """
 
 from __future__ import annotations
@@ -223,6 +226,13 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
     return _ball_integral(profile, ball, params, qcfg, fun, peak)
 
 
+def _objective_1d(profile: RadialProfile, ds, rs, beta: float):
+    """Exact r^beta * ball average at n = 1, vectorized."""
+    upper = _odd_antiderivative(profile, ds + rs)
+    lower = _odd_antiderivative(profile, ds - rs)
+    return rs**beta * (upper - lower) / (2.0 * rs)
+
+
 def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
     """Vectorized r^beta * ball-average for arrays of balls (coarse search).
 
@@ -235,10 +245,7 @@ def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
     ds = np.asarray(ds, dtype=float)
     rs = np.asarray(rs, dtype=float)
     if params.n == 1:
-        upper = _odd_antiderivative(profile, ds + rs)
-        lower = _odd_antiderivative(profile, ds - rs)
-        avg = (upper - lower) / (2.0 * rs)
-        return rs**params.beta * avg
+        return _objective_1d(profile, ds, rs, params.beta)
     lo = np.maximum(0.0, ds - rs)
     hi = np.minimum(ds + rs, profile.support_radius)
     length = np.maximum(hi - lo, 0.0)
@@ -252,3 +259,72 @@ def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
         integral = (vals * area).sum(axis=1) * (length[live] / _RANKING_NODES)
         out[live] = integral / (params.omega_n * rs[live] ** params.n)
     return rs**params.beta * out
+
+
+# 16-node Gauss-Legendre rule on [0, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_X = 0.5 * (_GL_X + 1.0)
+_GL_W = 0.5 * _GL_W
+
+
+def _knot_breaks(knots, lo, hi):
+    """Rows lo, the knots strictly inside (lo, hi), hi; padded with hi to
+    the widest row, so padding panels have zero width."""
+    i0 = np.searchsorted(knots, lo, side="right")
+    i1 = np.searchsorted(knots, hi, side="left")
+    width = int(np.max(i1 - i0, initial=0))
+    idx = i0[:, None] + np.arange(width)[None, :]
+    inner = np.where(idx < i1[:, None], knots[np.minimum(idx, len(knots) - 1)], hi[:, None])
+    return np.concatenate((lo[:, None], inner, hi[:, None]), axis=1)
+
+
+def _gauss_panels(breaks):
+    """Nodes and weights of the fixed rule on every panel of every row."""
+    h = np.diff(breaks, axis=1)[:, :, None]
+    return breaks[:, :-1, None] + h * _GL_X, h * _GL_W
+
+
+def fixed_rule_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
+    """Vectorized r^beta * ball-average for arrays of balls (search refinement).
+
+    The full-sphere regime t in [0, r - d] gets a 16-node Gauss-Legendre
+    rule on each knot panel.  The cap regime [|d - r|, min(d + r, T)] is
+    mapped by t = |d - r| + L sin^2(phi), L = 2 min(d, r), which turns the
+    square-root endpoint behaviour of the cap kernels smooth; the knots
+    become phi breakpoints and each phi panel gets the same 16-node rule.
+    Against adaptive quadrature at rel_tol 1e-12 the relative error stays
+    below 2e-8 at n = 2, 3 and 1e-7 at n = 5, for r / T from 1e-4 to 2 and
+    up to 40 knots; the largest errors sit on the smallest balls, where the
+    cap kernel's cosine loses digits to cancellation under either rule.  A
+    ball's value depends on the rest of the batch only through rounding.
+    n = 1 is exact.
+    """
+    ds = np.asarray(ds, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    if params.n == 1:
+        return _objective_1d(profile, ds, rs, params.beta)
+    T = profile.support_radius
+    knots = profile.knots_t
+    zero = np.zeros_like(ds)
+    full_top = np.clip(rs - ds, 0.0, T)
+    t_full, w_full = _gauss_panels(_knot_breaks(knots, zero, full_top))
+
+    a = np.abs(ds - rs)
+    span = 2.0 * np.minimum(ds, rs)
+    cap_lo = np.minimum(a, T)
+    t_breaks = _knot_breaks(knots, cap_lo, np.maximum(np.minimum(ds + rs, T), cap_lo))
+    # sin^2(phi) as a quotient of lengths: dilating the ball by a power of
+    # two leaves every phi node unchanged
+    frac = (t_breaks - a[:, None]) / np.maximum(span, 1e-300)[:, None]
+    phi_breaks = np.arcsin(np.sqrt(np.clip(frac, 0.0, 1.0)))
+    phi, w_phi = _gauss_panels(phi_breaks)
+    span3 = span[:, None, None]
+    t_cap = a[:, None, None] + span3 * np.sin(phi) ** 2
+    w_cap = w_phi * span3 * np.sin(2.0 * phi)
+
+    t = np.concatenate((t_full, t_cap), axis=1)
+    w = np.concatenate((w_full, w_cap), axis=1)
+    area = cap_area(t, ds[:, None, None], rs[:, None, None], params)
+    vals = profile.value(t.ravel()).reshape(t.shape)
+    integral = (vals * area * w).sum(axis=(1, 2))
+    return rs**params.beta * integral / (params.omega_n * rs**params.n)

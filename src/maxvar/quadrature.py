@@ -61,9 +61,8 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive and the budget at least 1")
 
 
-# loose config used inside optimizer loops, tight one for identity suites
+# identity suites and reported values; the search refines with a fixed rule
 IDENTITY_QUADRATURE = QuadratureConfig(rel_tol=1e-9)
-OPTIMIZER_QUADRATURE = QuadratureConfig(rel_tol=1e-6, max_subdivisions=400)
 
 
 class QuadratureError(RuntimeError):

@@ -4,11 +4,16 @@ The objective r^beta * (ball average) is maximized over axis balls
 (d, r) with d >= 0, |d - s| <= r, r_min <= r <= s + T.  Rotational
 symmetry about the evaluation axis and the mirror-domination argument
 justify the 2D reduction; the covering ball (0, s + T) dominates every
-larger radius.  Strategy: coarse grid (log in r, linear in d per row)
-plus a dedicated sweep of the boundary family r = |d - s|, then top-K
-deduplicated compass refinement.  All moves are comparison-based, so
-scaling the profile by a positive constant reproduces the exact same
-search path.
+larger radius.  Strategy: a coarse grid (log in r, linear in d per row)
+plus a dedicated sweep of the boundary family r = |d - s|, ranked by the
+midpoint batch objective; compass refinement of the top-K deduplicated
+starts to 1e-4 and of the distinct endpoints to REFINE_TOL; then a slide
+along the boundary family from the leaders pinned at the constraint.
+Every refinement stage evaluates the fixed-rule objective, and the
+compasses of all starts run in lock-step, one batched call per round.
+The reported value is recomputed by adaptive quadrature at
+IDENTITY_QUADRATURE.  All moves are comparison-based, so scaling the
+profile by a positive constant reproduces the same search path.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import ball_average, batch_objective, gradient_axial_component
+from .averages import (ball_average, batch_objective, fixed_rule_objective,
+                       gradient_axial_component)
 from .core import AmbientParams, RadialProfile
 from .geometry import AxisBall, Contact, InfeasibleBallError, classify_contact
-from .quadrature import IDENTITY_QUADRATURE, OPTIMIZER_QUADRATURE, QuadratureConfig
+from .quadrature import IDENTITY_QUADRATURE, QuadratureConfig
 
 REGION_LABELS = ("zero_derivative", "E1", "E2", "E3", "unclassified")
 
@@ -33,6 +39,7 @@ D_PER_ROW = 48
 MULTISTARTS = 8
 REFINE_TOL = 1e-7
 TIE_TOL = 1e-9
+TIE_BALL_REL = 1e-6  # tied balls closer than this in (d, r) count once
 R_MIN_FRAC = 1e-4
 CONTACT_TOL = 1e-6
 BOUNDARY_POINTS = 256
@@ -110,84 +117,84 @@ def objective(profile: RadialProfile, s: float, ball: AxisBall, params: AmbientP
     return ball.r ** params.beta * ball_average(profile, ball, params, qcfg)
 
 
-class _Objective:
-    """Counts evaluations and dispatches to the fast or accurate integrator."""
-
-    def __init__(self, profile, params):
-        self.profile = profile
-        self.params = params
-        self.evals = 0
-
-    def batch(self, ds, rs):
-        self.evals += len(ds)
-        return batch_objective(self.profile, ds, rs, self.params)
-
-    def fast(self, d, r):
-        self.evals += 1
-        return float(batch_objective(self.profile, np.array([d]), np.array([r]),
-                                     self.params)[0])
-
-    def accurate(self, d, r):
-        self.evals += 1
-        return r ** self.params.beta * ball_average(
-            self.profile, AxisBall(d, r), self.params, OPTIMIZER_QUADRATURE)
+_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def _compass_2d(fun, d0, r0, step_d, step_r, project, tol, max_evals, batch_fun=None):
+def _compass(d0, r0, step_d, step_r, project, tol):
     """Derivative-free maximization by comparisons only (scale-equivariant).
 
-    After an improving move the step doubles along the same direction while
-    it keeps improving, so long travels cost log many evaluations.  With
-    batch_fun the four neighbors are evaluated in one vectorized call.
-    With step_r = 0 and a projection that pins r to the center, it searches
-    along a curve in one variable.
+    A generator driven by :func:`_lockstep`: it yields the balls it needs
+    evaluated and is sent their values.  The four neighbors go out in one
+    request; after an improving move the step doubles along the same
+    direction while it keeps improving, so long travels cost log many
+    evaluations.  With step_r = 0 and a projection that pins r to the
+    center, it searches along a curve in one variable.  Returns
+    (d, r, value, converged).
     """
     d, r = project(d0, r0)
-    best = fun(d, r)
+    (best,) = yield [(d, r)]
     evals = 1
     sd, sr = step_d, step_r
-    dirs = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    while evals < max_evals:
+    while evals < REFINE_MAX_EVALS:
         if max(sd, sr) <= tol:
-            return d, r, best, evals, True
-        cands = [project(d + vd * sd, r + vr * sr) for vd, vr in dirs]
-        pick = None
-        if batch_fun is not None:
-            fresh = [(i, c) for i, c in enumerate(cands) if c != (d, r)]
-            if fresh:
-                vals = batch_fun(np.array([c[0] for _, c in fresh]),
-                                 np.array([c[1] for _, c in fresh]))
-                evals += len(fresh)
-                k = int(np.argmax(vals))
-                if vals[k] > best:
-                    pick = (fresh[k][0], fresh[k][1], float(vals[k]))
-        else:
-            for i, c in enumerate(cands):
-                if c == (d, r):
-                    continue
-                val = fun(*c)
-                evals += 1
-                if val > best:
-                    pick = (i, c, val)
-                    break
-        if pick is None:
+            return d, r, float(best), True
+        fresh = []
+        for vd, vr in _DIRS:
+            cand = project(d + vd * sd, r + vr * sr)
+            if cand != (d, r):
+                fresh.append(((vd, vr), cand))
+        k = None
+        if fresh:
+            vals = yield [c for _, c in fresh]
+            evals += len(fresh)
+            k = int(np.argmax(vals))
+        if k is None or vals[k] <= best:
             sd *= 0.5
             sr *= 0.5
             continue
-        i, (d, r), best = pick
-        vd, vr = dirs[i]
+        (vd, vr), (d, r) = fresh[k]
+        best = vals[k]
         grow = 2.0
-        while evals < max_evals:
+        while evals < REFINE_MAX_EVALS:
             cand = project(d + vd * sd * grow, r + vr * sr * grow)
             if cand == (d, r):
                 break
-            val = fun(*cand)
+            (val,) = yield [cand]
             evals += 1
             if val <= best:
                 break
             (d, r), best = cand, val
             grow *= 2.0
-    return d, r, best, evals, False
+    return d, r, float(best), False
+
+
+def _lockstep(evaluate, runs):
+    """Drive compass runs together: each round makes one evaluate call for
+    the balls that every live run asks for.  Returns the runs' results."""
+    results = [None] * len(runs)
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    while asks:
+        balls = [b for ask in asks.values() for b in ask]
+        vals = evaluate(np.array([b[0] for b in balls]), np.array([b[1] for b in balls]))
+        pos = 0
+        pending = {}
+        for i, ask in asks.items():
+            part = vals[pos:pos + len(ask)]
+            pos += len(ask)
+            try:
+                pending[i] = runs[i].send(part)
+            except StopIteration as done:
+                results[i] = done.value
+        asks = pending
+    return results
+
+
+def _pinned(s, lo_u, hi_u, r_min):
+    """Projection onto the boundary family r = |d - s|, d in [lo_u, hi_u]."""
+    def project(u, _r):
+        u = min(max(u, lo_u), hi_u)
+        return u, max(abs(u - s), r_min)
+    return project
 
 
 def _dedupe_candidates(cands, limit, rel=0.05):
@@ -220,7 +227,12 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
     r_max = s + T
-    ob = _Objective(profile, params)
+    evals = 0
+
+    def evaluate(ds, rs):
+        nonlocal evals
+        evals += len(ds)
+        return fixed_rule_objective(profile, ds, rs, params)
 
     def project(d, r):
         d = max(d, 0.0)
@@ -250,7 +262,8 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     ds_all = np.concatenate((ds_grid, d_outer, d_inner))
     rs_all = np.concatenate((rs_grid, rs_outer, rs_b[keep_inner]))
 
-    values = ob.batch(ds_all, rs_all)
+    values = batch_objective(profile, ds_all, rs_all, params)
+    evals += len(ds_all)
     order = np.argsort(values)[::-1]
     top_val = float(values[order[0]])
     pool = []
@@ -263,56 +276,43 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
         pool = [(top_val, float(ds_all[order[0]]), float(rs_all[order[0]]))]
     starts = _dedupe_candidates(pool, MULTISTARTS)
     if warm is not None:
-        dw, rw = project(warm.d, warm.r)
-        starts.append((ob.fast(dw, rw), dw, rw))
+        starts.append((None, warm.d, warm.r))
 
-    # --- refinement: fast compass per start, dedupe the survivors, then
-    # accurate compass only on distinct local optima
+    # --- refinement: a coarse compass pass per start, dedupe the endpoints,
+    # then refine only distinct local optima to REFINE_TOL
     grid_step_r = rs_rows[1] / rs_rows[0] - 1.0 if n_r > 1 else 0.1
-    stage_one = []
+    runs = []
     for _, d0, r0 in starts:
         scale = max(r0, r_min)
-        step_r = grid_step_r * scale
-        step_d = max(scale * grid_step_r, 1e-3 * scale)
-        d1, r1, v1, _, _ = _compass_2d(ob.fast, d0, r0, step_d, step_r, project,
-                                       1e-4 * scale, REFINE_MAX_EVALS,
-                                       batch_fun=ob.batch)
-        stage_one.append((v1, d1, r1))
-    # fast-stage endpoints scatter within the midpoint-rule noise plateau,
-    # so clusters tighter than 1% are the same basin
+        step = grid_step_r * scale
+        runs.append(_compass(d0, r0, max(step, 1e-3 * scale), step, project, 1e-4 * scale))
+    stage_one = [(v, d, r) for d, r, v, _ in _lockstep(evaluate, runs)]
+    # endpoints of the coarse pass within 1% of each other lie in one basin;
+    # refining more than one of them to REFINE_TOL repeats the same work
     stage_one.sort(key=lambda c: -c[0])
     survivors = _dedupe_candidates(stage_one, MULTISTARTS, rel=0.01)
-
-    finals = []
-    for _, d1, r1 in survivors:
-        scale = max(r1, r_min)
-        d2, r2, v2, _, ok = _compass_2d(ob.accurate, d1, r1, 1e-3 * scale, 1e-3 * scale,
-                                        project, REFINE_TOL * scale,
-                                        REFINE_MAX_EVALS)
-        finals.append((v2, d2, r2, ok))
+    runs = [_compass(d1, r1, 1e-3 * max(r1, r_min), 1e-3 * max(r1, r_min), project,
+                     REFINE_TOL * max(r1, r_min)) for _, d1, r1 in survivors]
+    finals = [(v, d, r, ok) for d, r, v, ok in _lockstep(evaluate, runs)]
 
     # slide along the boundary family from the leaders pinned at the constraint
     provisional = max(f[0] for f in finals)
-    for v2, d2, r2, _ in list(finals):
+    runs = []
+    for v2, d2, r2, _ in finals:
         if v2 < provisional * (1.0 - 0.02):
             continue
         if r2 - abs(d2 - s) > 4.0 * CONTACT_TOL * r2:
             continue
-        scale = max(r2, r_min)
         if d2 >= s:
             lo_u, hi_u = s + r_min, s + r_max
         else:
             lo_u, hi_u = 0.0, max(s - r_min, 0.0)
         if hi_u <= lo_u:
             continue
-
-        def pinned(u, _r):
-            u = min(max(u, lo_u), hi_u)
-            return u, max(abs(u - s), r_min)
-
-        d3, r3, v3, _, ok3 = _compass_2d(ob.accurate, d2, r2, 1e-3 * scale, 0.0, pinned,
-                                         REFINE_TOL * scale, REFINE_MAX_EVALS)
-        finals.append((v3, d3, r3, ok3))
+        scale = max(r2, r_min)
+        runs.append(_compass(d2, r2, 1e-3 * scale, 0.0, _pinned(s, lo_u, hi_u, r_min),
+                             REFINE_TOL * scale))
+    finals += [(v, d, r, ok) for d, r, v, ok in _lockstep(evaluate, runs)]
 
     best_val = max(f[0] for f in finals)
     tie = [f for f in finals if f[0] >= best_val - TIE_TOL * abs(best_val)]
@@ -324,8 +324,9 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     contact = classify_contact(ball, s, CONTACT_TOL)
     region = _region_label(contact, s)
     return BestBallResult(s=s, value=float(final_value), ball=ball, contact=contact,
-                          region=region, objective_evals=ob.evals, converged=bool(ok),
-                          tie_candidates=len(tie))
+                          region=region, objective_evals=evals, converged=bool(ok),
+                          tie_candidates=len(_dedupe_candidates([f[:3] for f in tie], len(tie),
+                                                                rel=TIE_BALL_REL)))
 
 
 def _region_label(contact: Contact, s: float) -> str:
@@ -342,15 +343,42 @@ def _region_label(contact: Contact, s: float) -> str:
 
 
 def _sweep_chunk(args):
-    profile, pts, params, warm_start = args
+    """Search the points in order, each warm-started from its entry of
+    warms or, with chain set, from the previous point's ball."""
+    profile, pts, params, warms, chain = args
     results = []
-    prev = None
-    for s in pts:
-        warm = prev.ball if (warm_start and prev is not None) else None
-        res = search(profile, float(s), params, warm=warm)
-        results.append(res)
-        prev = res
+    for s, warm in zip(pts, warms):
+        if chain and results:
+            warm = results[-1].ball
+        results.append(search(profile, float(s), params, warm=warm))
     return results
+
+
+def _sweep(profile, pts, params, warms, chain, workers=None):
+    """_sweep_chunk over all points; with workers > 1 (default:
+    MAXVAR_THREADS) contiguous chunks run in parallel processes."""
+    if workers is None:
+        workers = int(os.environ.get("MAXVAR_THREADS", "1"))
+    workers = max(1, min(workers, len(pts)))
+    if workers == 1:
+        return _sweep_chunk((profile, pts, params, warms, chain))
+    from concurrent.futures import ProcessPoolExecutor
+    chunks = [c for c in np.array_split(np.arange(len(pts)), workers) if len(c)]
+    jobs = [(profile, pts[c], params, [warms[i] for i in c], chain) for c in chunks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for part in pool.map(_sweep_chunk, jobs) for r in part]
+
+
+def _formula_channel(profile, results, params) -> np.ndarray:
+    return np.array([derivative_by_formula(profile, r, params, IDENTITY_QUADRATURE)
+                     for r in results])
+
+
+def _assemble(profile, pts, results, formula) -> MaximalProfile:
+    mp = MaximalProfile(grid=pts, values=np.array([r.value for r in results]),
+                        results=results, deriv_formula=formula)
+    derivative_by_fd(mp, profile)
+    return mp
 
 
 def maximal_profile(profile: RadialProfile, grid, params: AmbientParams,
@@ -365,23 +393,30 @@ def maximal_profile(profile: RadialProfile, grid, params: AmbientParams,
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, dtype=float)
     if np.any(pts <= 0.0):
         raise ValueError("maximal-profile grids must be strictly positive")
-    if workers is None:
-        workers = int(os.environ.get("MAXVAR_THREADS", "1"))
-    workers = max(1, min(workers, len(pts)))
-    if workers == 1:
-        results = _sweep_chunk((profile, pts, params, warm_start))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        chunks = np.array_split(pts, workers)
-        jobs = [(profile, c, params, warm_start) for c in chunks if len(c)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for part in pool.map(_sweep_chunk, jobs) for r in part]
-    mp = MaximalProfile(grid=pts, values=np.array([r.value for r in results]),
-                        results=results)
-    mp.deriv_formula = np.array([
-        derivative_by_formula(profile, r, params, IDENTITY_QUADRATURE) for r in results])
-    derivative_by_fd(mp, profile)
-    return mp
+    results = _sweep(profile, pts, params, [None] * len(pts), warm_start, workers)
+    return _assemble(profile, pts, results, _formula_channel(profile, results, params))
+
+
+def refined_profile(profile: RadialProfile, grid: GridSpec, base: MaximalProfile,
+                    params: AmbientParams) -> MaximalProfile:
+    """The maximal profile on ``grid.refined()``, given the sweep of ``grid``.
+
+    Only the midpoints are searched, each warm-started from its left base
+    neighbor's ball (in parallel as in :func:`maximal_profile`); the base
+    results and formula derivatives are reused at the even indices.
+    """
+    fine = grid.refined()
+    if not np.array_equal(fine[0::2], base.grid):
+        raise ValueError("base sweep is not on the points of this grid")
+    mids = _sweep(profile, fine[1::2], params, [r.ball for r in base.results[:-1]],
+                  chain=False)
+    results = [None] * len(fine)
+    results[0::2] = base.results
+    results[1::2] = mids
+    formula = np.empty(len(fine))
+    formula[0::2] = base.deriv_formula
+    formula[1::2] = _formula_channel(profile, mids, params)
+    return _assemble(profile, fine, results, formula)
 
 
 def derivative_by_formula(profile: RadialProfile, result: BestBallResult,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import AmbientParams, RadialProfile, gradient_l1_norm, l1_norm
 from .families import dilate_profile
-from .search import GridSpec, MaximalProfile, maximal_profile
+from .search import GridSpec, MaximalProfile, maximal_profile, refined_profile
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,9 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
     mp, lq, l1, ratio = ratio_of(profile, grid)
     refinement_dev = None
     if include_refinement:
-        _, _, _, ratio_fine = ratio_of(profile, grid.refined())
+        # the refined grid holds the base points: only its midpoints are searched
+        fine = refined_profile(profile, grid, mp, params)
+        ratio_fine = lq_norm_derivative(fine, params) / l1
         refinement_dev = abs(ratio_fine - ratio) / ratio
     dilation_dev = None
     if include_dilation:

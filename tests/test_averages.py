@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from maxvar.averages import (LevelSetWeight, RadialWeight, ball_average,
-                             batch_objective, gradient_axial_component,
+                             batch_objective, fixed_rule_objective,
+                             gradient_axial_component,
                              gradient_radial_moment, sphere_average,
                              weighted_gradient_average)
 from maxvar.core import AmbientParams, load_profile
@@ -271,3 +272,65 @@ class TestBatchObjective:
                 acc = rs[i] ** params.beta * ball_average(
                     prof, AxisBall(ds[i], rs[i]), params, Q)
                 assert abs(fast[i] - acc) <= 8e-3 * max(acc, 1e-3 * scale)
+
+
+class TestFixedRuleObjective:
+    REFERENCE = QuadratureConfig(rel_tol=1e-12, max_subdivisions=20000)
+    # the docstring's figures
+    BOUND = {2: 2e-8, 3: 2e-8, 5: 1e-7}
+
+    @staticmethod
+    def balls(rng2, prof, count):
+        """Random balls meeting the support, r / T from 1e-4 to 2, and as
+        many balls with a knot within 1e-4 T of |d - r|."""
+        T = prof.support_radius
+        rs = T * 10.0 ** rng2.uniform(-4.0, np.log10(2.0), size=2 * count)
+        ds = rng2.uniform(0.0, 1.0, size=count) * (T + rs[:count])
+        knots = prof.knots_t[rng2.integers(1, len(prof.knots_t) - 1, size=count)]
+        inner = knots + rng2.uniform(-1e-4, 1e-4, size=count) * T
+        near = rs[count:]
+        # |d - r| = inner, with d > r, or with d < r where r > inner
+        outside = rng2.random(count) < 0.5
+        ds_near = np.where(outside | (near <= inner), inner + near, near - inner)
+        return np.concatenate((ds, ds_near)), rs
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("knots", [6, 20, 40])
+    def test_documented_accuracy(self, n, knots):
+        params = AmbientParams(n, 0.5)
+        rng2 = np.random.default_rng([n, knots])
+        for _ in range(2):
+            prof = random_profile(rng2, knots)
+            ds, rs = self.balls(rng2, prof, 20)
+            fixed = fixed_rule_objective(prof, ds, rs, params)
+            for d, r, val in zip(ds, rs, fixed):
+                ref = r ** params.beta * ball_average(prof, AxisBall(d, r), params,
+                                                      self.REFERENCE)
+                # balls that only graze the support carry no relative accuracy
+                if ref > 1e-10 * r ** params.beta * prof.max_value:
+                    assert rel_err(val, ref) <= self.BOUND[n], (d, r)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_batch_does_not_change_a_value(self, n):
+        params = AmbientParams(n, 0.5)
+        rng2 = np.random.default_rng(77 + n)
+        prof = random_profile(rng2, 40)
+        ds, rs = self.balls(rng2, prof, 16)
+        together = fixed_rule_objective(prof, ds, rs, params)
+        for i in range(len(ds)):
+            alone = fixed_rule_objective(prof, ds[i:i + 1], rs[i:i + 1], params)[0]
+            assert abs(alone - together[i]) <= 1e-13 * abs(alone)
+
+    def test_n1_is_exact(self, params1):
+        prof = random_profile(np.random.default_rng(5), 8)
+        ds, rs = np.array([0.0, 0.3, 0.9]), np.array([0.2, 0.5, 1.4])
+        fixed = fixed_rule_objective(prof, ds, rs, params1)
+        for d, r, val in zip(ds, rs, fixed):
+            exact = r ** params1.beta * ball_average(prof, AxisBall(d, r), params1, Q)
+            assert val == exact
+
+    def test_ball_missing_support_is_zero(self, params2):
+        prof = tent()
+        vals = fixed_rule_objective(prof, np.array([3.0, 0.0]), np.array([1.5, 2.0]), params2)
+        assert vals[0] == 0.0
+        assert vals[1] > 0.0

@@ -1,5 +1,7 @@
 """Best-ball search: trivial cases, oracle probes, sweeps, derivatives."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from maxvar.families import dilate_profile, random_profile, scale_profile, tent
 from maxvar.geometry import AxisBall, InfeasibleBallError
 from maxvar.oracles import oracle_1d_maximal
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
-from maxvar.search import (CONTACT_TOL, GridSpec, MaximalProfile,
+from maxvar.search import (CONTACT_TOL, TIE_TOL, GridSpec, MaximalProfile,
                            derivative_by_fd, derivative_by_formula,
-                           maximal_profile, objective, search)
+                           maximal_profile, objective, refined_profile, search)
+from maxvar.variation import variation_report
+
+search_module = importlib.import_module("maxvar.search")
 
 from conftest import rel_err
 
@@ -94,6 +99,22 @@ class TestSearch:
                         Q)
                     best_probe = max(best_probe, val)
             assert res.value >= best_probe * (1 - 1e-6)
+
+    def test_starts_reaching_one_ball_count_one_tie(self, params2, tent_profile, monkeypatch):
+        endpoints = []
+        lockstep = search_module._lockstep
+
+        def recording(evaluate, runs):
+            out = lockstep(evaluate, runs)
+            endpoints.extend(out)
+            return out
+
+        monkeypatch.setattr(search_module, "_lockstep", recording)
+        res = search(tent_profile, 0.5, params2)
+        best = max(v for _, _, v, _ in endpoints)
+        tied = [(d, r) for d, r, v, _ in endpoints if v >= best - TIE_TOL * best]
+        assert len(tied) > 1
+        assert res.tie_candidates == 1
 
     def test_zero_radius_rejected(self, params2, tent_profile):
         with pytest.raises(ValueError):
@@ -215,6 +236,52 @@ class TestSweepEquivariance:
         mp1 = maximal_profile(tent_profile, grid, params2, workers=1)
         mp2 = maximal_profile(tent_profile, grid, params2, workers=2)
         assert np.allclose(mp1.values, mp2.values, rtol=1e-8)
+
+
+class TestRefinedProfile:
+    def test_reuses_base_results(self, params2, tent_profile):
+        grid = GridSpec.standard(tent_profile, 6)
+        base = maximal_profile(tent_profile, grid, params2)
+        fine = refined_profile(tent_profile, grid, base, params2)
+        assert np.array_equal(fine.grid, grid.refined())
+        assert all(a is b for a, b in zip(fine.results[0::2], base.results))
+        assert np.array_equal(fine.deriv_formula[0::2], base.deriv_formula)
+        for i in range(1, len(fine.grid), 2):
+            res = fine.results[i]
+            assert res.s == fine.grid[i]
+            assert fine.values[i] == res.value
+
+    def test_midpoints_warm_start_from_left_neighbor(self, params2, tent_profile, monkeypatch):
+        grid = GridSpec.standard(tent_profile, 5)
+        base = maximal_profile(tent_profile, grid, params2)
+        warms = []
+        original = search_module.search
+
+        def recording(profile, s, params, warm=None):
+            warms.append(warm)
+            return original(profile, s, params, warm=warm)
+
+        monkeypatch.setattr(search_module, "search", recording)
+        refined_profile(tent_profile, grid, base, params2)
+        assert warms == [r.ball for r in base.results[:-1]]
+
+    def test_report_searches_three_grids_minus_one(self, params2, tent_profile, monkeypatch):
+        count = 5
+        calls = []
+        original = search_module.search
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "search", counting)
+        variation_report(tent_profile, params2, GridSpec.standard(tent_profile, count))
+        assert len(calls) == 3 * count - 1
+
+    def test_rejects_foreign_base(self, params2, tent_profile):
+        base = maximal_profile(tent_profile, GridSpec.standard(tent_profile, 4), params2)
+        with pytest.raises(ValueError):
+            refined_profile(tent_profile, GridSpec.standard(tent_profile, 5), base, params2)
 
 
 class TestGridSpec:
