@@ -104,6 +104,31 @@ class RadialProfile:
         out = self.slopes[idx]
         return np.where((t < 0.0) | (t >= self.support_radius), 0.0, out)
 
+    def max_on(self, lo, hi):
+        """Maximum of F over each interval [lo, hi] (vectorized, lo <= hi).
+
+        F is linear between knots, so the maximum is at an end or at a knot
+        inside; the knots' maximum comes from a sparse table of maxima over
+        runs of 2^k knots, two lookups per interval.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        v = self.knots_v
+        idx = np.arange(len(v))
+        table = [v]
+        while 2 ** len(table) <= len(v):
+            prev = table[-1]
+            table.append(np.maximum(prev, prev[np.minimum(idx + 2 ** (len(table) - 1),
+                                                          len(v) - 1)]))
+        table = np.array(table)
+        i0 = np.searchsorted(self.knots_t, lo, side="right")
+        i1 = np.searchsorted(self.knots_t, hi, side="left")
+        count = np.maximum(i1 - i0, 1)
+        k = np.frexp(count)[1] - 1
+        inner = np.maximum(table[k, np.minimum(i0, len(v) - 1)], table[k, i1 - 2**k])
+        ends = np.maximum(self.value(lo), self.value(hi))
+        return np.where(i1 > i0, np.maximum(ends, inner), ends)
+
     def integral_to(self, t):
         """Exact integral of F over [0, t] (vectorized, piecewise quadratic)."""
         t = np.asarray(t, dtype=float)

@@ -88,17 +88,31 @@ def sin_power_total(k: int) -> float:
 def _cap_cosine(t, d, r):
     """cos(theta*) for the cap, clamped via the containment tests.
 
-    Quadrature cells adjacent to the regime boundaries are geometrically
-    presplit by the callers, so the cancellation in the quotient near
-    u = +-1 only affects cells whose contribution is negligible.
+    The quotient cancels near u = +-1, at the regime boundaries.  The
+    adaptive averages presplit their cells there geometrically, and the
+    fixed rule's substitution gives its nodes there weights that vanish
+    at the boundary; the midpoint ranking rule does neither and takes the
+    error.  Works in place on the numerator's array, bit-identical to the
+    allocating expression; 0-d inputs give a scalar.
     """
     t = np.asarray(t, dtype=float)
+    # the numerator has the broadcast shape; a 0-d one is made an array
+    u = np.asarray(t * t + (d * d - r * r))
+    work = np.multiply(2.0 * t, d, out=np.empty_like(u))
     # degenerate denominators are overridden by the containment masks below
-    denom = np.maximum(2.0 * t * d, 1e-300)
-    u = (t * t + (d * d - r * r)) / denom
-    u = np.where(np.abs(t - d) >= r, 1.0, u)
-    u = np.where(t + d <= r, -1.0, u)
-    return np.clip(u, -1.0, 1.0)
+    np.maximum(work, 1e-300, out=work)
+    np.divide(u, work, out=u)
+    np.subtract(t, d, out=work)
+    np.abs(work, out=work)
+    mask = np.greater_equal(work, r, out=np.empty(u.shape, dtype=bool))
+    np.copyto(u, 1.0, where=mask)
+    np.add(t, d, out=work)
+    np.less_equal(work, r, out=mask)
+    np.copyto(u, -1.0, where=mask)
+    # np.clip's bits, without its wrapper's cost on the adaptive rule's small arrays
+    np.maximum(u, -1.0, out=u)
+    np.minimum(u, 1.0, out=u)
+    return u[()]
 
 
 def cap_angle(t, d, r):

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from maxvar.core import AmbientParams
-from maxvar.geometry import (AxisBall, InfeasibleBallError, cap_angle, cap_area,
-                             cap_first_moment, classify_contact,
+from maxvar.geometry import (AxisBall, InfeasibleBallError, _cap_cosine, cap_angle,
+                             cap_area, cap_first_moment, classify_contact,
                              sin_power_integral, sin_power_total)
 
 from conftest import rel_err
@@ -21,6 +21,63 @@ def mc_cap(t, d, r, params, n_samples, seed, moment=False):
     vals = inside * (y[:, 0] / t) if moment else inside.astype(float)
     total = params.sigma_n * t ** (params.n - 1)
     return total * vals.mean(), total * vals.std() / np.sqrt(n_samples)
+
+
+def reference_cap_cosine(t, d, r):
+    """The allocating expression that the in-place kernel replaced."""
+    t = np.asarray(t, dtype=float)
+    denom = np.maximum(2.0 * t * d, 1e-300)
+    u = (t * t + (d * d - r * r)) / denom
+    u = np.where(np.abs(t - d) >= r, 1.0, u)
+    u = np.where(t + d <= r, -1.0, u)
+    return np.clip(u, -1.0, 1.0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCapCosine:
+    def test_matches_reference_on_arrays(self):
+        rng = np.random.default_rng(11)
+        d = rng.uniform(0.0, 2.0, size=300)
+        r = rng.uniform(1e-4, 2.0, size=300)
+        t = rng.uniform(0.0, 4.0, size=300)
+        # the regime edges and the degenerate radii, exactly
+        t[:60] = np.concatenate((np.zeros(15), np.abs(d[15:30] - r[15:30]),
+                                 d[30:45] + r[30:45], r[45:60]))
+        d[45:60] = 0.0
+        assert same_bits(_cap_cosine(t, d, r), reference_cap_cosine(t, d, r))
+
+    def test_matches_reference_on_broadcasts(self):
+        rng = np.random.default_rng(12)
+        k = 40
+        d = rng.uniform(0.0, 2.0, size=(k, 1))
+        r = rng.uniform(1e-4, 2.0, size=(k, 1))
+        t = np.linspace(0.0, 1.0, 96)[None, :] * (d + r)
+        t[:, 0] = np.abs(d[:, 0] - r[:, 0])
+        for args in ((t, d, r), (t.reshape(k, 4, 24), d[:, :, None], r[:, :, None]),
+                     (d, t, r), (0.5, d, r), (t, 0.3, 0.7), (0.5, 0.3, r)):
+            assert same_bits(_cap_cosine(*args), reference_cap_cosine(*args))
+
+    @pytest.mark.parametrize("t, d, r", [(0.5, 0.3, 0.4), (0.0, 0.3, 0.4), (0.5, 0.0, 0.4),
+                                         (0.1, 0.3, 0.2), (0.5, 0.3, 0.2), (0.0, 0.0, 1.0),
+                                         (2.0, 0.5, 1.0)])
+    def test_matches_reference_on_scalars(self, t, d, r):
+        got, expected = _cap_cosine(t, d, r), reference_cap_cosine(t, d, r)
+        assert same_bits(got, expected)
+        assert type(got) is type(expected)
+        assert same_bits(_cap_cosine(np.float64(t), np.array(d), r),
+                         reference_cap_cosine(np.float64(t), np.array(d), r))
+
+    def test_kernels_take_floats(self, params2, params3):
+        p5 = AmbientParams(5, 0.5)
+        for params in (params2, params3, p5):
+            assert isinstance(float(cap_area(0.5, 0.3, 0.4, params)), float)
+            assert np.ndim(cap_first_moment(0.5, 0.3, 0.4, params)) == 0
+        assert cap_angle(0.5, 0.3, 0.4) == pytest.approx(np.arccos(0.6))
+        assert cap_area(0.05, 0.3, 0.4, params3) == pytest.approx(4 * np.pi * 0.05**2)
 
 
 class TestCapAngle:

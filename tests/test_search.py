@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from maxvar.averages import ball_average
+from maxvar.averages import ball_average, batch_objective
 from maxvar.core import AmbientParams, l1_norm, load_profile
 from maxvar.families import dilate_profile, random_profile, scale_profile, tent
 from maxvar.geometry import AxisBall, InfeasibleBallError
@@ -119,6 +119,39 @@ class TestSearch:
     def test_zero_radius_rejected(self, params2, tent_profile):
         with pytest.raises(ValueError):
             search(tent_profile, -0.5, params2)
+
+
+class TestCoarsePruning:
+    """The bound skips only coarse balls that cannot reach the start pool."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pruning_keeps_the_starts(self, n, monkeypatch):
+        rng = np.random.default_rng(1000 + n)
+        keep_all = lambda profile, ds, rs, params: np.full(len(ds), np.inf)
+        skipped = 0
+        for i, knots in enumerate((4, 12, 40, 200, 20, 100)):
+            prof = random_profile(rng, knots, t_max=float(rng.uniform(0.5, 2.0)))
+            T = prof.support_radius
+            params = AmbientParams(n, (0.2, 0.5, 0.8)[i % 3])
+            s = T * float(np.exp(rng.uniform(np.log(1e-2), np.log(64.0))))
+            ds, rs, _ = search_module._coarse_balls(s, T)
+            bound = search_module._objective_bound(prof, ds, rs, params)
+            assert np.all(batch_objective(prof, ds, rs, params) <= 2.0 * bound)
+            best = search(prof, s, params).ball
+            # cold, and warm from the optimum: the highest floor there is
+            for warm in (None, (best.d, best.r)):
+                starts, ranked = search_module._coarse_starts(prof, s, ds, rs, params, warm)
+                with monkeypatch.context() as m:
+                    m.setattr(search_module, "_objective_bound", keep_all)
+                    full_starts, full_ranked = search_module._coarse_starts(
+                        prof, s, ds, rs, params, warm)
+                assert starts == full_starts
+                assert full_ranked == len(ds)
+                skipped += len(ds) - ranked
+        if n == 1:
+            assert skipped == 0  # the exact objective is cheaper than its bound
+        else:
+            assert skipped > 0
 
 
 class TestRegions:
