@@ -19,9 +19,8 @@ from .averages import ball_average
 from .core import AmbientParams, ProfileError, RadialProfile, load_profile
 from .families import random_profile
 from .geometry import AxisBall
-from .identities import (_annulus_ball, _random_ball, check_annulus_average,
-                         check_divergence, format_reports, reports_to_json,
-                         suite_outcome, sweep_identity_suite)
+from .identities import (annulus_checks, divergence_checks, format_reports,
+                         reports_to_json, suite_outcome, sweep_identity_suite)
 from .oracles import (oracle_1d_maximal, oracle_dense_average_2d,
                       oracle_mc_ball_average)
 from .quadrature import IDENTITY_QUADRATURE, QuadratureError
@@ -221,17 +220,10 @@ def _cmd_verify(args) -> int:
     profile = _load_profile_file(args.profile)
     rng = np.random.default_rng(args.seed)
     reports = []
-    T = profile.support_radius
     if args.suite in ("all", "divergence"):
-        for _ in range(args.count):
-            ball = _random_ball(rng, T)
-            reports.append(check_divergence(profile, ball, params, IDENTITY_QUADRATURE))
+        reports.extend(divergence_checks(profile, params, rng, args.count))
     if args.suite in ("all", "annulus"):
-        for _ in range(args.count):
-            ball = _annulus_ball(rng, T)
-            if ball is not None:
-                reports.append(check_annulus_average(profile, ball, params,
-                                                     IDENTITY_QUADRATURE))
+        reports.extend(annulus_checks(profile, params, rng, args.count))
     sweep_checks = {"stationarity": ("stationarity",), "boundary": ("boundary",),
                     "inner": ("inner",), "keylemma": ("keylemma",),
                     "comparison": ("comparison",),

@@ -134,7 +134,7 @@ def cap_area(t, d, r, params: AmbientParams):
         return 2.0 * t * np.arccos(u)
     if n == 3:
         return 2.0 * math.pi * t * t * (1.0 - u)
-    sin_t = np.sqrt(np.clip((1.0 - u) * (1.0 + u), 0.0, None))
+    sin_t = np.sqrt(np.maximum((1.0 - u) * (1.0 + u), 0.0))
     theta = np.arccos(u)
     return params.sigma_lower * t ** (n - 1) * sin_power_integral(n - 2, theta, cos_t=u, sin_t=sin_t)
 
@@ -147,7 +147,7 @@ def cap_first_moment(t, d, r, params: AmbientParams):
     n = params.n
     t = np.asarray(t, dtype=float)
     u = _cap_cosine(t, d, r)
-    pyth = np.clip((1.0 - u) * (1.0 + u), 0.0, None)
+    pyth = np.maximum((1.0 - u) * (1.0 + u), 0.0)
     if n == 2:
         return 2.0 * t * np.sqrt(pyth)
     if n == 3:

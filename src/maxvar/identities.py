@@ -27,6 +27,9 @@ QUAD_TOL = 1e-6          # pure quadrature identities
 BEST_BALL_TOL = 1e-3     # identities conditioned on an optimizer result
 INEQ_SLACK = 1e-6
 NEAR_ZERO_REL = 1e-9     # absolute floor, relative to the profile maximum
+CONTROL_FACTOR = 1.05    # negative controls grow the optimal radius by this
+SUITE_BETA = 0.5         # fractional order of the seeded random suites
+ANNULUS_N = 2            # dimension of the seeded annulus suite
 
 
 @dataclass(frozen=True)
@@ -87,33 +90,31 @@ def _ball_inputs(ball: AxisBall, **extra) -> dict:
 
 
 def check_divergence(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                     qcfg: QuadratureConfig, tolerance: float = QUAD_TOL) -> IdentityReport:
+                     qcfg: QuadratureConfig) -> IdentityReport:
     """Average of Df.(z - y) equals n [ball average - sphere average]."""
     gax = gradient_axial_component(profile, ball, params, qcfg)
     grad = gradient_radial_moment(profile, ball, params, qcfg)
     lhs = ball.d * gax - grad
     rhs = params.n * (ball_average(profile, ball, params, qcfg)
                       - sphere_average(profile, ball, params, qcfg))
-    return _report("divergence", lhs, rhs, tolerance, profile.max_value,
+    return _report("divergence", lhs, rhs, QUAD_TOL, profile.max_value,
                    inputs=_ball_inputs(ball, n=params.n))
 
 
 def check_stationarity(profile: RadialProfile, s: float, result: BestBallResult,
-                       params: AmbientParams, qcfg: QuadratureConfig,
-                       tolerance: float = BEST_BALL_TOL) -> IdentityReport:
+                       params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
     """At a best ball the average equals -(1/beta) * average of Df.(y - x)."""
     ball = result.ball
     lhs = ball_average(profile, ball, params, qcfg)
     gax = gradient_axial_component(profile, ball, params, qcfg)
     grad = gradient_radial_moment(profile, ball, params, qcfg)
     rhs = -(grad - s * gax) / params.beta
-    return _report("stationarity", lhs, rhs, tolerance, profile.max_value,
+    return _report("stationarity", lhs, rhs, BEST_BALL_TOL, profile.max_value,
                    inputs=_ball_inputs(ball, s=s))
 
 
 def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
-                        params: AmbientParams, qcfg: QuadratureConfig,
-                        tolerance: float = BEST_BALL_TOL) -> IdentityReport:
+                        params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
     """Scaling-family derivative against its closed form.
 
     The family maps the ball to center (1+h)d - h s and radius (1+h)r;
@@ -139,7 +140,7 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
     diffs = [(phi(h) - phi(-h)) / (2.0 * h) for h in (1e-3, 1e-4, 1e-5)]
     # Richardson on the two smallest central estimates
     fd = (100.0 * diffs[-1] - diffs[-2]) / 99.0
-    threshold = tolerance * max(abs(scale_der), 1e-300)
+    threshold = BEST_BALL_TOL * max(abs(scale_der), 1e-300)
     trend_ok = abs(diffs[2] - diffs[1]) <= abs(diffs[1] - diffs[0]) + 0.05 * threshold
 
     gax = gradient_axial_component(profile, ball, params, qcfg)
@@ -151,7 +152,7 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
     rel = a / max(abs(fd), abs(analytic), 1e-300)
     return IdentityReport(name="affine_family", lhs=float(fd), rhs=float(analytic),
                           abs_residual=float(a), rel_residual=float(rel),
-                          tolerance=tolerance, passed=bool(passed),
+                          tolerance=BEST_BALL_TOL, passed=bool(passed),
                           inputs=_ball_inputs(ball, s=s),
                           info={"objective": value, "derivative_scale": scale_der,
                                 "step_sweep": [float(x) for x in diffs],
@@ -159,8 +160,7 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
 
 
 def check_boundary_formula(profile: RadialProfile, result: BestBallResult,
-                           params: AmbientParams, qcfg: QuadratureConfig,
-                           tolerance: float = BEST_BALL_TOL) -> IdentityReport:
+                           params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
     """|avg Df| = (n/r) [(1 - beta/n) avg - sphere avg] at boundary best balls."""
     if result.contact.kind == "interior":
         return _not_applicable("boundary_formula", "interior contact")
@@ -169,13 +169,12 @@ def check_boundary_formula(profile: RadialProfile, result: BestBallResult,
     avg = ball_average(profile, ball, params, qcfg)
     savg = sphere_average(profile, ball, params, qcfg)
     rhs = (params.n / ball.r) * ((1.0 - params.beta / params.n) * avg - savg)
-    return _report("boundary_formula", lhs, rhs, tolerance, profile.max_value,
+    return _report("boundary_formula", lhs, rhs, BEST_BALL_TOL, profile.max_value,
                    inputs=_ball_inputs(ball, s=result.s))
 
 
 def check_inner_bound(profile: RadialProfile, result: BestBallResult, s: float,
-                      params: AmbientParams, qcfg: QuadratureConfig,
-                      slack: float = INEQ_SLACK) -> IdentityReport:
+                      params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
     """|avg Df| <= avg of |Df| |y|/s for best balls inside B(0, s)."""
     ball = result.ball
     name = "inner_bound"
@@ -185,11 +184,11 @@ def check_inner_bound(profile: RadialProfile, result: BestBallResult, s: float,
         return _not_applicable(name, "ball not inside B(0, s)", _ball_inputs(ball, s=s))
     lhs = abs(gradient_axial_component(profile, ball, params, qcfg))
     rhs = weighted_gradient_average(profile, ball, params, qcfg, weight=RadialWeight(s))
-    passed = lhs <= rhs + slack * max(lhs, rhs, 1e-300)
+    passed = lhs <= rhs + INEQ_SLACK * max(lhs, rhs, 1e-300)
     rel = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
     return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs),
                           abs_residual=float(max(lhs - rhs, 0.0)), rel_residual=float(rel),
-                          tolerance=slack, passed=bool(passed),
+                          tolerance=INEQ_SLACK, passed=bool(passed),
                           inputs=_ball_inputs(ball, s=s))
 
 
@@ -227,8 +226,7 @@ def check_key_lemma(profile: RadialProfile, result: BestBallResult, s: float,
 
 def check_ball_comparison(profile: RadialProfile, result_a: BestBallResult,
                           result_b: BestBallResult, params: AmbientParams,
-                          qcfg: QuadratureConfig,
-                          slack: float = INEQ_SLACK) -> IdentityReport:
+                          qcfg: QuadratureConfig) -> IdentityReport:
     """avg_{B2} >= 2^-n (r1/r2)^beta avg_{B1} for best balls with B2 in 2 B1."""
     b1, b2 = result_a.ball, result_b.ball
     name = "ball_comparison"
@@ -238,11 +236,11 @@ def check_ball_comparison(profile: RadialProfile, result_a: BestBallResult,
     lhs = ball_average(profile, b2, params, qcfg)
     rhs = 2.0 ** (-params.n) * (b1.r / b2.r) ** params.beta \
         * ball_average(profile, b1, params, qcfg)
-    passed = lhs >= rhs - slack * max(lhs, rhs, 1e-300)
+    passed = lhs >= rhs - INEQ_SLACK * max(lhs, rhs, 1e-300)
     rel = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
     return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs),
                           abs_residual=float(max(rhs - lhs, 0.0)), rel_residual=float(rel),
-                          tolerance=slack, passed=bool(passed), inputs=inputs)
+                          tolerance=INEQ_SLACK, passed=bool(passed), inputs=inputs)
 
 
 def check_annulus_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -280,47 +278,63 @@ def _random_ball(rng: np.random.Generator, T: float) -> AxisBall:
             return AxisBall(d, r)
 
 
-def _annulus_ball(rng: np.random.Generator, T: float) -> AxisBall | None:
-    """Random ball in the annulus; None when its double misses the support."""
-    d = rng.uniform(0.3 * T, 1.5 * T)
-    r = rng.uniform(0.05, 0.5) * d / 2.0
-    if min(d + 2 * r, T) <= max(0.0, d - 2 * r):
-        return None
-    return AxisBall(d, r)
+def divergence_checks(profile: RadialProfile, params: AmbientParams,
+                      rng: np.random.Generator, count: int,
+                      qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
+    """Divergence checks on count random balls that meet the support."""
+    T = profile.support_radius
+    return [check_divergence(profile, _random_ball(rng, T), params, qcfg)
+            for _ in range(count)]
 
 
-def divergence_suite(seed: int, per_n: int = 100, dims=(1, 2, 3), beta: float = 0.5,
+def annulus_checks(profile: RadialProfile, params: AmbientParams,
+                   rng: np.random.Generator, count: int,
+                   qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
+    """Annulus-average ratios on count random balls in the annulus, skipping
+    those whose double misses the support."""
+    T = profile.support_radius
+    reports = []
+    for _ in range(count):
+        d = rng.uniform(0.3 * T, 1.5 * T)
+        r = rng.uniform(0.05, 0.5) * d / 2.0
+        if min(d + 2 * r, T) > max(0.0, d - 2 * r):
+            reports.append(check_annulus_average(profile, AxisBall(d, r), params, qcfg))
+    return reports
+
+
+def _random_profiles(rng: np.random.Generator, count: int):
+    """count random profiles of 4 to 8 knots, drawn one at a time."""
+    for _ in range(count):
+        yield random_profile(rng, n_knots=int(rng.integers(4, 9)))
+
+
+def divergence_suite(seed: int, per_n: int = 100, dims=(1, 2, 3),
                      qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
     """Random (profile, ball) divergence checks per dimension."""
     rng = np.random.default_rng(seed)
     reports = []
     for n in dims:
-        params = AmbientParams(n, beta)
-        for _ in range(per_n):
-            prof = random_profile(rng, n_knots=int(rng.integers(4, 9)))
-            ball = _random_ball(rng, prof.support_radius)
-            rep = check_divergence(prof, ball, params, qcfg)
-            reports.append(replace(rep, inputs={**rep.inputs, "n": n}))
+        params = AmbientParams(n, SUITE_BETA)
+        for prof in _random_profiles(rng, per_n):
+            reports += divergence_checks(prof, params, rng, 1, qcfg)
     return reports
 
 
-def annulus_suite(seed: int, count: int = 50, n: int = 2, beta: float = 0.5,
+def annulus_suite(seed: int, count: int = 50,
                   qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
     """Seeded annulus-average ratios; the max ratio is the monitored figure."""
     rng = np.random.default_rng(seed)
-    params = AmbientParams(n, beta)
+    params = AmbientParams(ANNULUS_N, SUITE_BETA)
     reports = []
-    for _ in range(count):
-        prof = random_profile(rng, n_knots=int(rng.integers(4, 9)))
-        ball = _annulus_ball(rng, prof.support_radius)
-        if ball is not None:
-            reports.append(check_annulus_average(prof, ball, params, qcfg))
+    for prof in _random_profiles(rng, count):
+        reports += annulus_checks(prof, params, rng, 1, qcfg)
     return reports
 
 
-def perturbed_ball(result: BestBallResult, factor: float = 1.05) -> BestBallResult:
-    """Negative control: scale the optimal radius, keeping the center."""
-    grown = AxisBall(result.ball.d, result.ball.r * factor)
+def perturbed_ball(result: BestBallResult) -> BestBallResult:
+    """Negative control: scale the optimal radius by CONTROL_FACTOR,
+    keeping the center."""
+    grown = AxisBall(result.ball.d, result.ball.r * CONTROL_FACTOR)
     return replace(result, ball=grown)
 
 
@@ -328,27 +342,22 @@ def sweep_identity_suite(profile: RadialProfile, mp: MaximalProfile,
                          params: AmbientParams,
                          qcfg: QuadratureConfig = IDENTITY_QUADRATURE,
                          checks=("stationarity", "boundary", "affine", "inner",
-                                 "keylemma", "comparison"),
-                         negative_controls: bool = True):
-    """Run the best-ball-conditioned checks over a finished sweep."""
+                                 "keylemma", "comparison")):
+    """Run the best-ball-conditioned checks over a finished sweep, with
+    negative controls for stationarity and the boundary formula."""
     reports = []
     boundary_pts = [(float(s), res) for s, res in zip(mp.grid, mp.results)
                     if res.converged and res.contact.kind != "interior"]
     for s, res in boundary_pts:
+        bad = perturbed_ball(res)
         if "stationarity" in checks:
             reports.append(check_stationarity(profile, s, res, params, qcfg))
-            if negative_controls:
-                bad = perturbed_ball(res)
-                rep = check_stationarity(profile, s, bad, params, qcfg)
-                reports.append(replace(rep, name="stationarity_negctrl",
-                                       expect_fail=True))
+            rep = check_stationarity(profile, s, bad, params, qcfg)
+            reports.append(replace(rep, name="stationarity_negctrl", expect_fail=True))
         if "boundary" in checks:
             reports.append(check_boundary_formula(profile, res, params, qcfg))
-            if negative_controls:
-                bad = perturbed_ball(res)
-                rep = check_boundary_formula(profile, bad, params, qcfg)
-                reports.append(replace(rep, name="boundary_formula_negctrl",
-                                       expect_fail=True))
+            rep = check_boundary_formula(profile, bad, params, qcfg)
+            reports.append(replace(rep, name="boundary_formula_negctrl", expect_fail=True))
         if "affine" in checks:
             reports.append(check_affine_family(profile, s, res.ball, params, qcfg))
         if "inner" in checks:

@@ -7,8 +7,11 @@ justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row)
 plus a dedicated sweep of the boundary family r = |d - s|, ranked by the
 midpoint batch objective; compass refinement of the top-K deduplicated
-starts to 1e-4 and of the distinct endpoints to REFINE_TOL; then a slide
-along the boundary family from the leaders pinned at the constraint.
+starts to 1e-4 and of the distinct endpoints to REFINE_TOL.  Every
+compass step is projected to the nearest feasible ball, so from the
+constraint a step of d away from s slides the ball outward along the
+boundary family and a step of r down slides it inward: the compass
+follows the family r = |d - s| without a stage of its own.
 The ranking skips the coarse balls that cannot seed a start, the
 bounding step of branch and bound: a ball's objective is at most
 r^beta * min(max F over the ball, ||f||_1 / |B|), and a ball whose bound
@@ -17,8 +20,9 @@ cannot reach the start pool; the pool is the same as without skipping.
 Every refinement stage evaluates the fixed-rule objective, and the
 compasses of all starts run in lock-step, one batched call per round.
 The reported value is recomputed by adaptive quadrature at
-IDENTITY_QUADRATURE.  All moves are comparison-based, so scaling the
-profile by a positive constant reproduces the same search path.
+IDENTITY_QUADRATURE.  All moves are comparison-based and the projection
+is linear in (d, r, s), so scaling the profile by a positive constant
+reproduces the same search path and dilating it dilates the path.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ CONTACT_TOL = 1e-6
 BOUNDARY_POINTS = 256
 REFINE_MAX_EVALS = 4000
 POOL_FRACTION = 0.5  # coarse balls within this fraction of the best one seed starts
+JUMP_REL = 0.10  # a best-ball move larger than this between grid neighbors flags a corner
 
 
 @dataclass(frozen=True)
@@ -133,16 +138,33 @@ def objective(profile: RadialProfile, s: float, ball: AxisBall, params: AmbientP
 _DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
+def _project(d, r, s, r_min, r_max):
+    """Project (d, r) to the nearest feasible ball at evaluation radius s.
+
+    A point outside the constraint |d - s| <= r moves half its gap
+    |d - s| - r along the constraint's normal (d toward s, r up), which
+    lands it on the boundary family r = |d - s|; then d >= 0 and
+    r_min <= r <= r_max are clamped.  The result is feasible whenever
+    d <= s + r_max.
+    """
+    gap = abs(d - s) - r
+    if gap > 0.0:
+        d += 0.5 * gap if d < s else -0.5 * gap
+        r += 0.5 * gap
+    d = max(d, 0.0)
+    return d, min(max(r, abs(d - s), r_min), r_max)
+
+
 def _compass(d0, r0, step_d, step_r, project, tol):
     """Derivative-free maximization by comparisons only (scale-equivariant).
 
     A generator driven by :func:`_lockstep`: it yields the balls it needs
     evaluated and is sent their values.  The four neighbors go out in one
-    request; after an improving move the step doubles along the same
-    direction while it keeps improving, so long travels cost log many
-    evaluations.  With step_r = 0 and a projection that pins r to the
-    center, it searches along a curve in one variable.  Returns
-    (d, r, value, converged).
+    request, each projected to the nearest feasible ball, so at the
+    constraint the d and r steps slide along the boundary family in
+    opposite directions.  After an improving move the step doubles along
+    the same direction while it keeps improving, so long travels cost log
+    many evaluations.  Returns (d, r, value, converged).
     """
     d, r = project(d0, r0)
     (best,) = yield [(d, r)]
@@ -200,14 +222,6 @@ def _lockstep(evaluate, runs):
                 results[i] = done.value
         asks = pending
     return results
-
-
-def _pinned(s, lo_u, hi_u, r_min):
-    """Projection onto the boundary family r = |d - s|, d in [lo_u, hi_u]."""
-    def project(u, _r):
-        u = min(max(u, lo_u), hi_u)
-        return u, max(abs(u - s), r_min)
-    return project
 
 
 def _dedupe_candidates(cands, limit, rel=0.05):
@@ -340,9 +354,7 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
         return fixed_rule_objective(profile, ds, rs, params)
 
     def project(d, r):
-        d = max(d, 0.0)
-        r = min(max(r, abs(d - s), r_min), r_max)
-        return d, r
+        return _project(d, r, s, r_min, r_max)
 
     ds_all, rs_all, grid_step_r = _coarse_balls(s, T)
     warm_ball = None if warm is None else project(warm.d, warm.r)
@@ -366,25 +378,6 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     runs = [_compass(d1, r1, 1e-3 * max(r1, r_min), 1e-3 * max(r1, r_min), project,
                      REFINE_TOL * max(r1, r_min)) for _, d1, r1 in survivors]
     finals = [(v, d, r, ok) for d, r, v, ok in _lockstep(evaluate, runs)]
-
-    # slide along the boundary family from the leaders pinned at the constraint
-    provisional = max(f[0] for f in finals)
-    runs = []
-    for v2, d2, r2, _ in finals:
-        if v2 < provisional * (1.0 - 0.02):
-            continue
-        if r2 - abs(d2 - s) > 4.0 * CONTACT_TOL * r2:
-            continue
-        if d2 >= s:
-            lo_u, hi_u = s + r_min, s + r_max
-        else:
-            lo_u, hi_u = 0.0, max(s - r_min, 0.0)
-        if hi_u <= lo_u:
-            continue
-        scale = max(r2, r_min)
-        runs.append(_compass(d2, r2, 1e-3 * scale, 0.0, _pinned(s, lo_u, hi_u, r_min),
-                             REFINE_TOL * scale))
-    finals += [(v, d, r, ok) for d, r, v, ok in _lockstep(evaluate, runs)]
 
     best_val = max(f[0] for f in finals)
     tie = [f for f in finals if f[0] >= best_val - TIE_TOL * abs(best_val)]
@@ -504,11 +497,10 @@ def derivative_by_formula(profile: RadialProfile, result: BestBallResult,
     return ball.r ** params.beta * gradient_axial_component(profile, ball, params, qcfg)
 
 
-def derivative_by_fd(mp: MaximalProfile, profile: RadialProfile | None = None,
-                     jump_rel: float = 0.10) -> np.ndarray:
+def derivative_by_fd(mp: MaximalProfile, profile: RadialProfile | None = None) -> np.ndarray:
     """Central differences on the grid plus corner-suspect flags.
 
-    A point is flagged when the best ball jumps by more than jump_rel
+    A point is flagged when the best ball jumps by more than JUMP_REL
     between neighbors or the contact kind changes there (a genuine corner
     of m), and, when the profile is supplied, when s or an edge of the
     best ball crosses a profile knot inside the stencil: m loses second
@@ -538,7 +530,7 @@ def derivative_by_fd(mp: MaximalProfile, profile: RadialProfile | None = None,
         a, b = mp.results[i], mp.results[i + 1]
         scale = max(a.ball.r, b.ball.r)
         jump = max(abs(a.ball.d - b.ball.d), abs(a.ball.r - b.ball.r)) / scale
-        if jump > jump_rel or a.contact.kind != b.contact.kind:
+        if jump > JUMP_REL or a.contact.kind != b.contact.kind:
             flags[i] = flags[i + 1] = True
         elif knots is not None and _crosses_knot(a, b, knots):
             flags[i] = flags[i + 1] = True

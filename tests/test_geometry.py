@@ -80,6 +80,53 @@ class TestCapCosine:
         assert cap_area(0.05, 0.3, 0.4, params3) == pytest.approx(4 * np.pi * 0.05**2)
 
 
+def reference_cap_area(t, d, r, params):
+    """cap_area with the np.clip expression that np.maximum replaced."""
+    n = params.n
+    t = np.asarray(t, dtype=float)
+    u = _cap_cosine(t, d, r)
+    if n == 2:
+        return 2.0 * t * np.arccos(u)
+    if n == 3:
+        return 2.0 * np.pi * t * t * (1.0 - u)
+    sin_t = np.sqrt(np.clip((1.0 - u) * (1.0 + u), 0.0, None))
+    theta = np.arccos(u)
+    return params.sigma_lower * t ** (n - 1) * sin_power_integral(n - 2, theta, cos_t=u, sin_t=sin_t)
+
+
+def reference_cap_first_moment(t, d, r, params):
+    """cap_first_moment with the np.clip expression that np.maximum replaced."""
+    n = params.n
+    t = np.asarray(t, dtype=float)
+    u = _cap_cosine(t, d, r)
+    pyth = np.clip((1.0 - u) * (1.0 + u), 0.0, None)
+    if n == 2:
+        return 2.0 * t * np.sqrt(pyth)
+    if n == 3:
+        return np.pi * t * t * pyth
+    return params.sigma_lower * t ** (n - 1) * np.sqrt(pyth) ** (n - 1) / (n - 1)
+
+
+class TestCapKernelsBits:
+    """The kernels clamp with np.maximum, bit-identical to np.clip."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_match_the_clip_expression(self, n):
+        params = AmbientParams(n, 0.5)
+        rng = np.random.default_rng(20 + n)
+        d = rng.uniform(0.0, 2.0, size=300)
+        r = rng.uniform(1e-4, 2.0, size=300)
+        t = rng.uniform(0.0, 4.0, size=300)
+        # the regime edges, where 1 - u^2 rounds to 0 or just below it
+        t[:45] = np.concatenate((np.zeros(15), np.abs(d[15:30] - r[15:30]),
+                                 d[30:45] + r[30:45]))
+        for args in ((t, d, r), (t[:, None], d[None, :40], r[None, :40]), (0.5, 0.3, 0.4),
+                     (0.1, 0.3, 0.2), (2.0, 0.5, 1.0)):
+            assert same_bits(cap_area(*args, params), reference_cap_area(*args, params))
+            assert same_bits(cap_first_moment(*args, params),
+                             reference_cap_first_moment(*args, params))
+
+
 class TestCapAngle:
     def test_disjoint(self):
         assert cap_angle(0.5, 3.0, 1.0) == 0.0

@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from maxvar.averages import ball_average, batch_objective
+from maxvar.averages import ball_average, batch_objective, fixed_rule_objective
 from maxvar.core import AmbientParams, l1_norm, load_profile
 from maxvar.families import dilate_profile, random_profile, scale_profile, tent
 from maxvar.geometry import AxisBall, InfeasibleBallError
@@ -119,6 +119,79 @@ class TestSearch:
     def test_zero_radius_rejected(self, params2, tent_profile):
         with pytest.raises(ValueError):
             search(tent_profile, -0.5, params2)
+
+
+class TestProjection:
+    """Compass steps go to the nearest feasible ball, which lets them slide
+    along the boundary family r = |d - s| both ways."""
+
+    S, R_MIN, R_MAX = 0.7, 1e-4, 1.7  # s, and the radius range for T = 1
+
+    def project(self, d, r):
+        return search_module._project(d, r, self.S, self.R_MIN, self.R_MAX)
+
+    def test_returns_a_feasible_ball(self):
+        rng = np.random.default_rng(31)
+        # every center up to s + r_max, every radius below r_max and beyond it
+        for d, r in rng.uniform((-3.0, -1.0), (self.S + self.R_MAX, 4.0), size=(2000, 2)):
+            d1, r1 = self.project(float(d), float(r))
+            assert d1 >= 0.0
+            assert self.R_MIN <= r1 <= self.R_MAX
+            assert abs(d1 - self.S) <= r1
+
+    def test_feasible_ball_stays(self):
+        for d, r in ((0.7, 0.5), (0.0, 0.7), (1.0, 0.35), (0.2, 1.7)):
+            assert self.project(d, r) == (d, r)
+
+    def test_infeasible_ball_lands_on_the_family_along_the_normal(self):
+        s = self.S
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            r = float(rng.uniform(0.01, 0.5))
+            gap = float(rng.uniform(1e-6, 0.3))
+            for side in (1.0, -1.0):  # outside the ball beyond s, then toward 0
+                d = s + side * (r + gap)
+                d1, r1 = self.project(d, r)
+                assert r1 == pytest.approx(abs(d1 - s), rel=1e-12)
+                # displaced along the normal (d toward s, r up), half the gap each
+                assert d1 - d == pytest.approx(-side * gap / 2, rel=1e-9)
+                assert r1 - r == pytest.approx(gap / 2, rel=1e-9)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_steps_from_the_family_slide_both_ways(self, side):
+        s, r, h = self.S, 0.3, 1e-3
+        d = s + side * r  # outer contact, then inner contact
+        d_in, r_in = self.project(d, r - h)            # r-step down
+        d_out, r_out = self.project(d + side * h, r)   # d-step away from s
+        for d1, r1 in ((d_in, r_in), (d_out, r_out)):
+            assert r1 == pytest.approx(abs(d1 - s), rel=1e-12)
+        assert (d_in - d) * (d_out - d) < 0.0
+        assert r_in < r < r_out
+
+
+class TestBoundaryFamily:
+    """A best ball at the constraint is the best of the boundary family
+    r = |d - s|, which the compass follows by projection."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_beats_a_dense_scan_of_both_branches(self, n):
+        rng = np.random.default_rng(4000 + n)
+        checked = 0
+        for i, knots in enumerate((4, 12, 40, 6, 20, 30, 8, 40)):
+            prof = random_profile(rng, knots, t_max=float(rng.uniform(0.5, 2.0)))
+            T = prof.support_radius
+            params = AmbientParams(n, (0.2, 0.5, 0.8)[i % 3])
+            s = T * float(np.exp(rng.uniform(np.log(1e-2), np.log(64.0))))
+            res = search(prof, s, params)
+            if res.contact.kind == "interior":
+                continue
+            checked += 1
+            rs = np.geomspace(search_module.R_MIN_FRAC * T, s + T, 4000)
+            inner = rs[rs <= s]
+            ds = np.concatenate((s + rs, s - inner))
+            scan = fixed_rule_objective(prof, ds, np.concatenate((rs, inner)), params)
+            assert res.value >= (1 - 1e-6) * float(np.max(scan)), (knots, s / T)
+        assert checked >= 3
 
 
 class TestCoarsePruning:
