@@ -1,18 +1,19 @@
 """Ball and sphere integral averages of the profile and its gradient.
 
-All n >= 2 averages reduce to 1D integrals in the radius t against the
-cap kernels; n = 1 uses exact piecewise integration of the even extension
-F(|u|).  The single-ball averages integrate adaptively on nodes that
-include profile knots and cap regime boundaries, with a geometric presplit
-at the regime endpoints where the kernels have square-root behavior.  Two
-batched objectives serve the search: a midpoint rule ranks its coarse grid,
-and a fixed Gauss-Legendre rule, after a substitution that makes the
-kernels smooth, refines it.
+All averages reduce to 1D integrals in the radius t against the cap
+kernels.  At odd n every integrand is a polynomial of degree <= 2n - 2 on
+each panel between lo, the knots, |d - r| and hi, so one n-node
+Gauss-Legendre rule per panel (Davis & Rabinowitz, 2.7) serves every
+average and batch exactly.  At even n single balls integrate adaptively,
+presplit at the knots and toward the regime endpoints, where the kernels
+have square-root behavior; a midpoint rule ranks the search's coarse grid
+and a fixed Gauss-Legendre rule after a smoothing substitution refines it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,12 +43,14 @@ def _ball_range(profile: RadialProfile, ball: AxisBall):
 
 
 _GEO_OFFSETS = 0.25 ** np.arange(1, 11)
-_RANKING_NODES = 96  # midpoint nodes per ball in batch_objective
+_RANKING_NODES = 96  # midpoint nodes per ball in batch_objective (even n)
+_GL_NODES = 16  # Gauss-Legendre nodes per panel of the even fixed rule
 
 
-def _ball_breakpoints(profile: RadialProfile, ball: AxisBall, lo: float, hi: float):
+def _ball_breakpoints(profile: RadialProfile, ball: AxisBall):
     """Knots plus regime boundaries, refined toward the sqrt endpoints."""
     d, r = ball.d, ball.r
+    lo, hi = _ball_range(profile, ball)
     i0 = np.searchsorted(profile.knots_t, lo, side="right")
     i1 = np.searchsorted(profile.knots_t, hi, side="left")
     segs = [np.array((lo, hi)), profile.knots_t[i0:i1]]
@@ -62,35 +65,40 @@ def _ball_breakpoints(profile: RadialProfile, ball: AxisBall, lo: float, hi: flo
     return np.unique(np.clip(np.concatenate(segs), lo, hi))
 
 
-def _odd_antiderivative(profile: RadialProfile, u):
-    """Integral of F(|w|) over [0, u], odd in u."""
-    u = np.asarray(u, dtype=float)
-    return np.sign(u) * profile.integral_to(np.abs(u))
+@cache
+def _gauss(m: int):
+    """The m-node Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _slope_moment_to(profile: RadialProfile, c: float) -> float:
-    """Integral of t F'(t) over [0, c], exact."""
-    t0 = np.minimum(profile.knots_t[:-1], c)
-    t1 = np.minimum(profile.knots_t[1:], c)
-    return float(np.sum(profile.slopes * (t1 * t1 - t0 * t0)) / 2.0)
+def _panels(knots, lo, hi, split):
+    """Panels of the B rows [lo_i, hi_i] (0 <= lo, hi <= T) between split_i
+    and the knots, flat: left and right edges and sides, i below split_i and
+    B + i above; a row pays for, and orders, its own panels only."""
+    rows = len(lo)
+    edges = np.concatenate((lo, np.minimum(np.maximum(split, lo), hi), hi))
+    lo2, hi2 = edges[:2 * rows], edges[rows:]
+    # array methods skip numpy's wrappers, whose cost the compass's small batches feel
+    i0 = knots.searchsorted(lo2, side="right")
+    count = knots.searchsorted(hi2, side="left") - i0 + 1
+    count *= hi2 > lo2
+    side = np.arange(2 * rows).repeat(count)
+    # k: the first knot at or above the panel's right edge
+    k = np.arange(len(side)) + (i0 + count - count.cumsum())[side]
+    return np.maximum(knots[k - 1], lo2[side]), np.minimum(knots[k], hi2[side]), side
 
 
-def _abs_slope_weighted_to(profile: RadialProfile, c: float, weight) -> float:
-    """Integral of |F'(t)| w(t) over [0, c], exact for the supported weights."""
-    t0 = np.minimum(profile.knots_t[:-1], c)
-    t1 = np.minimum(profile.knots_t[1:], c)
-    g = np.abs(profile.slopes)
-    if weight is None:
-        return float(np.sum(g * (t1 - t0)))
-    if isinstance(weight, RadialWeight):
-        return float(np.sum(g * (t1 * t1 - t0 * t0)) / (2.0 * weight.s))
-    if isinstance(weight, LevelSetWeight):
-        total = 0.0
-        for a, b in weight.intervals:
-            seg = np.maximum(0.0, np.minimum(t1, b) - np.maximum(t0, a))
-            total += float(np.sum(g * seg))
-        return total
-    raise TypeError(f"unsupported weight {weight!r}")
+def _exact_sums(profile: RadialProfile, lo, hi, split, ds, rs, m: int, fun):
+    """Per row, the m-node Gauss-Legendre rule for fun(t, d_i, r_i) summed over
+    its :func:`_panels` in order: exact for polynomials of degree 2m - 1."""
+    left, right, side = _panels(profile.knots_t, lo, hi, split)
+    x, w = _gauss(m)
+    h = (right - left)[:, None]
+    t = left[:, None] + h * x
+    vals = fun(t, np.concatenate((ds, ds))[side, None], np.concatenate((rs, rs))[side, None])
+    sums = np.bincount(side.repeat(m), weights=(vals * (h * w)).ravel(), minlength=2 * len(lo))
+    return sums[:len(lo)] + sums[len(lo):]
 
 
 def _integrate(fun, pts, qcfg: QuadratureConfig, scale: float) -> float:
@@ -101,46 +109,60 @@ def _integrate(fun, pts, qcfg: QuadratureConfig, scale: float) -> float:
     return integrate_adaptive(fun, pts, cfg)
 
 
+def _range_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
+                    qcfg: QuadratureConfig, fun, a: float, b: float, scale: float) -> float:
+    """Integral of fun(t, d, r) over [a, b] in the ball's range: exact at odd
+    n (qcfg unused), else adaptive, scale bounding the integral."""
+    d, r = ball.d, ball.r
+    if params.n % 2:
+        one = np.ones(1)
+        return float(_exact_sums(profile, a * one, b * one, abs(d - r) * one, d * one,
+                                 r * one, params.n, fun)[0])
+    pts = _ball_breakpoints(profile, ball)
+    if (a, b) != (pts[0], pts[-1]):
+        pts = np.unique(np.clip(np.concatenate((pts, [a, b])), a, b))
+    return _integrate(lambda t: fun(t, d, r), pts, qcfg, scale)
+
+
 def _ball_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
                    qcfg: QuadratureConfig, fun, peak) -> float:
-    """Integral of the radial integrand fun over the ball, divided by its volume.
-
-    peak(hi) bounds fun / (cap kernel) on [0, hi]; it sets the tolerance floor.
-    """
+    """Integral of fun(t, d, r) over the ball, per volume; peak(hi) bounds
+    fun / (cap kernel) on [0, hi]."""
     lo, hi = _ball_range(profile, ball)
     if hi <= lo:
         return 0.0
-    volume = params.omega_n * ball.r ** params.n
     scale = peak(hi) * params.sigma_n * hi ** (params.n - 1) * (hi - lo)
-    return _integrate(fun, _ball_breakpoints(profile, ball, lo, hi), qcfg, scale) / volume
-
-
-def _even_integral(fn_to, a: float, b: float) -> float:
-    """Integral over [a, b] of an even integrand given its [0, c] primitive."""
-    if a >= 0.0:
-        return fn_to(b) - fn_to(a)
-    return fn_to(b) + fn_to(-a)
+    return _range_integral(profile, ball, params, qcfg, fun, lo, hi, scale) \
+        / (params.omega_n * ball.r ** params.n)
 
 
 def ball_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
                  qcfg: QuadratureConfig) -> float:
     """Integral average of |f| over the ball."""
-    d, r = ball.d, ball.r
-    if params.n == 1:
-        vals = _odd_antiderivative(profile, np.array([d + r, d - r]))
-        return float(vals[0] - vals[1]) / (2.0 * r)
-    fun = lambda t: profile.value(t) * cap_area(t, d, r, params)
+    fun = lambda t, d, r: profile.value(t) * cap_area(t, d, r, params)
     return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: profile.max_value)
 
 
 def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
                    qcfg: QuadratureConfig) -> float:
-    """Integral average of |f| over the boundary sphere of the ball."""
+    """Integral average of |f| over the boundary sphere of the ball; at odd
+    n >= 3 exact in rho = |y| (qcfg unused), at n = 1 two points."""
     d, r = ball.d, ball.r
     if params.n == 1:
         return 0.5 * float(profile.value(abs(d - r)) + profile.value(d + r))
     if d == 0.0:
         return float(profile.value(r))
+    k = params.n - 2
+    if k % 2:
+        # rho^2 = d^2 + r^2 + 2 d r cos(phi): d phi = rho d rho / (d r sin(phi))
+        def fun(rho, d, r):
+            a = np.abs(d - r)
+            sin2 = (d + r - rho) * (d + r + rho) * (rho - a) * (rho + a) / (2.0 * d * r) ** 2
+            return profile.value(rho) * rho / (d * r) * sin2 ** ((k - 1) // 2)
+
+        hi = min(d + r, profile.support_radius)
+        return _range_integral(profile, ball, params, qcfg, fun, abs(d - r), hi, 0.0) \
+            / sin_power_total(k)
     # rho(phi) = |d*e + r*omega(phi)| decreases from d+r to |d-r|
     def rho_vals(phi):
         return np.sqrt(np.maximum(d * d + r * r + 2.0 * d * r * np.cos(phi), 0.0))
@@ -150,7 +172,6 @@ def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams
         if abs(d - r) < t < d + r:
             u = (t * t - d * d - r * r) / (2.0 * d * r)
             pts.append(float(np.arccos(np.clip(u, -1.0, 1.0))))
-    k = params.n - 2
     fun = lambda phi: profile.value(rho_vals(phi)) * np.sin(phi) ** k
     return _integrate(fun, np.unique(pts), qcfg, profile.max_value * np.pi) \
         / sin_power_total(k)
@@ -163,25 +184,18 @@ def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: Amb
     By rotational symmetry this is the only nonzero component of the
     vector average of Df; it vanishes identically when d = 0.
     """
-    d, r = ball.d, ball.r
-    if params.n == 1:
-        return float(profile.value(d + r) - profile.value(abs(d - r))) / (2.0 * r)
-    if d == 0.0:
+    if ball.d == 0.0:
         return 0.0
     slope_max = float(np.max(np.abs(profile.slopes)))
-    fun = lambda t: profile.slope(t) * cap_first_moment(t, d, r, params)
+    fun = lambda t, d, r: profile.slope(t) * cap_first_moment(t, d, r, params)
     return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: slope_max)
 
 
 def gradient_radial_moment(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
                            qcfg: QuadratureConfig) -> float:
     """Average of Df(y) . y over the ball."""
-    d, r = ball.d, ball.r
-    if params.n == 1:
-        val = _even_integral(lambda c: _slope_moment_to(profile, c), d - r, d + r)
-        return val / (2.0 * r)
     slope_max = float(np.max(np.abs(profile.slopes)))
-    fun = lambda t: profile.slope(t) * t * cap_area(t, d, r, params)
+    fun = lambda t, d, r: profile.slope(t) * t * cap_area(t, d, r, params)
     return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: slope_max * hi)
 
 
@@ -193,25 +207,17 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
     :class:`LevelSetWeight` for an indicator of radius intervals.
     """
     d, r = ball.d, ball.r
-    if params.n == 1:
-        val = _even_integral(lambda c: _abs_slope_weighted_to(profile, c, weight), d - r, d + r)
-        return val / (2.0 * r)
     slope_max = float(np.max(np.abs(profile.slopes)))
     if isinstance(weight, LevelSetWeight):
         # restrict the domain to the level set so the integrand stays continuous
         lo, hi = _ball_range(profile, ball)
-        if hi <= lo:
-            return 0.0
-        fun = lambda t: np.abs(profile.slope(t)) * cap_area(t, d, r, params)
+        fun = lambda t, d, r: np.abs(profile.slope(t)) * cap_area(t, d, r, params)
         total = 0.0
         for a, b in weight.intervals:
             a2, b2 = max(lo, a), min(hi, b)
-            if b2 <= a2:
-                continue
-            pts = _ball_breakpoints(profile, ball, lo, hi)
-            pts = np.unique(np.clip(np.concatenate((pts, [a2, b2])), a2, b2))
-            scale = slope_max * params.sigma_n * hi ** (params.n - 1) * (b2 - a2)
-            total += _integrate(fun, pts, qcfg, scale)
+            if b2 > a2:
+                scale = slope_max * params.sigma_n * hi ** (params.n - 1) * (b2 - a2)
+                total += _range_integral(profile, ball, params, qcfg, fun, a2, b2, scale)
         return total / (params.omega_n * r ** params.n)
 
     if weight is None:
@@ -222,30 +228,22 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
     else:
         raise TypeError(f"unsupported weight {weight!r}")
     peak = lambda hi: slope_max * (1.0 if weight is None else hi / weight.s)
-    fun = lambda t: np.abs(profile.slope(t)) * wfun(t) * cap_area(t, d, r, params)
+    fun = lambda t, d, r: np.abs(profile.slope(t)) * wfun(t) * cap_area(t, d, r, params)
     return _ball_integral(profile, ball, params, qcfg, fun, peak)
-
-
-def _objective_1d(profile: RadialProfile, ds, rs, beta: float):
-    """Exact r^beta * ball average at n = 1, vectorized."""
-    upper = _odd_antiderivative(profile, ds + rs)
-    lower = _odd_antiderivative(profile, ds - rs)
-    return rs**beta * (upper - lower) / (2.0 * rs)
 
 
 def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
     """Vectorized r^beta * ball-average for arrays of balls (coarse search).
 
-    Composite midpoint rule on _RANKING_NODES nodes; used only to rank
-    candidate balls, never for reported values.  Against the identity
-    quadrature its relative error on balls meeting the support reaches
-    7e-3 on 40-knot random profiles (n = 2, 3, 5), and grows with the
-    knot count.
+    At odd n the exact :func:`fixed_rule_objective`.  At even n a midpoint
+    rule on _RANKING_NODES nodes that only ranks: against the identity
+    quadrature its relative error on balls meeting the support reaches 7e-3
+    on 40-knot random profiles at n = 2, and grows with the knot count.
     """
     ds = np.asarray(ds, dtype=float)
     rs = np.asarray(rs, dtype=float)
-    if params.n == 1:
-        return _objective_1d(profile, ds, rs, params.beta)
+    if params.n % 2:
+        return fixed_rule_objective(profile, ds, rs, params)
     lo = np.maximum(0.0, ds - rs)
     hi = np.minimum(ds + rs, profile.support_radius)
     length = np.maximum(hi - lo, 0.0)
@@ -261,70 +259,44 @@ def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
     return rs**params.beta * out
 
 
-# 16-node Gauss-Legendre rule on [0, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
-
-
-def _knot_breaks(knots, lo, hi):
-    """Rows lo, the knots strictly inside (lo, hi), hi; padded with hi to
-    the widest row, so padding panels have zero width."""
-    i0 = np.searchsorted(knots, lo, side="right")
-    i1 = np.searchsorted(knots, hi, side="left")
-    width = int(np.max(i1 - i0, initial=0))
-    idx = i0[:, None] + np.arange(width)[None, :]
-    inner = np.where(idx < i1[:, None], knots[np.minimum(idx, len(knots) - 1)], hi[:, None])
-    return np.concatenate((lo[:, None], inner, hi[:, None]), axis=1)
-
-
-def _gauss_panels(breaks):
-    """Nodes and weights of the fixed rule on every panel of every row."""
-    h = np.diff(breaks, axis=1)[:, :, None]
-    return breaks[:, :-1, None] + h * _GL_X, h * _GL_W
-
-
 def fixed_rule_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
     """Vectorized r^beta * ball-average for arrays of balls (search refinement).
 
-    The full-sphere regime t in [0, r - d] gets a 16-node Gauss-Legendre
-    rule on each knot panel.  The cap regime [|d - r|, min(d + r, T)] is
-    mapped by t = |d - r| + L sin^2(phi), L = 2 min(d, r), which turns the
-    square-root endpoint behaviour of the cap kernels smooth; the knots
-    become phi breakpoints and each phi panel gets the same 16-node rule.
-    Against adaptive quadrature at rel_tol 1e-12 the relative error stays
-    below 2e-8 at n = 2, 3 and 1e-7 at n = 5, for r / T from 1e-4 to 2 and
-    up to 40 knots; the largest errors sit on the smallest balls, where the
-    cap kernel's cosine loses digits to cancellation under either rule.  A
-    ball's value depends on the rest of the batch only through rounding.
-    n = 1 is exact.
+    At odd n the exact rule of :func:`ball_average`, with the same bits.  At
+    even n the :func:`_panels` below |d - r| (the full sphere) get a 16-node
+    Gauss-Legendre rule; those above it are mapped by
+    t = |d - r| + L sin^2(phi), L = 2 min(d, r), which turns the square-root
+    endpoint behaviour of the cap kernels smooth, and get the same rule in
+    phi.  Against adaptive quadrature at rel_tol 1e-12 the relative error
+    stays below 2e-8 at n = 2, for r / T from 1e-4 to 2 and up to 40 knots;
+    the largest errors sit on the smallest balls, where the cap kernel's
+    cosine loses digits to cancellation under either rule.
     """
     ds = np.asarray(ds, dtype=float)
     rs = np.asarray(rs, dtype=float)
-    if params.n == 1:
-        return _objective_1d(profile, ds, rs, params.beta)
-    T = profile.support_radius
-    knots = profile.knots_t
-    zero = np.zeros_like(ds)
-    full_top = np.clip(rs - ds, 0.0, T)
-    t_full, w_full = _gauss_panels(_knot_breaks(knots, zero, full_top))
-
+    if params.n % 2:
+        diff = ds - rs
+        fun = lambda t, d, r: profile.value(t) * cap_area(t, d, r, params)
+        hi = np.minimum(ds + rs, profile.support_radius)
+        sums = _exact_sums(profile, np.maximum(diff, 0.0), hi, np.abs(diff), ds, rs, params.n, fun)
+        return rs**params.beta * (sums / (params.omega_n * rs**params.n))
     a = np.abs(ds - rs)
-    span = 2.0 * np.minimum(ds, rs)
-    cap_lo = np.minimum(a, T)
-    t_breaks = _knot_breaks(knots, cap_lo, np.maximum(np.minimum(ds + rs, T), cap_lo))
+    left, right, side = _panels(profile.knots_t, np.maximum(0.0, ds - rs),
+                                np.minimum(ds + rs, profile.support_radius), a)
+    # the panels below |d - r| (full sphere) come first, then the cap's
+    full = np.searchsorted(side, len(ds))
+    row = side % len(ds)
+    x, w = _gauss(_GL_NODES)
+    h = (right[:full] - left[:full])[:, None]
+    base, span = a[row[full:], None], 2.0 * np.minimum(ds, rs)[row[full:], None]
     # sin^2(phi) as a quotient of lengths: dilating the ball by a power of
     # two leaves every phi node unchanged
-    frac = (t_breaks - a[:, None]) / np.maximum(span, 1e-300)[:, None]
-    phi_breaks = np.arcsin(np.sqrt(np.clip(frac, 0.0, 1.0)))
-    phi, w_phi = _gauss_panels(phi_breaks)
-    span3 = span[:, None, None]
-    t_cap = a[:, None, None] + span3 * np.sin(phi) ** 2
-    w_cap = w_phi * span3 * np.sin(2.0 * phi)
-
-    t = np.concatenate((t_full, t_cap), axis=1)
-    w = np.concatenate((w_full, w_cap), axis=1)
-    area = cap_area(t, ds[:, None, None], rs[:, None, None], params)
-    vals = profile.value(t.ravel()).reshape(t.shape)
-    integral = (vals * area * w).sum(axis=(1, 2))
+    phi_lo, phi_hi = (np.arcsin(np.sqrt(np.clip((edge[full:, None] - base) / span, 0.0, 1.0)))
+                      for edge in (left, right))
+    phi = phi_lo + (phi_hi - phi_lo) * x
+    t = np.concatenate((left[:full, None] + h * x, base + span * np.sin(phi) ** 2))
+    weights = np.concatenate((h * w, (phi_hi - phi_lo) * w * span * np.sin(2.0 * phi)))
+    area = cap_area(t, ds[row, None], rs[row, None], params)
+    vals = profile.value(t.ravel()).reshape(t.shape) * area * weights
+    integral = np.bincount(np.repeat(row, _GL_NODES), weights=vals.ravel(), minlength=len(ds))
     return rs**params.beta * integral / (params.omega_n * rs**params.n)

@@ -68,8 +68,6 @@ class RadialProfile:
     slopes: np.ndarray = field(init=False)
     support_radius: float = field(init=False)
     max_value: float = field(init=False)
-    # cumulative integral of F at each knot, for exact 1D integration
-    _cum: np.ndarray = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.knots_t, dtype=float)
@@ -85,9 +83,7 @@ class RadialProfile:
         if v.max() == 0.0:
             raise ProfileError("profile is identically zero")
         slopes = np.diff(v) / np.diff(t)
-        pieces = 0.5 * (v[:-1] + v[1:]) * np.diff(t)
-        cum = np.concatenate(([0.0], np.cumsum(pieces)))
-        for name, val in (("knots_t", t), ("knots_v", v), ("slopes", slopes), ("_cum", cum)):
+        for name, val in (("knots_t", t), ("knots_v", v), ("slopes", slopes)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
         object.__setattr__(self, "support_radius", float(t[-1]))
@@ -128,15 +124,6 @@ class RadialProfile:
         inner = np.maximum(table[k, np.minimum(i0, len(v) - 1)], table[k, i1 - 2**k])
         ends = np.maximum(self.value(lo), self.value(hi))
         return np.where(i1 > i0, np.maximum(ends, inner), ends)
-
-    def integral_to(self, t):
-        """Exact integral of F over [0, t] (vectorized, piecewise quadratic)."""
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, 0.0, self.support_radius)
-        idx = np.clip(np.searchsorted(self.knots_t, tc, side="right") - 1, 0, len(self.slopes) - 1)
-        dt = tc - self.knots_t[idx]
-        partial = self.knots_v[idx] * dt + 0.5 * self.slopes[idx] * dt * dt
-        return self._cum[idx] + partial
 
     def knot_list(self):
         return [(float(a), float(b)) for a, b in zip(self.knots_t, self.knots_v)]

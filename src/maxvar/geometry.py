@@ -3,13 +3,15 @@
 Every n-dimensional integral of a radial function over a ball B(d*e, r)
 reduces to a 1D integral in the radius t, weighted by the measure of the
 cap {|y| = t} intersected with the ball and, for gradient integrals, by
-its cosine first moment.  The kernels below are those weights.
+its cosine first moment.  The kernels below are those weights: at odd n
+polynomials in t on each side of |d - r|, at even n functions of the angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, reduce
 
 import numpy as np
 
@@ -86,7 +88,7 @@ def sin_power_total(k: int) -> float:
 
 
 def _cap_cosine(t, d, r):
-    """cos(theta*) for the cap, clamped via the containment tests.
+    """cos(theta*) for the cap of even n, clamped via the containment tests.
 
     The quotient cancels near u = +-1, at the regime boundaries.  The
     adaptive averages presplit their cells there geometrically, and the
@@ -125,15 +127,46 @@ def cap_angle(t, d, r):
     return np.arccos(_cap_cosine(t, d, r))
 
 
+def _cap_w(t, d, r):
+    """w = 1 - cos(theta*) in [0, 2], as (r - t + d)(r + t - d) / (2 t d): the
+    factored difference of squares keeps its relative accuracy on the small
+    caps of small balls, where 1 - u cancels.  The containment masks of
+    :func:`_cap_cosine` set w = 0 outside the ball and 2 inside it."""
+    t = np.asarray(t, dtype=float)
+    gap = t - d
+    # a 0-d product is made an array; the masks override degenerate quotients
+    w = np.asarray((r - gap) * (r + gap))
+    np.divide(w, np.maximum(2.0 * t * d, 1e-300), out=w)
+    np.copyto(w, 0.0, where=np.abs(gap) >= r)
+    np.copyto(w, 2.0, where=t + d <= r)
+    return np.minimum(w, 2.0)[()]  # rounding may lift the quotient past 2
+
+
+@cache
+def _odd_cap_polynomial(n: int):
+    """P_n(w) = integral of (x (2 - x))^((n - 3)/2) over [0, w], which is
+    the integral of sin^(n-2) over [0, theta] with x = 1 - cos."""
+    poly = np.polynomial.polynomial
+    return poly.polyint(poly.polypow([0.0, 2.0, -1.0], (n - 3) // 2))
+
+
 def cap_area(t, d, r, params: AmbientParams):
-    """H^(n-1) measure of {|y| = t} intersected with B(d*e, r); n >= 2."""
+    """H^(n-1) measure of {|y| = t} intersected with B(d*e, r).  At n = 1 the
+    sphere is the pair {-t, t}, and the kernel counts its points in the ball.
+    """
     n = params.n
     t = np.asarray(t, dtype=float)
+    if n == 1:
+        both = t + d <= r  # _cap_w's masks: both points, or t alone where w > 0
+        return np.add(both | (np.abs(t - d) < r), both, dtype=float)
+    if n % 2:
+        w = _cap_w(t, d, r)
+        # Horner, without polyval's per-call checks
+        poly = reduce(lambda acc, c: acc * w + c, _odd_cap_polynomial(n)[::-1])
+        return params.sigma_lower * t ** (n - 1) * poly
     u = _cap_cosine(t, d, r)
     if n == 2:
         return 2.0 * t * np.arccos(u)
-    if n == 3:
-        return 2.0 * math.pi * t * t * (1.0 - u)
     sin_t = np.sqrt(np.maximum((1.0 - u) * (1.0 + u), 0.0))
     theta = np.arccos(u)
     return params.sigma_lower * t ** (n - 1) * sin_power_integral(n - 2, theta, cos_t=u, sin_t=sin_t)
@@ -142,15 +175,20 @@ def cap_area(t, d, r, params: AmbientParams):
 def cap_first_moment(t, d, r, params: AmbientParams):
     """Integral of cos(theta) over the same cap: sigma' t^(n-1) sin^(n-1)(theta*)/(n-1).
 
-    Vanishes for both the full sphere and the empty cap.
+    Vanishes for both the full sphere and the empty cap.  At odd n,
+    sin^2(theta*) = w (2 - w); at n = 1 it is 1 where t alone is in the ball.
     """
     n = params.n
     t = np.asarray(t, dtype=float)
+    if n == 1:
+        both = t + d <= r
+        return np.subtract(both | (np.abs(t - d) < r), both, dtype=float)
+    if n % 2:
+        w = _cap_w(t, d, r)
+        return params.sigma_lower * t ** (n - 1) * (w * (2.0 - w)) ** ((n - 1) // 2) / (n - 1)
     u = _cap_cosine(t, d, r)
     pyth = np.maximum((1.0 - u) * (1.0 + u), 0.0)
     if n == 2:
         return 2.0 * t * np.sqrt(pyth)
-    if n == 3:
-        return math.pi * t * t * pyth
     sin_t = np.sqrt(pyth)
     return params.sigma_lower * t ** (n - 1) * sin_t ** (n - 1) / (n - 1)

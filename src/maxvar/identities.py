@@ -30,6 +30,7 @@ NEAR_ZERO_REL = 1e-9     # absolute floor, relative to the profile maximum
 CONTROL_FACTOR = 1.05    # negative controls grow the optimal radius by this
 SUITE_BETA = 0.5         # fractional order of the seeded random suites
 ANNULUS_N = 2            # dimension of the seeded annulus suite
+_LINE = AmbientParams(1, SUITE_BETA)  # averages over [d - r, d + r]; beta plays no part
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,7 @@ def check_annulus_average(profile: RadialProfile, ball: AxisBall, params: Ambien
     name = "annulus_average"
     if ball.r > ball.d / 2.0:
         return _not_applicable(name, "ball not inside the annulus", _ball_inputs(ball))
-    a, b = ball.d - ball.r, ball.d + ball.r
-    line_avg = float(profile.integral_to(b) - profile.integral_to(a)) / (b - a)
+    line_avg = ball_average(profile, ball, _LINE, qcfg)
     doubled = AxisBall(ball.d, 2.0 * ball.r)
     ball_avg = ball_average(profile, doubled, params, qcfg)
     ratio = line_avg / ball_avg if ball_avg > 0.0 else (0.0 if line_avg == 0.0 else np.inf)

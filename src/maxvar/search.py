@@ -6,12 +6,12 @@ symmetry about the evaluation axis and the mirror-domination argument
 justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row)
 plus a dedicated sweep of the boundary family r = |d - s|, ranked by the
-midpoint batch objective; compass refinement of the top-K deduplicated
-starts to 1e-4 and of the distinct endpoints to REFINE_TOL.  Every
-compass step is projected to the nearest feasible ball, so from the
-constraint a step of d away from s slides the ball outward along the
-boundary family and a step of r down slides it inward: the compass
-follows the family r = |d - s| without a stage of its own.
+batch objective (a midpoint rule at even n); compass refinement of the
+top-K deduplicated starts to 1e-4 and of the distinct endpoints to
+REFINE_TOL.  Every compass step is projected to the nearest feasible
+ball, so from the constraint a step of d away from s slides the ball
+outward along the boundary family and a step of r down slides it inward:
+the compass follows the family r = |d - s| without a stage of its own.
 The ranking skips the coarse balls that cannot seed a start, the
 bounding step of branch and bound: a ball's objective is at most
 r^beta * min(max F over the ball, ||f||_1 / |B|), and a ball whose bound
@@ -19,10 +19,11 @@ falls far enough below the covering ball's or the warm ball's value
 cannot reach the start pool; the pool is the same as without skipping.
 Every refinement stage evaluates the fixed-rule objective, and the
 compasses of all starts run in lock-step, one batched call per round.
-The reported value is recomputed by adaptive quadrature at
-IDENTITY_QUADRATURE.  All moves are comparison-based and the projection
-is linear in (d, r, s), so scaling the profile by a positive constant
-reproduces the same search path and dilating it dilates the path.
+The reported value is recomputed by ball_average at IDENTITY_QUADRATURE
+(at odd n all stages use the same exact rule).  All moves are
+comparison-based and the projection is linear in (d, r, s), so scaling the
+profile by a positive constant reproduces the same search path and
+dilating it dilates the path.
 """
 
 from __future__ import annotations
@@ -258,13 +259,14 @@ def _can_seed(profile: RadialProfile, s: float, ds, rs, params: AmbientParams, w
     the grid, and a grid ball containing the optimal ball has at most 1.125
     times its radius, so at least 1.125^-(n - beta) times its value.  So
     the best coarse value is at least floor / 2 for n - beta <= 5, and the
-    pool threshold is POOL_FRACTION times it.  A midpoint value exceeds the
-    bound by at most 0.4% on measured balls of profiles with up to 40 knots,
-    and by 8% at 200 knots, where the midpoint rule's own error dominates.
-    So a ball with 2 * bound < POOL_FRACTION * floor / 2 stays below the
-    threshold and is not evaluated; up to n - beta = 10 the slack in that
-    factor 2 still covers 1.125^(n - beta).  At n = 1 the exact objective
-    costs less than its bound, and every ball is kept.
+    pool threshold is POOL_FRACTION times it.  At odd n the ranked value is
+    exact and never exceeds the bound; at even n a midpoint value exceeds
+    it by at most 0.4% on measured balls of up to 40 knots, and by 8% at
+    200 knots, where the midpoint rule's own error dominates.  So a ball
+    with 2 * bound < POOL_FRACTION * floor / 2 stays below the threshold
+    and is not evaluated; up to n - beta = 10 the slack in that factor 2
+    still covers 1.125^(n - beta).  At n = 1 the bound keeps 92% of the
+    balls of a median cold query and costs what it saves: all are kept.
     """
     if params.n == 1:
         return np.ones(len(ds), dtype=bool)
@@ -308,7 +310,7 @@ def _coarse_balls(s: float, T: float):
 
 def _coarse_starts(profile: RadialProfile, s: float, ds, rs, params: AmbientParams,
                    warm_ball):
-    """Rank the coarse balls (ds, rs) by the midpoint batch objective and
+    """Rank the coarse balls (ds, rs) by the batch objective and
     return the starts of the refinement and the number of balls ranked.
 
     The top balls within POOL_FRACTION of the best form the pool,

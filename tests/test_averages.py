@@ -1,5 +1,7 @@
 """Ball and sphere averages against closed forms, oracles, and identities."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,14 +11,17 @@ from maxvar.averages import (LevelSetWeight, RadialWeight, ball_average,
                              gradient_axial_component,
                              gradient_radial_moment, sphere_average,
                              weighted_gradient_average)
-from maxvar.core import AmbientParams, load_profile
+import maxvar
+from maxvar.core import AmbientParams, l1_norm, load_profile
 from maxvar.families import random_profile, tent
 from maxvar.geometry import AxisBall
+from maxvar.identities import check_affine_family, check_annulus_average, check_divergence
 from maxvar.oracles import oracle_mc_ball_average
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
 from maxvar.quadrature import QuadratureConfig, QuadratureError
+from maxvar.search import search
 
-from conftest import rel_err
+from conftest import quad_averages, rel_err
 
 
 def const_profile(c=0.7, T=4.0):
@@ -258,7 +263,8 @@ class TestBatchObjective:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_many_knots_within_documented_error(self, n):
-        # the docstring's figure: 7e-3 relative on 40-knot random profiles
+        # the docstring's figure at even n: 7e-3 relative on 40-knot random
+        # profiles; at odd n both sides are the exact rule
         params = AmbientParams(n, 0.5)
         rng2 = np.random.default_rng(2024 + n)
         for _ in range(5):
@@ -276,8 +282,9 @@ class TestBatchObjective:
 
 class TestFixedRuleObjective:
     REFERENCE = QuadratureConfig(rel_tol=1e-12, max_subdivisions=20000)
-    # the docstring's figures
-    BOUND = {2: 2e-8, 3: 2e-8, 5: 1e-7}
+    # the docstring's figure at n = 2; at odd n the rule is exact, and the
+    # quad oracle agrees to 7.4e-13 (n = 3) and 5.7e-13 (n = 5) on these balls
+    BOUND = {2: 2e-8, 3: 1e-12, 5: 1e-12}
 
     @staticmethod
     def balls(rng2, prof, count):
@@ -304,8 +311,10 @@ class TestFixedRuleObjective:
             ds, rs = self.balls(rng2, prof, 20)
             fixed = fixed_rule_objective(prof, ds, rs, params)
             for d, r, val in zip(ds, rs, fixed):
-                ref = r ** params.beta * ball_average(prof, AxisBall(d, r), params,
-                                                      self.REFERENCE)
+                # at odd n ball_average is the same rule: compare with the oracle
+                avg = quad_averages(prof, d, r, n, 1.0)["ball"] if n % 2 else \
+                    ball_average(prof, AxisBall(d, r), params, self.REFERENCE)
+                ref = r ** params.beta * avg
                 # balls that only graze the support carry no relative accuracy
                 if ref > 1e-10 * r ** params.beta * prof.max_value:
                     assert rel_err(val, ref) <= self.BOUND[n], (d, r)
@@ -334,3 +343,103 @@ class TestFixedRuleObjective:
         vals = fixed_rule_objective(prof, np.array([3.0, 0.0]), np.array([1.5, 2.0]), params2)
         assert vals[0] == 0.0
         assert vals[1] > 0.0
+
+
+def five_averages(profile, ball, params, s):
+    return {"ball": ball_average(profile, ball, params, Q),
+            "sphere": sphere_average(profile, ball, params, Q),
+            "axial": gradient_axial_component(profile, ball, params, Q),
+            "radial": gradient_radial_moment(profile, ball, params, Q),
+            "weighted": weighted_gradient_average(profile, ball, params, Q,
+                                                  weight=RadialWeight(s))}
+
+
+class TestExactRuleOracle:
+    """At odd n one Gauss rule per panel is exact; scipy's quad on integrands
+    built in the tests (conftest.quad_averages) shares none of its code."""
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    def test_five_averages_against_quad(self, n):
+        params = AmbientParams(n, 0.5)
+        rng2 = np.random.default_rng(300 + n)
+        checked = 0
+        while checked < 12:
+            prof = random_profile(rng2, 12)
+            T = prof.support_radius
+            d = float(rng2.uniform(0.0, 1.2 * T))
+            r = float(T * 10.0 ** rng2.uniform(-3.0, np.log10(1.5)))
+            if min(d + r, T) <= max(0.0, d - r) + 1e-3 * r:
+                continue
+            s = max(d, 0.1 * T)
+            got = five_averages(prof, AxisBall(d, r), params, s)
+            ref = quad_averages(prof, d, r, n, s)
+            slope_scale = float(np.max(np.abs(prof.slopes))) * max(1.0, (d + r) / s)
+            for key, val in ref.items():
+                scale = prof.max_value if key in ("ball", "sphere") else slope_scale
+                assert abs(got[key] - val) <= 1e-12 * max(abs(val), 1e-6 * scale), (key, d, r)
+            checked += 1
+
+    def test_level_set_against_quad(self):
+        # the level-set rows of one ball: the weight-one average over the
+        # whole range, split into pieces at arbitrary radii
+        rng2 = np.random.default_rng(404)
+        for n in (1, 3, 5):
+            params = AmbientParams(n, 0.5)
+            prof = random_profile(rng2, 12)
+            T = prof.support_radius
+            ball = AxisBall(0.45 * T, 0.6 * T)
+            cuts = np.sort(rng2.uniform(0.0, T, size=5))
+            pieces = tuple(zip(np.concatenate(([0.0], cuts)), np.concatenate((cuts, [T]))))
+            whole = weighted_gradient_average(prof, ball, params, Q)
+            split = weighted_gradient_average(prof, ball, params, Q,
+                                              weight=LevelSetWeight(pieces))
+            assert rel_err(split, whole) <= 1e-13
+            radial = weighted_gradient_average(prof, ball, params, Q, weight=RadialWeight(1.0))
+            oracle = quad_averages(prof, ball.d, ball.r, n, 1.0)["weighted"]
+            assert rel_err(radial, oracle) <= 1e-12
+
+
+class TestSmallBalls:
+    """Small off-axis balls at odd n (the tent is 1 - t, so the average is
+    about 0.3 at d = 0.7), once wrong from n = 7 on."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_against_monte_carlo(self, n, tent_profile):
+        params = AmbientParams(n, 0.5)
+        for r in (1e-4, 1e-3, 1e-2, 1e-1):
+            ball = AxisBall(0.7, r)
+            det = ball_average(tent_profile, ball, params, Q)
+            mc, se = oracle_mc_ball_average(tent_profile, ball, params, 200_000, seed=n)
+            assert abs(det - mc) <= 3.0 * se, r
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_search_within_a_priori_bounds(self, n, tent_profile):
+        params = AmbientParams(n, 0.5)
+        s = 0.7
+        T = tent_profile.support_radius
+        res = search(tent_profile, s, params)
+        cover = (s + T) ** (params.beta - n) * l1_norm(tent_profile, params) / params.omega_n
+        assert cover * (1.0 - 1e-9) <= res.value <= tent_profile.max_value * (s + T) ** params.beta
+
+
+class TestOddNeverAdaptive:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_no_adaptive_call(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature at odd n")
+
+        original = maxvar.quadrature.integrate_adaptive
+        bindings = [mod for name, mod in list(sys.modules.items())
+                    if (name == "maxvar" or name.startswith("maxvar."))
+                    and getattr(mod, "integrate_adaptive", None) is original]
+        assert bindings
+        for mod in bindings:
+            monkeypatch.setattr(mod, "integrate_adaptive", refuse)
+        params = AmbientParams(n, 0.5)
+        prof = random_profile(np.random.default_rng(50 + n), 8)
+        T = prof.support_radius
+        res = search(prof, 0.6 * T, params)
+        ball = AxisBall(0.5 * T, 0.4 * T)
+        assert check_divergence(prof, ball, params, Q).passed
+        assert check_affine_family(prof, 0.6 * T, res.ball, params, Q).passed
+        assert check_annulus_average(prof, AxisBall(0.8 * T, 0.2 * T), params, Q).passed

@@ -9,7 +9,7 @@ from maxvar.geometry import (AxisBall, InfeasibleBallError, _cap_cosine, cap_ang
                              cap_area, cap_first_moment, classify_contact,
                              sin_power_integral, sin_power_total)
 
-from conftest import rel_err
+from conftest import kahan_cap_angle, rel_err, sin_power_to
 
 
 def mc_cap(t, d, r, params, n_samples, seed, moment=False):
@@ -87,8 +87,6 @@ def reference_cap_area(t, d, r, params):
     u = _cap_cosine(t, d, r)
     if n == 2:
         return 2.0 * t * np.arccos(u)
-    if n == 3:
-        return 2.0 * np.pi * t * t * (1.0 - u)
     sin_t = np.sqrt(np.clip((1.0 - u) * (1.0 + u), 0.0, None))
     theta = np.arccos(u)
     return params.sigma_lower * t ** (n - 1) * sin_power_integral(n - 2, theta, cos_t=u, sin_t=sin_t)
@@ -102,15 +100,13 @@ def reference_cap_first_moment(t, d, r, params):
     pyth = np.clip((1.0 - u) * (1.0 + u), 0.0, None)
     if n == 2:
         return 2.0 * t * np.sqrt(pyth)
-    if n == 3:
-        return np.pi * t * t * pyth
     return params.sigma_lower * t ** (n - 1) * np.sqrt(pyth) ** (n - 1) / (n - 1)
 
 
 class TestCapKernelsBits:
-    """The kernels clamp with np.maximum, bit-identical to np.clip."""
+    """At even n the kernels clamp with np.maximum, bit-identical to np.clip."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 4])
     def test_match_the_clip_expression(self, n):
         params = AmbientParams(n, 0.5)
         rng = np.random.default_rng(20 + n)
@@ -125,6 +121,41 @@ class TestCapKernelsBits:
             assert same_bits(cap_area(*args, params), reference_cap_area(*args, params))
             assert same_bits(cap_first_moment(*args, params),
                              reference_cap_first_moment(*args, params))
+
+
+class TestOddCapKernels:
+    """At odd n the kernels are polynomials in w = 1 - cos(theta*); the
+    references take theta* from Kahan's triangle formula and integrate
+    sin^(n-2) by the incomplete beta function."""
+
+    @staticmethod
+    def configurations(rng, count):
+        d = rng.uniform(0.0, 2.0, size=count)
+        r = 10.0 ** rng.uniform(-6.0, 0.3, size=count)
+        t = np.maximum(d + rng.uniform(-1.0, 1.0, size=count) * r, 0.0)
+        return t, d, r
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_against_incomplete_beta(self, n):
+        params = AmbientParams(n, 0.5)
+        t, d, r = self.configurations(np.random.default_rng(60 + n), 400)
+        area = cap_area(t, d, r, params)
+        moment = cap_first_moment(t, d, r, params)
+        for i in range(len(t)):
+            theta = kahan_cap_angle(t[i], d[i], r[i])
+            scale = params.sigma_lower * t[i] ** (n - 1)
+            # small caps keep their relative accuracy
+            assert rel_err(area[i], scale * sin_power_to(n - 2, theta), 1e-300) <= 1e-12
+            # the full sphere and the empty cap have no moment
+            full_or_empty = theta in (0.0, np.pi)
+            expected = 0.0 if full_or_empty else scale * np.sin(theta) ** (n - 1) / (n - 1)
+            assert abs(moment[i] - expected) <= 1e-12 * expected
+
+    def test_n1_counts_the_points_in_the_ball(self, params1):
+        # B(0.3, 1.0) is [-0.7, 1.3]: both of +-0.5, only 1.2, neither of +-1.5
+        t = np.array([0.5, 1.2, 1.5])
+        assert cap_area(t, 0.3, 1.0, params1).tolist() == [2.0, 1.0, 0.0]
+        assert cap_first_moment(t, 0.3, 1.0, params1).tolist() == [0.0, 1.0, 0.0]
 
 
 class TestCapAngle:
