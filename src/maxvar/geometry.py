@@ -3,8 +3,10 @@
 Every n-dimensional integral of a radial function over a ball B(d*e, r)
 reduces to a 1D integral in the radius t, weighted by the measure of the
 cap {|y| = t} intersected with the ball and, for gradient integrals, by
-its cosine first moment.  The kernels below are those weights: at odd n
-polynomials in t on each side of |d - r|, at even n functions of the angle.
+its cosine first moment.  The kernels below are those weights, functions
+of w = 1 - cos(theta*), which is computed without cancellation: at odd n
+polynomials in w, hence in t on each side of |d - r|, and at even n
+functions of theta* = 2 arcsin(sqrt(w / 2)) summed without cancellation.
 """
 
 from __future__ import annotations
@@ -61,77 +63,12 @@ def classify_contact(ball: AxisBall, s: float, tol: float) -> Contact:
     return Contact("interior", c)
 
 
-def sin_power_integral(k: int, theta, cos_t=None, sin_t=None):
-    """Integral of sin^k over [0, theta], by the stable descending recurrence.
-
-    Closed forms for k <= 2, recurrence above; vectorized in theta.
-    cos_t/sin_t may be passed to avoid recomputing them.
-    """
-    theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta) if cos_t is None else np.asarray(cos_t, dtype=float)
-    s = np.sin(theta) if sin_t is None else np.asarray(sin_t, dtype=float)
-    if k == 0:
-        return theta + 0.0
-    if k == 1:
-        return 1.0 - c
-    acc = theta if k % 2 == 0 else (1.0 - c)
-    j = 2 if k % 2 == 0 else 3
-    while j <= k:
-        acc = (-c * s ** (j - 1) + (j - 1) * acc) / j
-        j += 2
-    return acc
-
-
-def sin_power_total(k: int) -> float:
-    """Integral of sin^k over [0, pi]."""
-    return math.sqrt(math.pi) * math.gamma((k + 1) / 2.0) / math.gamma(k / 2.0 + 1.0)
-
-
-def _cap_cosine(t, d, r):
-    """cos(theta*) for the cap of even n, clamped via the containment tests.
-
-    The quotient cancels near u = +-1, at the regime boundaries.  The
-    adaptive averages presplit their cells there geometrically, and the
-    fixed rule's substitution gives its nodes there weights that vanish
-    at the boundary; the midpoint ranking rule does neither and takes the
-    error.  Works in place on the numerator's array, bit-identical to the
-    allocating expression; 0-d inputs give a scalar.
-    """
-    t = np.asarray(t, dtype=float)
-    # the numerator has the broadcast shape; a 0-d one is made an array
-    u = np.asarray(t * t + (d * d - r * r))
-    work = np.multiply(2.0 * t, d, out=np.empty_like(u))
-    # degenerate denominators are overridden by the containment masks below
-    np.maximum(work, 1e-300, out=work)
-    np.divide(u, work, out=u)
-    np.subtract(t, d, out=work)
-    np.abs(work, out=work)
-    mask = np.greater_equal(work, r, out=np.empty(u.shape, dtype=bool))
-    np.copyto(u, 1.0, where=mask)
-    np.add(t, d, out=work)
-    np.less_equal(work, r, out=mask)
-    np.copyto(u, -1.0, where=mask)
-    # np.clip's bits, without its wrapper's cost on the adaptive rule's small arrays
-    np.maximum(u, -1.0, out=u)
-    np.minimum(u, 1.0, out=u)
-    return u[()]
-
-
-def cap_angle(t, d, r):
-    """Half-opening angle of {|y| = t} within B(d*e, r), in [0, pi].
-
-    arccos of (t^2 + d^2 - r^2) / (2 t d), clamped; pi when the sphere is
-    contained in the ball, 0 when they are disjoint.  Callers handle
-    t = 0 and d = 0 through full/empty containment tests.
-    """
-    return np.arccos(_cap_cosine(t, d, r))
-
-
 def _cap_w(t, d, r):
-    """w = 1 - cos(theta*) in [0, 2], as (r - t + d)(r + t - d) / (2 t d): the
-    factored difference of squares keeps its relative accuracy on the small
-    caps of small balls, where 1 - u cancels.  The containment masks of
-    :func:`_cap_cosine` set w = 0 outside the ball and 2 inside it."""
+    """w = 1 - cos(theta*) in [0, 2] for the cap of {|y| = t} in B(d*e, r),
+    as (r - t + d)(r + t - d) / (2 t d): the factored difference of squares
+    keeps its relative accuracy on the small caps of small balls, where
+    1 - cos cancels.  w = 0 where the sphere misses the ball and 2 where
+    the ball contains it; 0-d inputs give a scalar."""
     t = np.asarray(t, dtype=float)
     gap = t - d
     # a 0-d product is made an array; the masks override degenerate quotients
@@ -142,53 +79,94 @@ def _cap_w(t, d, r):
     return np.minimum(w, 2.0)[()]  # rounding may lift the quotient past 2
 
 
+def cap_angle(t, d, r):
+    """Half-opening angle theta* of {|y| = t} within B(d*e, r), in [0, pi]:
+    2 arcsin(sqrt(w / 2)), pi when the sphere is contained in the ball and
+    0 when they are disjoint."""
+    return 2.0 * np.arcsin(np.sqrt(0.5 * _cap_w(t, d, r)))
+
+
+def _horner(coeffs, x):
+    """Polynomial, coefficients highest first, at x; no polyval call checks."""
+    return reduce(lambda acc, c: acc * x + c, coeffs)
+
+
 @cache
-def _odd_cap_polynomial(n: int):
-    """P_n(w) = integral of (x (2 - x))^((n - 3)/2) over [0, w], which is
-    the integral of sin^(n-2) over [0, theta] with x = 1 - cos."""
+def _odd_sin_power(k: int):
+    """Coefficients, highest first, of P(w) = integral of (x (2 - x))^((k - 1)/2)
+    over [0, w]: the integral of sin^k over [0, theta] at odd k, x = 1 - cos."""
     poly = np.polynomial.polynomial
-    return poly.polyint(poly.polypow([0.0, 2.0, -1.0], (n - 3) // 2))
+    return poly.polyint(poly.polypow([0.0, 2.0, -1.0], (k - 1) // 2))[::-1]
+
+
+@cache
+def _arcsin_series(count: int):
+    """c_j = (2j)!! / (2j + 1)!! for j < count: below pi / 2, theta is cos(theta)
+    times the sum of c_j sin^(2j+1)(theta) (DLMF 8.17, hypergeometric form)."""
+    j = np.arange(count - 1)
+    return np.cumprod(np.concatenate(([1.0], (2.0 * j + 2.0) / (2.0 * j + 3.0))))
+
+
+def sin_power_integral(k: int, w):
+    """Integral of sin^k over [0, theta], with w = 1 - cos(theta) in [0, 2].
+
+    Odd k: a polynomial in w.  Even k: (k - 1)!!/k!! times the bracket
+    theta - cos(theta) * sum_{j < k/2} c_j sin^(2j+1)(theta) (see
+    :func:`_arcsin_series`) from theta = pi / 4 on, where it loses at most a
+    factor 40 to cancellation; below pi / 4 the bracket's positive tail
+    cos(theta) * sum_{j >= k/2} c_j sin^(2j+1)(theta), summed until its
+    ratio, at most 1/2, has shrunk the terms past 2^-55: ~1e-14 relative.
+    """
+    w = np.asarray(w, dtype=float)
+    if k % 2:
+        return _horner(_odd_sin_power(k), w)
+    theta = 2.0 * np.arcsin(np.sqrt(0.5 * w))
+    if k == 0:
+        return theta
+    m = k // 2
+    sin2 = w * (2.0 - w)
+    small = w < 1.0 - math.sqrt(0.5)  # theta < pi / 4
+    x = sin2[small]
+    ratio = float(np.max(x, initial=0.0))
+    terms = 1 if ratio == 0.0 else max(1, math.ceil(55.0 * math.log(2.0) / -math.log(ratio)))
+    coeffs = _arcsin_series(m + terms)[::-1]
+    cos_sin = (1.0 - w) * np.sqrt(sin2)
+    bracket = np.asarray(theta - cos_sin * _horner(coeffs[terms:], sin2))
+    # the tail, summed only where it is taken
+    bracket[small] = cos_sin[small] * x**m * _horner(coeffs[:terms], x)
+    return math.prod((2 * i - 1) / (2 * i) for i in range(1, m + 1)) * bracket[()]
+
+
+def sin_power_total(k: int) -> float:
+    """Integral of sin^k over [0, pi]."""
+    return math.sqrt(math.pi) * math.gamma((k + 1) / 2.0) / math.gamma(k / 2.0 + 1.0)
 
 
 def cap_area(t, d, r, params: AmbientParams):
-    """H^(n-1) measure of {|y| = t} intersected with B(d*e, r).  At n = 1 the
-    sphere is the pair {-t, t}, and the kernel counts its points in the ball.
+    """H^(n-1) measure of {|y| = t} intersected with B(d*e, r):
+    sigma_(n-1) t^(n-1) times the integral of sin^(n-2) over [0, theta*].
+    At n = 1 the sphere is the pair {-t, t}, and the kernel counts its
+    points in the ball.
     """
     n = params.n
     t = np.asarray(t, dtype=float)
     if n == 1:
         both = t + d <= r  # _cap_w's masks: both points, or t alone where w > 0
         return np.add(both | (np.abs(t - d) < r), both, dtype=float)
-    if n % 2:
-        w = _cap_w(t, d, r)
-        # Horner, without polyval's per-call checks
-        poly = reduce(lambda acc, c: acc * w + c, _odd_cap_polynomial(n)[::-1])
-        return params.sigma_lower * t ** (n - 1) * poly
-    u = _cap_cosine(t, d, r)
-    if n == 2:
-        return 2.0 * t * np.arccos(u)
-    sin_t = np.sqrt(np.maximum((1.0 - u) * (1.0 + u), 0.0))
-    theta = np.arccos(u)
-    return params.sigma_lower * t ** (n - 1) * sin_power_integral(n - 2, theta, cos_t=u, sin_t=sin_t)
+    return params.sigma_lower * t ** (n - 1) * sin_power_integral(n - 2, _cap_w(t, d, r))
 
 
 def cap_first_moment(t, d, r, params: AmbientParams):
-    """Integral of cos(theta) over the same cap: sigma' t^(n-1) sin^(n-1)(theta*)/(n-1).
+    """Integral of cos(theta) over the same cap: sigma' t^(n-1) sin^(n-1)(theta*)/(n-1),
+    with sin^2(theta*) = w (2 - w).
 
-    Vanishes for both the full sphere and the empty cap.  At odd n,
-    sin^2(theta*) = w (2 - w); at n = 1 it is 1 where t alone is in the ball.
+    Vanishes for both the full sphere and the empty cap; at n = 1 it is 1
+    where t alone is in the ball.
     """
     n = params.n
     t = np.asarray(t, dtype=float)
     if n == 1:
         both = t + d <= r
         return np.subtract(both | (np.abs(t - d) < r), both, dtype=float)
-    if n % 2:
-        w = _cap_w(t, d, r)
-        return params.sigma_lower * t ** (n - 1) * (w * (2.0 - w)) ** ((n - 1) // 2) / (n - 1)
-    u = _cap_cosine(t, d, r)
-    pyth = np.maximum((1.0 - u) * (1.0 + u), 0.0)
-    if n == 2:
-        return 2.0 * t * np.sqrt(pyth)
-    sin_t = np.sqrt(pyth)
-    return params.sigma_lower * t ** (n - 1) * sin_t ** (n - 1) / (n - 1)
+    w = _cap_w(t, d, r)
+    return params.sigma_lower * t ** (n - 1) * (w * (2.0 - w)) ** (0.5 * (n - 1)) / (n - 1)

@@ -1,10 +1,11 @@
 """Adaptive 1D quadrature over piecewise-smooth integrands.
 
 Gauss-Kronrod 7/15 applied per subinterval, with batched breadth-first
-bisection of the worst intervals.  Callers supply the breakpoints (profile
-knots, cap regime boundaries) so every subinterval is smooth inside; the
-only interior difficulty left is square-root behavior at regime endpoints,
-which the bisection resolves geometrically.
+bisection of the worst intervals.  Callers supply the breakpoints (the
+profile knots, in the cap angle phi of the even-n averages, or in the
+sphere's polar angle) so every subinterval is smooth inside; what is left,
+the narrow feature that a near-tangent ball puts into phi, the bisection
+resolves.
 """
 
 from __future__ import annotations

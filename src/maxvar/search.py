@@ -6,7 +6,8 @@ symmetry about the evaluation axis and the mirror-domination argument
 justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row)
 plus a dedicated sweep of the boundary family r = |d - s|, ranked by the
-batch objective (a midpoint rule at even n); compass refinement of the
+batch objective (the fixed rule's panels, with fewer nodes per cap panel
+at even n); compass refinement of the
 top-K deduplicated starts to 1e-4 and of the distinct endpoints to
 REFINE_TOL.  Every compass step is projected to the nearest feasible
 ball, so from the constraint a step of d away from s slides the ball
@@ -260,13 +261,13 @@ def _can_seed(profile: RadialProfile, s: float, ds, rs, params: AmbientParams, w
     times its radius, so at least 1.125^-(n - beta) times its value.  So
     the best coarse value is at least floor / 2 for n - beta <= 5, and the
     pool threshold is POOL_FRACTION times it.  At odd n the ranked value is
-    exact and never exceeds the bound; at even n a midpoint value exceeds
-    it by at most 0.4% on measured balls of up to 40 knots, and by 8% at
-    200 knots, where the midpoint rule's own error dominates.  So a ball
-    with 2 * bound < POOL_FRACTION * floor / 2 stays below the threshold
-    and is not evaluated; up to n - beta = 10 the slack in that factor 2
-    still covers 1.125^(n - beta).  At n = 1 the bound keeps 92% of the
-    balls of a median cold query and costs what it saves: all are kept.
+    exact and never exceeds the bound; at even n its relative error on the
+    coarse balls of 4- to 200-knot profiles stays below 2e-4 up to n = 10,
+    and it exceeds the bound by rounding only.  So a ball with
+    2 * bound < POOL_FRACTION * floor / 2 stays below the threshold and is
+    not evaluated; up to n - beta = 10 the slack in that factor 2 still
+    covers 1.125^(n - beta).  At n = 1 the bound keeps 92% of the balls of
+    a median cold query and costs what it saves: all are kept.
     """
     if params.n == 1:
         return np.ones(len(ds), dtype=bool)

@@ -49,9 +49,10 @@ def _quad(fun, lo, hi, points):
         return quad(fun, lo, hi, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-13)[0]
 
 
-def quad_averages(profile, d, r, n, s):
+def quad_averages(profile, d, r, n, s, keys=None):
     """Ball, sphere, axial-gradient, radial-moment and |Df| t/s averages of
-    the radial function with profile F over B(d e, r) in R^n, by quad.
+    the radial function with profile F over B(d e, r) in R^n, by quad; keys
+    selects some of them.
 
     n = 1 integrates the even extension F(|u|) over [d - r, d + r], the
     ball average from the 1D oracle's primitive.
@@ -63,11 +64,12 @@ def quad_averages(profile, d, r, n, s):
         pts = knots + [-k for k in knots]
         line = lambda g: _quad(g, d - r, d + r, pts) / (2.0 * r)
         primitive = _even_antiderivative(profile)
-        return {"ball": float(primitive(d + r) - primitive(d - r)) / (2.0 * r),
-                "sphere": 0.5 * (F(abs(d - r)) + F(d + r)),
-                "axial": line(lambda u: math.copysign(1.0, u) * dF(abs(u))),
-                "radial": line(lambda u: dF(abs(u)) * abs(u)),
-                "weighted": line(lambda u: abs(dF(abs(u))) * abs(u) / s)}
+        averages = {"ball": lambda: float(primitive(d + r) - primitive(d - r)) / (2.0 * r),
+                    "sphere": lambda: 0.5 * (F(abs(d - r)) + F(d + r)),
+                    "axial": lambda: line(lambda u: math.copysign(1.0, u) * dF(abs(u))),
+                    "radial": lambda: line(lambda u: dF(abs(u)) * abs(u)),
+                    "weighted": lambda: line(lambda u: abs(dF(abs(u))) * abs(u) / s)}
+        return {key: averages[key]() for key in keys or averages}
     sigma = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
     volume = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * r ** n
     area = lambda t: sigma * t ** (n - 1) * sin_power_to(n - 2, kahan_cap_angle(t, d, r))
@@ -79,13 +81,14 @@ def quad_averages(profile, d, r, n, s):
     rho = lambda phi: math.sqrt(max(d * d + r * r + 2.0 * d * r * math.cos(phi), 0.0))
     phis = [math.acos(min(1.0, max(-1.0, (k * k - d * d - r * r) / (2.0 * d * r))))
             for k in knots] if d > 0.0 else []
-    sphere = _quad(lambda phi: F(rho(phi)) * math.sin(phi) ** (n - 2), 0.0, math.pi, phis) \
-        / sin_power_to(n - 2, math.pi)
-    return {"ball": ball(lambda t: F(t) * area(t)),
-            "sphere": sphere,
-            "axial": ball(lambda t: dF(t) * moment(t)),
-            "radial": ball(lambda t: dF(t) * t * area(t)),
-            "weighted": ball(lambda t: abs(dF(t)) * t / s * area(t))}
+    averages = {
+        "ball": lambda: ball(lambda t: F(t) * area(t)),
+        "sphere": lambda: _quad(lambda phi: F(rho(phi)) * math.sin(phi) ** (n - 2), 0.0,
+                                math.pi, phis) / sin_power_to(n - 2, math.pi),
+        "axial": lambda: ball(lambda t: dF(t) * moment(t)),
+        "radial": lambda: ball(lambda t: dF(t) * t * area(t)),
+        "weighted": lambda: ball(lambda t: abs(dF(t)) * t / s * area(t))}
+    return {key: averages[key]() for key in keys or averages}
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from maxvar.core import AmbientParams
-from maxvar.geometry import (AxisBall, InfeasibleBallError, _cap_cosine, cap_angle,
-                             cap_area, cap_first_moment, classify_contact,
-                             sin_power_integral, sin_power_total)
+from maxvar.geometry import (AxisBall, InfeasibleBallError, _cap_w, cap_angle, cap_area,
+                             cap_first_moment, classify_contact, sin_power_integral,
+                             sin_power_total)
 
 from conftest import kahan_cap_angle, rel_err, sin_power_to
 
@@ -23,22 +23,23 @@ def mc_cap(t, d, r, params, n_samples, seed, moment=False):
     return total * vals.mean(), total * vals.std() / np.sqrt(n_samples)
 
 
-def reference_cap_cosine(t, d, r):
-    """The allocating expression that the in-place kernel replaced."""
-    t = np.asarray(t, dtype=float)
-    denom = np.maximum(2.0 * t * d, 1e-300)
-    u = (t * t + (d * d - r * r)) / denom
-    u = np.where(np.abs(t - d) >= r, 1.0, u)
-    u = np.where(t + d <= r, -1.0, u)
-    return np.clip(u, -1.0, 1.0)
+def kahan_w(t, d, r):
+    """w = 1 - cos(theta*) = 2 sin^2(theta*/2), theta* by Kahan's formula."""
+    ref = np.vectorize(lambda t, d, r: 2.0 * np.sin(0.5 * kahan_cap_angle(t, d, r)) ** 2)
+    return ref(t, d, r)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def close_w(got, expected):
+    """Relative agreement, with an absolute floor for the caps that vanish at
+    the regime edges, where the inputs' own rounding sets the error."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and bool(
+        np.all(np.abs(got - expected) <= 1e-13 * np.maximum(expected, 1e-12)))
 
 
 class TestCapCosine:
+    """The cap's cosine enters every kernel as w = 1 - cos(theta*)."""
+
     def test_matches_reference_on_arrays(self):
         rng = np.random.default_rng(11)
         d = rng.uniform(0.0, 2.0, size=300)
@@ -48,7 +49,7 @@ class TestCapCosine:
         t[:60] = np.concatenate((np.zeros(15), np.abs(d[15:30] - r[15:30]),
                                  d[30:45] + r[30:45], r[45:60]))
         d[45:60] = 0.0
-        assert same_bits(_cap_cosine(t, d, r), reference_cap_cosine(t, d, r))
+        assert close_w(_cap_w(t, d, r), kahan_w(t, d, r))
 
     def test_matches_reference_on_broadcasts(self):
         rng = np.random.default_rng(12)
@@ -59,17 +60,16 @@ class TestCapCosine:
         t[:, 0] = np.abs(d[:, 0] - r[:, 0])
         for args in ((t, d, r), (t.reshape(k, 4, 24), d[:, :, None], r[:, :, None]),
                      (d, t, r), (0.5, d, r), (t, 0.3, 0.7), (0.5, 0.3, r)):
-            assert same_bits(_cap_cosine(*args), reference_cap_cosine(*args))
+            assert close_w(_cap_w(*args), kahan_w(*args))
 
     @pytest.mark.parametrize("t, d, r", [(0.5, 0.3, 0.4), (0.0, 0.3, 0.4), (0.5, 0.0, 0.4),
                                          (0.1, 0.3, 0.2), (0.5, 0.3, 0.2), (0.0, 0.0, 1.0),
                                          (2.0, 0.5, 1.0)])
     def test_matches_reference_on_scalars(self, t, d, r):
-        got, expected = _cap_cosine(t, d, r), reference_cap_cosine(t, d, r)
-        assert same_bits(got, expected)
-        assert type(got) is type(expected)
-        assert same_bits(_cap_cosine(np.float64(t), np.array(d), r),
-                         reference_cap_cosine(np.float64(t), np.array(d), r))
+        for args in ((t, d, r), (np.float64(t), np.array(d), r)):
+            got = _cap_w(*args)
+            assert isinstance(got, float)
+            assert close_w(got, kahan_w(*args))
 
     def test_kernels_take_floats(self, params2, params3):
         p5 = AmbientParams(5, 0.5)
@@ -80,53 +80,10 @@ class TestCapCosine:
         assert cap_area(0.05, 0.3, 0.4, params3) == pytest.approx(4 * np.pi * 0.05**2)
 
 
-def reference_cap_area(t, d, r, params):
-    """cap_area with the np.clip expression that np.maximum replaced."""
-    n = params.n
-    t = np.asarray(t, dtype=float)
-    u = _cap_cosine(t, d, r)
-    if n == 2:
-        return 2.0 * t * np.arccos(u)
-    sin_t = np.sqrt(np.clip((1.0 - u) * (1.0 + u), 0.0, None))
-    theta = np.arccos(u)
-    return params.sigma_lower * t ** (n - 1) * sin_power_integral(n - 2, theta, cos_t=u, sin_t=sin_t)
-
-
-def reference_cap_first_moment(t, d, r, params):
-    """cap_first_moment with the np.clip expression that np.maximum replaced."""
-    n = params.n
-    t = np.asarray(t, dtype=float)
-    u = _cap_cosine(t, d, r)
-    pyth = np.clip((1.0 - u) * (1.0 + u), 0.0, None)
-    if n == 2:
-        return 2.0 * t * np.sqrt(pyth)
-    return params.sigma_lower * t ** (n - 1) * np.sqrt(pyth) ** (n - 1) / (n - 1)
-
-
-class TestCapKernelsBits:
-    """At even n the kernels clamp with np.maximum, bit-identical to np.clip."""
-
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_match_the_clip_expression(self, n):
-        params = AmbientParams(n, 0.5)
-        rng = np.random.default_rng(20 + n)
-        d = rng.uniform(0.0, 2.0, size=300)
-        r = rng.uniform(1e-4, 2.0, size=300)
-        t = rng.uniform(0.0, 4.0, size=300)
-        # the regime edges, where 1 - u^2 rounds to 0 or just below it
-        t[:45] = np.concatenate((np.zeros(15), np.abs(d[15:30] - r[15:30]),
-                                 d[30:45] + r[30:45]))
-        for args in ((t, d, r), (t[:, None], d[None, :40], r[None, :40]), (0.5, 0.3, 0.4),
-                     (0.1, 0.3, 0.2), (2.0, 0.5, 1.0)):
-            assert same_bits(cap_area(*args, params), reference_cap_area(*args, params))
-            assert same_bits(cap_first_moment(*args, params),
-                             reference_cap_first_moment(*args, params))
-
-
 class TestOddCapKernels:
-    """At odd n the kernels are polynomials in w = 1 - cos(theta*); the
-    references take theta* from Kahan's triangle formula and integrate
-    sin^(n-2) by the incomplete beta function."""
+    """The kernels in w = 1 - cos(theta*), polynomials at odd n, at every
+    n >= 2; the references take theta* from Kahan's triangle formula and
+    integrate sin^(n-2) by the incomplete beta function."""
 
     @staticmethod
     def configurations(rng, count):
@@ -135,7 +92,7 @@ class TestOddCapKernels:
         t = np.maximum(d + rng.uniform(-1.0, 1.0, size=count) * r, 0.0)
         return t, d, r
 
-    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_against_incomplete_beta(self, n):
         params = AmbientParams(n, 0.5)
         t, d, r = self.configurations(np.random.default_rng(60 + n), 400)
@@ -182,19 +139,20 @@ class TestCapAngle:
 
 
 class TestSinPower:
+    THETAS = (1e-6, 1e-3, 0.3, np.pi / 4 * (1.0 - 1e-12), np.pi / 4, np.pi / 4 * (1.0 + 1e-12),
+              1.2, np.pi / 2, 2.4, np.pi - 1e-3, np.pi)
+
     @pytest.mark.parametrize("k", range(0, 9))
     def test_against_quadrature(self, k):
-        # the ascending recurrence cancels mildly for tiny caps at high k,
-        # consistent with the documented accuracy loss toward n = 10
-        tol = 1e-12 if k <= 5 else 1e-10
-        for theta in (0.3, 1.2, np.pi / 2, 2.4, np.pi):
-            oracle = quad(lambda u: np.sin(u) ** k, 0.0, theta)[0]
-            assert rel_err(float(sin_power_integral(k, theta)), oracle, 1e-15) <= tol
+        # the incomplete beta function keeps its relative accuracy on tiny caps
+        for theta in self.THETAS:
+            w = 2.0 * np.sin(0.5 * theta) ** 2
+            got = float(sin_power_integral(k, w))
+            assert rel_err(got, sin_power_to(k, theta), 1e-300) <= 1e-13, theta
 
     @pytest.mark.parametrize("k", range(0, 9))
     def test_total(self, k):
-        assert sin_power_total(k) == pytest.approx(
-            float(sin_power_integral(k, np.pi)), rel=1e-13)
+        assert sin_power_total(k) == pytest.approx(float(sin_power_integral(k, 2.0)), rel=1e-13)
 
 
 class TestCapArea:
