@@ -19,8 +19,9 @@ from .averages import ball_average
 from .core import AmbientParams, ProfileError, RadialProfile, load_profile
 from .families import random_profile
 from .geometry import AxisBall
-from .identities import (annulus_checks, divergence_checks, format_reports,
-                         reports_to_json, suite_outcome, sweep_identity_suite)
+from .identities import (SWEEP_CHECKS, annulus_checks, divergence_checks,
+                         format_reports, reports_to_json, suite_outcome,
+                         sweep_identity_suite)
 from .oracles import (oracle_1d_maximal, oracle_dense_average_2d,
                       oracle_mc_ball_average)
 from .quadrature import IDENTITY_QUADRATURE, QuadratureError
@@ -183,8 +184,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]):
 def _cmd_eval(args) -> int:
     params = AmbientParams(args.n, args.beta)
     profile = _load_profile_file(args.profile)
-    print(f"# maxvar eval")
-    print(f"# n={args.n} beta={_fmt(args.beta)} profile={args.profile} seed={args.seed}")
+    print("\n".join(_header_lines("eval", args, ("n", "beta", "profile", "seed"))))
     print("s,value,d,r,contact,c,region,converged")
     status = EXIT_OK
     for tok in args.s.split(","):
@@ -224,16 +224,11 @@ def _cmd_verify(args) -> int:
         reports.extend(divergence_checks(profile, params, rng, args.count))
     if args.suite in ("all", "annulus"):
         reports.extend(annulus_checks(profile, params, rng, args.count))
-    sweep_checks = {"stationarity": ("stationarity",), "boundary": ("boundary",),
-                    "inner": ("inner",), "keylemma": ("keylemma",),
-                    "comparison": ("comparison",),
-                    "all": ("stationarity", "boundary", "affine", "inner",
-                            "keylemma", "comparison")}
-    if args.suite in sweep_checks:
+    if args.suite == "all" or args.suite in SWEEP_CHECKS:
         grid = _parse_grid(args.grid, profile)
         mp = maximal_profile(profile, grid, params)
-        reports.extend(sweep_identity_suite(profile, mp, params,
-                                            checks=sweep_checks[args.suite]))
+        checks = SWEEP_CHECKS if args.suite == "all" else (args.suite,)
+        reports.extend(sweep_identity_suite(profile, mp, params, checks=checks))
     counts = suite_outcome(reports)
     header = _header_lines("verify", args, ("n", "beta", "profile", "suite", "seed"))
     if args.format == "json":
@@ -260,8 +255,7 @@ def _cmd_ratio(args) -> int:
 def _cmd_oracle(args) -> int:
     params = AmbientParams(args.n, args.beta)
     profile = _load_profile_file(args.profile)
-    print("# maxvar oracle")
-    print(f"# mode={args.mode} n={args.n} beta={_fmt(args.beta)} seed={args.seed}")
+    print("\n".join(_header_lines("oracle", args, ("mode", "n", "beta", "seed"))))
     if args.mode == "1d":
         if args.n != 1:
             raise ValueError("oracle mode 1d requires --n 1")
@@ -302,7 +296,7 @@ def _cmd_family(args) -> int:
                                 grid_count=int(spec.get("grid_count", 64)),
                                 include_refinement=bool(spec.get("refine", False)),
                                 include_dilation=bool(spec.get("dilate", False)))
-    header = [f"# maxvar family", f"# spec={args.spec} seed={args.seed}"]
+    header = _header_lines("family", args, ("spec", "seed"))
     if args.format == "json":
         payload = {"rows": [{"name": r["name"], **r["report"].as_dict()} for r in rows],
                    "max_ratio": {f"{k[0]},{_fmt(k[1])}": v for k, v in maxima.items()}}

@@ -68,6 +68,8 @@ class RadialProfile:
     slopes: np.ndarray = field(init=False)
     support_radius: float = field(init=False)
     max_value: float = field(init=False)
+    # [0, *slopes, 0], indexed by searchsorted(knots_t, t, side="right")
+    _slope_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.knots_t, dtype=float)
@@ -83,7 +85,9 @@ class RadialProfile:
         if v.max() == 0.0:
             raise ProfileError("profile is identically zero")
         slopes = np.diff(v) / np.diff(t)
-        for name, val in (("knots_t", t), ("knots_v", v), ("slopes", slopes)):
+        table = np.concatenate(([0.0], slopes, [0.0]))
+        for name, val in (("knots_t", t), ("knots_v", v), ("slopes", slopes),
+                          ("_slope_table", table)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
         object.__setattr__(self, "support_radius", float(t[-1]))
@@ -94,11 +98,9 @@ class RadialProfile:
         return np.interp(t, self.knots_t, self.knots_v, left=self.knots_v[0], right=0.0)
 
     def slope(self, t):
-        """F'(t) as the piecewise-constant slope; zero outside (0, T)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.knots_t, t, side="right") - 1, 0, len(self.slopes) - 1)
-        out = self.slopes[idx]
-        return np.where((t < 0.0) | (t >= self.support_radius), 0.0, out)
+        """F'(t) as the right-continuous piecewise-constant slope; zero for
+        t < 0 and t >= T."""
+        return self._slope_table[np.searchsorted(self.knots_t, t, side="right")]
 
     def max_on(self, lo, hi):
         """Maximum of F over each interval [lo, hi] (vectorized, lo <= hi).

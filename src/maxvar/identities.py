@@ -10,7 +10,7 @@ negative controls perturb the optimal radius by 5% and must fail.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -50,14 +50,7 @@ class IdentityReport:
     info: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-            "abs_residual": self.abs_residual, "rel_residual": self.rel_residual,
-            "tolerance": self.tolerance, "passed": self.passed,
-            "applicable": self.applicable, "expect_fail": self.expect_fail,
-            "inputs": self.inputs, "info": self.info,
-        }
-        return out
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
@@ -279,17 +272,15 @@ def _random_ball(rng: np.random.Generator, T: float) -> AxisBall:
 
 
 def divergence_checks(profile: RadialProfile, params: AmbientParams,
-                      rng: np.random.Generator, count: int,
-                      qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
+                      rng: np.random.Generator, count: int):
     """Divergence checks on count random balls that meet the support."""
     T = profile.support_radius
-    return [check_divergence(profile, _random_ball(rng, T), params, qcfg)
+    return [check_divergence(profile, _random_ball(rng, T), params, IDENTITY_QUADRATURE)
             for _ in range(count)]
 
 
 def annulus_checks(profile: RadialProfile, params: AmbientParams,
-                   rng: np.random.Generator, count: int,
-                   qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
+                   rng: np.random.Generator, count: int):
     """Annulus-average ratios on count random balls in the annulus, skipping
     those whose double misses the support."""
     T = profile.support_radius
@@ -298,7 +289,8 @@ def annulus_checks(profile: RadialProfile, params: AmbientParams,
         d = rng.uniform(0.3 * T, 1.5 * T)
         r = rng.uniform(0.05, 0.5) * d / 2.0
         if min(d + 2 * r, T) > max(0.0, d - 2 * r):
-            reports.append(check_annulus_average(profile, AxisBall(d, r), params, qcfg))
+            reports.append(check_annulus_average(profile, AxisBall(d, r), params,
+                                                 IDENTITY_QUADRATURE))
     return reports
 
 
@@ -308,26 +300,24 @@ def _random_profiles(rng: np.random.Generator, count: int):
         yield random_profile(rng, n_knots=int(rng.integers(4, 9)))
 
 
-def divergence_suite(seed: int, per_n: int = 100, dims=(1, 2, 3),
-                     qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
+def divergence_suite(seed: int, per_n: int = 100, dims=(1, 2, 3)):
     """Random (profile, ball) divergence checks per dimension."""
     rng = np.random.default_rng(seed)
     reports = []
     for n in dims:
         params = AmbientParams(n, SUITE_BETA)
         for prof in _random_profiles(rng, per_n):
-            reports += divergence_checks(prof, params, rng, 1, qcfg)
+            reports += divergence_checks(prof, params, rng, 1)
     return reports
 
 
-def annulus_suite(seed: int, count: int = 50,
-                  qcfg: QuadratureConfig = IDENTITY_QUADRATURE):
+def annulus_suite(seed: int, count: int = 50):
     """Seeded annulus-average ratios; the max ratio is the monitored figure."""
     rng = np.random.default_rng(seed)
     params = AmbientParams(ANNULUS_N, SUITE_BETA)
     reports = []
     for prof in _random_profiles(rng, count):
-        reports += annulus_checks(prof, params, rng, 1, qcfg)
+        reports += annulus_checks(prof, params, rng, 1)
     return reports
 
 
@@ -338,13 +328,14 @@ def perturbed_ball(result: BestBallResult) -> BestBallResult:
     return replace(result, ball=grown)
 
 
+SWEEP_CHECKS = ("stationarity", "boundary", "affine", "inner", "keylemma", "comparison")
+
+
 def sweep_identity_suite(profile: RadialProfile, mp: MaximalProfile,
-                         params: AmbientParams,
-                         qcfg: QuadratureConfig = IDENTITY_QUADRATURE,
-                         checks=("stationarity", "boundary", "affine", "inner",
-                                 "keylemma", "comparison")):
-    """Run the best-ball-conditioned checks over a finished sweep, with
-    negative controls for stationarity and the boundary formula."""
+                         params: AmbientParams, checks=SWEEP_CHECKS):
+    """Run the named best-ball-conditioned checks over a finished sweep,
+    with negative controls for stationarity and the boundary formula."""
+    qcfg = IDENTITY_QUADRATURE
     reports = []
     boundary_pts = [(float(s), res) for s, res in zip(mp.grid, mp.results)
                     if res.converged and res.contact.kind != "interior"]

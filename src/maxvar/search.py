@@ -30,7 +30,6 @@ dilating it dilates the path.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,31 +409,15 @@ def _region_label(contact: Contact, s: float) -> str:
     return "E3"
 
 
-def _sweep_chunk(args):
+def _sweep(profile, pts, params, warms):
     """Search the points in order, each warm-started from its entry of
-    warms or, with chain set, from the previous point's ball."""
-    profile, pts, params, warms, chain = args
+    warms or, where that is None, from the previous point's ball."""
     results = []
     for s, warm in zip(pts, warms):
-        if chain and results:
+        if warm is None and results:
             warm = results[-1].ball
         results.append(search(profile, float(s), params, warm=warm))
     return results
-
-
-def _sweep(profile, pts, params, warms, chain, workers=None):
-    """_sweep_chunk over all points; with workers > 1 (default:
-    MAXVAR_THREADS) contiguous chunks run in parallel processes."""
-    if workers is None:
-        workers = int(os.environ.get("MAXVAR_THREADS", "1"))
-    workers = max(1, min(workers, len(pts)))
-    if workers == 1:
-        return _sweep_chunk((profile, pts, params, warms, chain))
-    from concurrent.futures import ProcessPoolExecutor
-    chunks = [c for c in np.array_split(np.arange(len(pts)), workers) if len(c)]
-    jobs = [(profile, pts[c], params, [warms[i] for i in c], chain) for c in chunks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for part in pool.map(_sweep_chunk, jobs) for r in part]
 
 
 def _formula_channel(profile, results, params) -> np.ndarray:
@@ -449,19 +432,18 @@ def _assemble(profile, pts, results, formula) -> MaximalProfile:
     return mp
 
 
-def maximal_profile(profile: RadialProfile, grid, params: AmbientParams,
-                    warm_start: bool = True, workers: int | None = None) -> MaximalProfile:
-    """Sweep the grid, warm-starting each point from its neighbor's ball.
+def maximal_profile(profile: RadialProfile, grid, params: AmbientParams) -> MaximalProfile:
+    """Sweep the grid in order, warm-starting each point from the previous
+    point's ball.
 
     Warm starts only add refinement candidates; the global coarse stage
-    always runs, so disabling them changes nothing beyond tie tolerance.
-    With workers > 1 (default: MAXVAR_THREADS) contiguous chunks run in
-    parallel processes, each warm-starting internally.
+    always runs.  The sweep is serial, so its output depends only on the
+    profile, the grid and the parameters.
     """
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, dtype=float)
     if np.any(pts <= 0.0):
         raise ValueError("maximal-profile grids must be strictly positive")
-    results = _sweep(profile, pts, params, [None] * len(pts), warm_start, workers)
+    results = _sweep(profile, pts, params, [None] * len(pts))
     return _assemble(profile, pts, results, _formula_channel(profile, results, params))
 
 
@@ -469,15 +451,14 @@ def refined_profile(profile: RadialProfile, grid: GridSpec, base: MaximalProfile
                     params: AmbientParams) -> MaximalProfile:
     """The maximal profile on ``grid.refined()``, given the sweep of ``grid``.
 
-    Only the midpoints are searched, each warm-started from its left base
-    neighbor's ball (in parallel as in :func:`maximal_profile`); the base
-    results and formula derivatives are reused at the even indices.
+    Only the midpoints are searched, in order, each warm-started from its
+    left base neighbor's ball; the base results and formula derivatives
+    are reused at the even indices.
     """
     fine = grid.refined()
     if not np.array_equal(fine[0::2], base.grid):
         raise ValueError("base sweep is not on the points of this grid")
-    mids = _sweep(profile, fine[1::2], params, [r.ball for r in base.results[:-1]],
-                  chain=False)
+    mids = _sweep(profile, fine[1::2], params, [r.ball for r in base.results[:-1]])
     results = [None] * len(fine)
     results[0::2] = base.results
     results[1::2] = mids

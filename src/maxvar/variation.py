@@ -8,13 +8,14 @@ stand in for the non-explicit comparison constant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .core import AmbientParams, RadialProfile, gradient_l1_norm, l1_norm
 from .families import dilate_profile
-from .search import GridSpec, MaximalProfile, maximal_profile, refined_profile
+from .search import (REGION_LABELS, GridSpec, MaximalProfile, maximal_profile,
+                     refined_profile)
 
 
 @dataclass(frozen=True)
@@ -37,17 +38,7 @@ class VariationReport:
     info: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n, "beta": self.beta, "q": self.q,
-            "lq_norm_dm": self.lq_norm_dm, "l1_norm_df": self.l1_norm_df,
-            "ratio": self.ratio, "grid": self.grid,
-            "region_histogram": self.region_histogram,
-            "corner_count": self.corner_count,
-            "refinement_deviation": self.refinement_deviation,
-            "dilation_deviation": self.dilation_deviation,
-            "exponent_residual": self.exponent_residual,
-            "tail_bound": self.tail_bound, "info": self.info,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=1)
@@ -83,7 +74,7 @@ def lq_norm_derivative(mp: MaximalProfile, params: AmbientParams) -> float:
 
 
 def region_histogram(mp: MaximalProfile) -> dict:
-    counts = {"zero_derivative": 0, "E1": 0, "E2": 0, "E3": 0, "unclassified": 0}
+    counts = dict.fromkeys(REGION_LABELS, 0)
     for res in mp.results:
         counts[res.region] += 1
     return counts

@@ -89,7 +89,7 @@ def test_criterion_1_oracle_equivalence_1d():
 
 def test_criterion_2_divergence_identity():
     """Gauss-divergence identity at 1e-6 on 100 random pairs per dimension."""
-    reports = divergence_suite(seed=ACC_SEED, per_n=100, dims=(1, 2, 3), qcfg=Q)
+    reports = divergence_suite(seed=ACC_SEED, per_n=100, dims=(1, 2, 3))
     assert len(reports) == 300
     failures = [r for r in reports if not r.passed]
     assert not failures

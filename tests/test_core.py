@@ -123,6 +123,31 @@ class TestMaxOn:
         assert np.array_equal(prof.max_on(lo, hi), expected)
 
 
+class TestSlope:
+    @pytest.mark.parametrize("knots", [2, 15])
+    def test_piecewise_definition(self, knots):
+        rng = np.random.default_rng(knots)
+        t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, knots - 1))))
+        v = rng.uniform(0.0, 1.0, knots)
+        v[-1] = 0.0
+        prof = load_profile(list(zip(t, v)))
+        T = prof.support_radius
+
+        def piecewise(x):
+            if x < 0.0 or x >= T:
+                return 0.0
+            i = max(j for j in range(knots - 1) if t[j] <= x)
+            return (v[i + 1] - v[i]) / (t[i + 1] - t[i])
+
+        pts = np.concatenate(([-1.0, -1e-300, -0.0], t, np.nextafter(t, -np.inf),
+                              np.nextafter(t, np.inf), rng.uniform(0.0, T, 50),
+                              [T, 1.5 * T, np.inf]))
+        assert np.array_equal(prof.slope(pts), [piecewise(x) for x in pts])
+        for x in (-0.5, 0.0, t[knots // 2], 0.5 * T, T, 2.0 * T):
+            assert prof.slope(x) == piecewise(x)
+            assert prof.slope(float(x)).shape == ()
+
+
 class TestNorms:
     def test_gradient_tent_n2(self, params2, tent_profile):
         assert gradient_l1_norm(tent_profile, params2) == pytest.approx(np.pi)
