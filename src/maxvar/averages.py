@@ -38,12 +38,6 @@ class LevelSetWeight:
     intervals: tuple
 
 
-def _ball_range(profile: RadialProfile, ball: AxisBall):
-    lo = max(0.0, ball.d - ball.r)
-    hi = min(ball.d + ball.r, profile.support_radius)
-    return lo, hi
-
-
 # at even n the cap panels take n plus this many Gauss nodes in phi: the
 # phi integrand's degree grows with n
 _COARSE_EXTRA = 4  # batch_objective
@@ -137,21 +131,13 @@ def _run_sums(knots, n: int, lo, hi, ds, rs, fun, cap):
     return np.bincount(index, weights=fun(t, ds[index], rs[index]) * weight, minlength=rows)
 
 
-def _integrate(fun, pts, qcfg: QuadratureConfig, scale: float) -> float:
-    """Adaptive integral over pts, the absolute tolerance floored at
-    rel_tol * scale for a scale that bounds the integral."""
-    cfg = QuadratureConfig(qcfg.rel_tol, max(qcfg.abs_tol, qcfg.rel_tol * scale),
-                           qcfg.max_subdivisions)
-    return integrate_adaptive(fun, pts, cfg)
-
-
 def _range_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                    qcfg: QuadratureConfig, fun, a: float, b: float, scale: float) -> float:
+                    qcfg: QuadratureConfig, fun, a: float, b: float) -> float:
     """Integral of fun(t, d, r) over [a, b] in the ball's range, exact by
     :func:`_panel_sums` (qcfg unused) but for the caps above |d - r| at even
     n: a near-tangent ball (d close to r) puts a feature about
     (|d - r| / r)^(1/2) wide into phi, which no fixed rule resolves, so they
-    integrate adaptively in phi, split at the knots, scale bounding them."""
+    integrate adaptively in phi, split at the knots."""
     d, r, n = ball.d, ball.r, params.n
     base = abs(d - r)
     exact_hi = b if n % 2 else min(b, base)  # no cap panel at even n: extra unused
@@ -170,31 +156,28 @@ def _range_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParam
         t, jac = _from_phi(phi, base, span)
         return fun(t, d, r) * jac
 
-    return total + _integrate(in_phi, pts, qcfg, scale)
-
-
-def _measure_bound(params: AmbientParams, ball: AxisBall, hi: float, length: float) -> float:
-    """Bound on the measure of the ball's part with hi - length <= |y| <= hi."""
-    return min(params.sigma_n * hi ** (params.n - 1) * length, params.omega_n * ball.r ** params.n)
+    return total + integrate_adaptive(in_phi, pts, qcfg)
 
 
 def _ball_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                   qcfg: QuadratureConfig, fun, peak) -> float:
-    """Integral of fun(t, d, r) over the ball, per volume; peak(hi) bounds
-    fun / (cap kernel) on [0, hi]."""
-    lo, hi = _ball_range(profile, ball)
-    if hi <= lo:
-        return 0.0
-    scale = peak(hi) * _measure_bound(params, ball, hi, hi - lo)
-    return _range_integral(profile, ball, params, qcfg, fun, lo, hi, scale) \
-        / (params.omega_n * ball.r ** params.n)
+                   qcfg: QuadratureConfig, fun, intervals=None) -> float:
+    """Integral of fun(t, d, r) over the ball, per volume, or over its part
+    with |y| in the union of the radius intervals, one integral per interval
+    so that an indicator weight leaves every integrand continuous."""
+    lo, hi = max(0.0, ball.d - ball.r), min(ball.d + ball.r, profile.support_radius)
+    total = 0.0
+    for a, b in [(lo, hi)] if intervals is None else intervals:
+        a, b = max(lo, a), min(hi, b)
+        if b > a:
+            total += _range_integral(profile, ball, params, qcfg, fun, a, b)
+    return total / (params.omega_n * ball.r ** params.n)
 
 
 def ball_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
                  qcfg: QuadratureConfig) -> float:
     """Integral average of |f| over the ball."""
     fun = lambda t, d, r: profile.value(t) * cap_area(t, d, r, params)
-    return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: profile.max_value)
+    return _ball_integral(profile, ball, params, qcfg, fun)
 
 
 def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -215,7 +198,7 @@ def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams
             return profile.value(rho) * rho / (d * r) * sin2 ** ((k - 1) // 2)
 
         hi = min(d + r, profile.support_radius)
-        return _range_integral(profile, ball, params, qcfg, fun, abs(d - r), hi, 0.0) \
+        return _range_integral(profile, ball, params, qcfg, fun, abs(d - r), hi) \
             / sin_power_total(k)
     # rho(phi) = |d*e + r*omega(phi)| decreases from d+r to |d-r|
     def rho_vals(phi):
@@ -228,8 +211,7 @@ def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams
             pts.append(float(np.arccos(np.clip(u, -1.0, 1.0))))
     fun = lambda phi: profile.value(rho_vals(phi)) * np.sin(phi) ** k
     # integrate_adaptive drops repeated points; np.unique would import numpy.ma
-    return _integrate(fun, np.sort(pts), qcfg, profile.max_value * np.pi) \
-        / sin_power_total(k)
+    return integrate_adaptive(fun, np.sort(pts), qcfg) / sin_power_total(k)
 
 
 def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -241,17 +223,15 @@ def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: Amb
     """
     if ball.d == 0.0:
         return 0.0
-    slope_max = float(np.max(np.abs(profile.slopes)))
     fun = lambda t, d, r: profile.slope(t) * cap_first_moment(t, d, r, params)
-    return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: slope_max)
+    return _ball_integral(profile, ball, params, qcfg, fun)
 
 
 def gradient_radial_moment(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
                            qcfg: QuadratureConfig) -> float:
     """Average of Df(y) . y over the ball."""
-    slope_max = float(np.max(np.abs(profile.slopes)))
     fun = lambda t, d, r: profile.slope(t) * t * cap_area(t, d, r, params)
-    return _ball_integral(profile, ball, params, qcfg, fun, lambda hi: slope_max * hi)
+    return _ball_integral(profile, ball, params, qcfg, fun)
 
 
 def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -261,30 +241,15 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
     weight: None for w = 1, :class:`RadialWeight` for w(t) = t/s, or
     :class:`LevelSetWeight` for an indicator of radius intervals.
     """
-    d, r = ball.d, ball.r
-    slope_max = float(np.max(np.abs(profile.slopes)))
-    if isinstance(weight, LevelSetWeight):
-        # restrict the domain to the level set so the integrand stays continuous
-        lo, hi = _ball_range(profile, ball)
-        fun = lambda t, d, r: np.abs(profile.slope(t)) * cap_area(t, d, r, params)
-        total = 0.0
-        for a, b in weight.intervals:
-            a2, b2 = max(lo, a), min(hi, b)
-            if b2 > a2:
-                scale = slope_max * _measure_bound(params, ball, hi, b2 - a2)
-                total += _range_integral(profile, ball, params, qcfg, fun, a2, b2, scale)
-        return total / (params.omega_n * r ** params.n)
-
-    if weight is None:
+    if isinstance(weight, RadialWeight):
+        wfun = lambda t: t / weight.s
+    elif weight is None or isinstance(weight, LevelSetWeight):
         wfun = lambda t: 1.0
-    elif isinstance(weight, RadialWeight):
-        s = weight.s
-        wfun = lambda t: t / s
     else:
         raise TypeError(f"unsupported weight {weight!r}")
-    peak = lambda hi: slope_max * (1.0 if weight is None else hi / weight.s)
     fun = lambda t, d, r: np.abs(profile.slope(t)) * wfun(t) * cap_area(t, d, r, params)
-    return _ball_integral(profile, ball, params, qcfg, fun, peak)
+    intervals = weight.intervals if isinstance(weight, LevelSetWeight) else None
+    return _ball_integral(profile, ball, params, qcfg, fun, intervals)
 
 
 def _objective(profile: RadialProfile, ds, rs, params: AmbientParams, extra: int):

@@ -53,16 +53,18 @@ def _load_profile_file(path: str) -> RadialProfile:
     if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         data = json.loads(text)
         return load_profile(data["knots"])
-    knots = []
-    for line in text.splitlines():
+    knots, rows = [], 0
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        rows += 1
         parts = line.replace(",", " ").split()
         try:
             knots.append((float(parts[0]), float(parts[1])))
         except (ValueError, IndexError):
-            continue  # header row
+            if rows > 1:  # only the first row may be a header
+                raise ProfileError(f"{path}:{number}: not a knot row: {line!r}") from None
     return load_profile(knots)
 
 
@@ -184,12 +186,12 @@ def _apply_config(args: argparse.Namespace, argv: list[str]):
 def _cmd_eval(args) -> int:
     params = AmbientParams(args.n, args.beta)
     profile = _load_profile_file(args.profile)
+    # every radius is searched, and so checked, before anything is printed
+    results = [(s, search(profile, s, params)) for s in map(float, args.s.split(","))]
     print("\n".join(_header_lines("eval", args, ("n", "beta", "profile", "seed"))))
     print("s,value,d,r,contact,c,region,converged")
     status = EXIT_OK
-    for tok in args.s.split(","):
-        s = float(tok)
-        res = search(profile, s, params)
+    for s, res in results:
         if not res.converged:
             status = EXIT_NONCONVERGED
         print(",".join(_fmt(v) for v in (

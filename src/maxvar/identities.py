@@ -122,8 +122,7 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
     d, r = ball.d, ball.r
     # the finite differences divide out the step, so the objective needs a
     # much tighter quadrature than the identity default
-    tight = QuadratureConfig(rel_tol=min(qcfg.rel_tol, 1e-12),
-                             abs_tol=qcfg.abs_tol, max_subdivisions=8000)
+    tight = QuadratureConfig(rel_tol=min(qcfg.rel_tol, 1e-12), max_subdivisions=8000)
 
     def phi(h):
         moved = AxisBall(abs((1.0 + h) * d - h * s), (1.0 + h) * r)

@@ -101,8 +101,8 @@ class GridSpec:
     log: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.lo < self.hi) or self.count < 3:
-            raise ValueError("need 0 < lo < hi and at least 3 grid points")
+        if not (0.0 < self.lo < self.hi < np.inf) or self.count < 3:
+            raise ValueError(f"need 0 < lo < hi < inf and 3 or more points, got {self.label()}")
 
     def points(self) -> np.ndarray:
         if self.log:
@@ -343,8 +343,8 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     the smallest center distance.  The returned value is recomputed at the
     identity-suite quadrature tolerance.
     """
-    if s < 0.0:
-        raise ValueError("evaluation radius must be nonnegative")
+    if not 0.0 <= s < np.inf:
+        raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
     r_max = s + T

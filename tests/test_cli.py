@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, byte-level determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -49,6 +50,23 @@ class TestEval:
                    str(tmp_path / "nope.json"), "--s", "0.5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("s", ["inf", "nan", "-1"])
+    def test_bad_radius_rejected_before_output(self, tent_json, capsys, s):
+        rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--s", f"0.5,{s}"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"got {float(s)}" in captured.err
+
+    def test_non_finite_grid_rejected(self, tent_json, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                       "--grid", "0.01:inf:5:log"])
+        assert rc == 2
+        assert "0.01:inf:5:log" in capsys.readouterr().err
+
     def test_malformed_profile(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"knots": [[0, 0], [1, 0]]}))
@@ -94,6 +112,17 @@ class TestSweepDeterminism:
         rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", tent_csv,
                    "--s", "0.5"])
         assert rc == 0
+
+    def test_csv_bad_row_is_an_error(self, tmp_path, capsys):
+        # only the first row may be a header; a later bad row once loaded as the bare tent
+        path = tmp_path / "bad.csv"
+        path.write_text("# tent with a typo\nt,F\n0,1\n0.5,0.8x\n1,0\n")
+        rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", str(path),
+                   "--s", "0.5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert ":4:" in captured.err and "0.5,0.8x" in captured.err
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ import pytest
 
 from maxvar.averages import ball_average, batch_objective, fixed_rule_objective
 from maxvar.core import AmbientParams, l1_norm, load_profile
-from maxvar.families import dilate_profile, random_profile, scale_profile, tent
+from maxvar.families import dilate_profile, random_profile, scale_profile, tent, two_bump
 from maxvar.geometry import AxisBall, InfeasibleBallError
 from maxvar.oracles import oracle_1d_maximal
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
@@ -119,6 +119,20 @@ class TestSearch:
     def test_zero_radius_rejected(self, params2, tent_profile):
         with pytest.raises(ValueError):
             search(tent_profile, -0.5, params2)
+
+    @pytest.mark.parametrize("s", [np.inf, np.nan])
+    def test_non_finite_radius_rejected(self, params2, tent_profile, s):
+        with pytest.raises(ValueError, match=str(s)):
+            search(tent_profile, s, params2)
+
+    @pytest.mark.xfail(strict=True, reason="the search misses the better ball (0, 2.87) of "
+                                           "two_bump at this s; a certified search must find it")
+    def test_two_bump_best_ball_found(self, params2):
+        prof = two_bump()
+        s = GridSpec.standard(prof, 40).points()[18]
+        res = search(prof, s, params2)
+        better = objective(prof, s, AxisBall(0.0, 2.87), params2, Q)
+        assert res.value >= better * (1.0 - 1e-9)
 
 
 class TestProjection:
@@ -400,3 +414,6 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 8)
         with pytest.raises(ValueError):
             GridSpec(1.0, 2.0, 2)
+        for lo, hi in ((0.01, np.inf), (np.nan, 1.0), (0.01, np.nan)):
+            with pytest.raises(ValueError, match=f"{lo:g}:{hi:g}"):
+                GridSpec(lo, hi, 5)
