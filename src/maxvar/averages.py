@@ -70,7 +70,8 @@ def _panels(knots, lo, hi, split):
 
 def _to_phi(t, base, span):
     """The phi in [0, pi/2] of t = base + span * sin^2(phi)."""
-    return np.arcsin(np.sqrt(np.clip((t - base) / span, 0.0, 1.0)))
+    # minimum and maximum skip np.clip's wrapper, which small batches feel
+    return np.arcsin(np.sqrt(np.minimum(np.maximum((t - base) / span, 0.0), 1.0)))
 
 
 def _from_phi(phi, base, span):
@@ -109,25 +110,31 @@ def _run_sums(knots, n: int, lo, hi, ds, rs, fun, cap):
     rows = len(lo)
     base = np.abs(ds - rs)
     left, right, side = _panels(knots, lo, hi, base)
-    # the panels below the split come first, then the caps'
+    # the panels below the split come first, then the caps'; both rules'
+    # nodes go into one flat call
     full = side.searchsorted(rows)
-    blocks = []
-    for part, (m, mapped) in ((slice(None, full), (n // 2 + 1, False)), (slice(full, None), cap)):
-        row = side[part] % rows
+    full_rule = (n // 2 + 1, False)
+    cut = full * full_rule[0]
+    size = cut + (len(side) - full) * cap[0]
+    index, t, weight = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
+    row = side % rows
+    for part, nodes, (m, mapped) in ((slice(None, full), slice(None, cut), full_rule),
+                                     (slice(full, None), slice(cut, None), cap)):
         x, w = _gauss(m)
+        owner = row[part, None]
+        index[nodes].reshape(-1, m)[...] = owner
         a, b = left[part, None], right[part, None]
-        if not mapped:
-            t, weight = a + (b - a) * x, (b - a) * w
-        else:
-            # sin^2(phi) as a quotient of lengths: dilating the ball by a power
-            # of two leaves every phi node unchanged
-            at, span = base[row, None], 2.0 * np.minimum(ds, rs)[row, None]
-            phi_a, phi_b = _to_phi(a, at, span), _to_phi(b, at, span)
-            t, jac = _from_phi(phi_a + (phi_b - phi_a) * x, at, span)
-            weight = (phi_b - phi_a) * w * jac
-        blocks.append((row.repeat(m), t.ravel(), weight.ravel()))
-    # both rules' nodes in one flat call
-    index, t, weight = (np.concatenate(parts) for parts in zip(*blocks))
+        if mapped:
+            # sin^2(phi) as a quotient of lengths: dilating the ball by a
+            # power of two leaves every phi node unchanged
+            at, span = base[owner], 2.0 * np.minimum(ds, rs)[owner]
+            a, b = _to_phi(np.concatenate((a, b), axis=1), at, span).T[:, :, None]
+        h, tm, wm = b - a, t[nodes].reshape(-1, m), weight[nodes].reshape(-1, m)
+        np.add(a, np.multiply(h, x, out=tm), out=tm)
+        np.multiply(h, w, out=wm)
+        if mapped:  # tm holds the phi nodes
+            tm[...], jac = _from_phi(tm, at, span)
+            wm *= jac
     return np.bincount(index, weights=fun(t, ds[index], rs[index]) * weight, minlength=rows)
 
 

@@ -133,7 +133,9 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
     diffs = [(phi(h) - phi(-h)) / (2.0 * h) for h in (1e-3, 1e-4, 1e-5)]
     # Richardson on the two smallest central estimates
     fd = (100.0 * diffs[-1] - diffs[-2]) / 99.0
-    threshold = BEST_BALL_TOL * max(abs(scale_der), 1e-300)
+    # both sides vanish at a best ball: the residual is relative to this
+    scale = max(abs(scale_der), 1e-300)
+    threshold = BEST_BALL_TOL * scale
     trend_ok = abs(diffs[2] - diffs[1]) <= abs(diffs[1] - diffs[0]) + 0.05 * threshold
 
     gax = gradient_axial_component(profile, ball, params, qcfg)
@@ -142,7 +144,7 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
 
     a = abs(fd - analytic)
     passed = a <= threshold and trend_ok
-    rel = a / max(abs(fd), abs(analytic), 1e-300)
+    rel = a / scale
     return IdentityReport(name="affine_family", lhs=float(fd), rhs=float(analytic),
                           abs_residual=float(a), rel_residual=float(rel),
                           tolerance=BEST_BALL_TOL, passed=bool(passed),

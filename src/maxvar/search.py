@@ -7,24 +7,24 @@ justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row)
 plus a dedicated sweep of the boundary family r = |d - s|, ranked by the
 batch objective (the fixed rule's panels, with fewer nodes per cap panel
-at even n); compass refinement of the
-top-K deduplicated starts to 1e-4 and of the distinct endpoints to
-REFINE_TOL.  Every compass step is projected to the nearest feasible
-ball, so from the constraint a step of d away from s slides the ball
-outward along the boundary family and a step of r down slides it inward:
-the compass follows the family r = |d - s| without a stage of its own.
-The ranking skips the coarse balls that cannot seed a start, the
-bounding step of branch and bound: a ball's objective is at most
-r^beta * min(max F over the ball, ||f||_1 / |B|), and a ball whose bound
-falls far enough below the covering ball's or the warm ball's value
-cannot reach the start pool; the pool is the same as without skipping.
-Every refinement stage evaluates the fixed-rule objective, and the
-compasses of all starts run in lock-step, one batched call per round.
-The reported value is recomputed by ball_average at IDENTITY_QUADRATURE
-(at odd n all stages use the same exact rule).  All moves are
-comparison-based and the projection is linear in (d, r, s), so scaling the
-profile by a positive constant reproduces the same search path and
-dilating it dilates the path.
+at even n); compass refinement of the top-K deduplicated starts to 1e-4
+and of the distinct endpoints to REFINE_TOL.  Every compass step is
+projected to the nearest feasible ball, so from the constraint a step of
+d away from s slides the ball outward along the boundary family and a
+step of r down slides it inward: the compass follows the family
+r = |d - s| without a stage of its own.  The ranking skips the coarse
+balls that cannot seed a start, the bounding step of branch and bound: a
+ball's objective is at most r^beta * min(max F over the ball,
+||f||_1 / |B|), and the balls are ranked in decreasing order of that
+bound until no unranked one can reach the start pool; the pool is the
+same as without skipping.  Every refinement stage evaluates the
+fixed-rule objective, and the compasses of all starts run in lock-step,
+one batched call per round; each compass request also asks for the next
+one, and the answers are replayed in sequential order.  The reported
+value is recomputed by ball_average at IDENTITY_QUADRATURE (at odd n all
+stages use the same exact rule).  All moves are comparison-based and the
+projection is linear in (d, r, s), so scaling the profile by a positive
+constant repeats the search path and dilating it dilates the path.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ CONTACT_TOL = 1e-6
 BOUNDARY_POINTS = 256
 REFINE_MAX_EVALS = 4000
 POOL_FRACTION = 0.5  # coarse balls within this fraction of the best one seed starts
+POOL_SIZE = 16 * MULTISTARTS  # and at most this many of them
+BOUND_SLACK = 1.01  # the ranked value exceeds _objective_bound by rounding only
 JUMP_REL = 0.10  # a best-ball move larger than this between grid neighbors flags a corner
 
 
@@ -62,11 +64,10 @@ JUMP_REL = 0.10  # a best-ball move larger than this between grid neighbors flag
 class BestBallResult:
     """Search outcome at one evaluation radius.
 
-    objective_evals counts the balls whose objective the search evaluated:
+    objective_evals counts every ball whose objective the search evaluated:
     the coarse balls it ranked (not those the bound skipped) and every
-    compass evaluation; the one evaluation of a warm ball that sets the
-    bound's floor is not counted.  tie_candidates counts the distinct
-    balls tied with the best value.
+    compass evaluation, the look-ahead included.  tie_candidates counts the
+    distinct balls tied with the best value.
     """
 
     s: float
@@ -152,8 +153,18 @@ def _project(d, r, s, r_min, r_max):
     if gap > 0.0:
         d += 0.5 * gap if d < s else -0.5 * gap
         r += 0.5 * gap
-    d = max(d, 0.0)
-    return d, min(max(r, abs(d - s), r_min), r_max)
+    # max and min, spelled out: a search projects about a thousand balls
+    d = 0.0 if d < 0.0 else d
+    gap = abs(d - s)
+    r = gap if gap > r else r
+    r = r_min if r_min > r else r
+    return d, r_max if r_max < r else r
+
+
+def _polls(d, r, sd, sr, project):
+    """The neighbors of (d, r) at steps (sd, sr) that do not project back to it."""
+    polls = [(v, project(d + v[0] * sd, r + v[1] * sr)) for v in _DIRS]
+    return [(v, cand) for v, cand in polls if cand != (d, r)]
 
 
 def _compass(d0, r0, step_d, step_r, project, tol):
@@ -166,24 +177,36 @@ def _compass(d0, r0, step_d, step_r, project, tol):
     opposite directions.  After an improving move the step doubles along
     the same direction while it keeps improving, so long travels cost log
     many evaluations.  Returns (d, r, value, converged).
+
+    Each request also asks for the next one if this one fails to improve
+    (the neighbors at half the step) or improves (the next doubled step).
+    The answers are replayed in the sequential order and REFINE_MAX_EVALS
+    counts only the sequential evaluations, so no path, value or flag moves.
     """
     d, r = project(d0, r0)
-    (best,) = yield [(d, r)]
-    evals = 1
     sd, sr = step_d, step_r
+    fresh = _polls(d, r, sd, sr, project) if max(sd, sr) > tol else []
+    best, *vals = yield [(d, r)] + [c for _, c in fresh]
+    # the look-ahead: (poll state or growth ball, poll neighbors, values)
+    ahead = (d, r, sd, sr), fresh, vals
+    evals = 1
     while evals < REFINE_MAX_EVALS:
         if max(sd, sr) <= tol:
-            return d, r, float(best), True
-        fresh = []
-        for vd, vr in _DIRS:
-            cand = project(d + vd * sd, r + vr * sr)
-            if cand != (d, r):
-                fresh.append(((vd, vr), cand))
+            return d, r, best, True
+        if ahead[0] == (d, r, sd, sr):
+            _, fresh, vals = ahead
+        else:
+            fresh = _polls(d, r, sd, sr, project)
+            if fresh:
+                half = 0.5 * sd, 0.5 * sr
+                after = _polls(d, r, *half, project) if max(half) > tol else []
+                vals = yield [c for _, c in fresh + after]
+                ahead = (d, r) + half, after, vals[len(fresh):]
         k = None
         if fresh:
-            vals = yield [c for _, c in fresh]
             evals += len(fresh)
-            k = int(np.argmax(vals))
+            vals = vals[:len(fresh)]
+            k = vals.index(max(vals))
         if k is None or vals[k] <= best:
             sd *= 0.5
             sr *= 0.5
@@ -195,13 +218,19 @@ def _compass(d0, r0, step_d, step_r, project, tol):
             cand = project(d + vd * sd * grow, r + vr * sr * grow)
             if cand == (d, r):
                 break
-            (val,) = yield [cand]
+            if ahead[0] == cand:
+                val = ahead[2][0]
+            else:
+                after = project(cand[0] + vd * sd * (2.0 * grow), cand[1] + vr * sr * (2.0 * grow))
+                val, *vals = yield [cand] if after == cand else [cand, after]
+                if vals:
+                    ahead = after, None, vals
             evals += 1
             if val <= best:
                 break
             (d, r), best = cand, val
             grow *= 2.0
-    return d, r, float(best), False
+    return d, r, best, False
 
 
 def _lockstep(evaluate, runs):
@@ -210,8 +239,8 @@ def _lockstep(evaluate, runs):
     results = [None] * len(runs)
     asks = {i: next(run) for i, run in enumerate(runs)}
     while asks:
-        balls = [b for ask in asks.values() for b in ask]
-        vals = evaluate(np.array([b[0] for b in balls]), np.array([b[1] for b in balls]))
+        ds, rs = zip(*(b for ask in asks.values() for b in ask))
+        vals = evaluate(np.array(ds), np.array(rs)).tolist()
         pos = 0
         pending = {}
         for i, ask in asks.items():
@@ -251,34 +280,6 @@ def _objective_bound(profile: RadialProfile, ds, rs, params: AmbientParams):
     return rs**params.beta * np.minimum(profile.max_on(lo, hi), mass)
 
 
-def _can_seed(profile: RadialProfile, s: float, ds, rs, params: AmbientParams, warm_ball):
-    """Mask of the coarse balls (ds, rs) that could reach the start pool.
-
-    The floor is a value that a feasible ball reaches: the covering ball's,
-    in closed form, or the projected warm ball's.  The covering ball is in
-    the grid, and a grid ball containing the optimal ball has at most 1.125
-    times its radius, so at least 1.125^-(n - beta) times its value.  So
-    the best coarse value is at least floor / 2 for n - beta <= 5, and the
-    pool threshold is POOL_FRACTION times it.  At odd n the ranked value is
-    exact and never exceeds the bound; at even n its relative error on the
-    coarse balls of 4- to 200-knot profiles stays below 2e-4 up to n = 10,
-    and it exceeds the bound by rounding only.  So a ball with
-    2 * bound < POOL_FRACTION * floor / 2 stays below the threshold and is
-    not evaluated; up to n - beta = 10 the slack in that factor 2 still
-    covers 1.125^(n - beta).  At n = 1 the bound keeps 92% of the balls of
-    a median cold query and costs what it saves: all are kept.
-    """
-    if params.n == 1:
-        return np.ones(len(ds), dtype=bool)
-    floor = (s + profile.support_radius) ** (params.beta - params.n) \
-        * l1_norm(profile, params) / params.omega_n
-    if warm_ball is not None:
-        warm_val = fixed_rule_objective(profile, np.array([warm_ball[0]]),
-                                        np.array([warm_ball[1]]), params)
-        floor = max(floor, float(warm_val[0]))
-    return 2.0 * _objective_bound(profile, ds, rs, params) >= POOL_FRACTION * floor / 2.0
-
-
 def _coarse_balls(s: float, T: float):
     """The coarse grid (log-spaced radii, linear centers per row) and the
     boundary family r = |d - s|, as arrays ds, rs, with the relative step
@@ -308,31 +309,41 @@ def _coarse_balls(s: float, T: float):
     return ds, rs, rs_rows[1] / rs_rows[0] - 1.0
 
 
-def _coarse_starts(profile: RadialProfile, s: float, ds, rs, params: AmbientParams,
-                   warm_ball):
+def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
     """Rank the coarse balls (ds, rs) by the batch objective and
     return the starts of the refinement and the number of balls ranked.
 
-    The top balls within POOL_FRACTION of the best form the pool,
-    deduplicated to MULTISTARTS starts.  Balls that cannot reach the pool
-    (:func:`_can_seed`, given the feasible warm_ball or None) are not
-    evaluated and keep value 0.
+    The top POOL_SIZE balls within POOL_FRACTION of the best form the pool,
+    deduplicated to MULTISTARTS starts.  Balls are ranked in decreasing
+    order of their bound (:func:`_objective_bound`): the first 4 * POOL_SIZE,
+    then every one whose bound times BOUND_SLACK reaches the pool's
+    threshold among those ranked so far.  That threshold only rises, so the
+    balls left out (value 0) cannot enter the pool: it is the unpruned one.
     """
-    ranked = _can_seed(profile, s, ds, rs, params, warm_ball)
+    bound = _objective_bound(profile, ds, rs, params)
+    by_bound = np.argsort(-bound, kind="stable")
+    reach = -BOUND_SLACK * bound[by_bound]  # increasing
     values = np.zeros(len(ds))
-    values[ranked] = batch_objective(profile, ds[ranked], rs[ranked], params)
+    ranked, end = 0, 4 * POOL_SIZE
+    while ranked < end:
+        batch = by_bound[ranked:end]
+        values[batch] = batch_objective(profile, ds[batch], rs[batch], params)
+        ranked += len(batch)
+        top = np.partition(values, -POOL_SIZE)[-POOL_SIZE:]  # the grid has >= 432 balls
+        threshold = max(top[0], POOL_FRACTION * top.max())
+        end = max(ranked, int(reach.searchsorted(-threshold, side="right")))
     # a stable sort keeps exact ties in grid order, whichever balls were skipped
     order = np.argsort(-values, kind="stable")
     top_val = float(values[order[0]])
     pool = []
-    for i in order[: 16 * MULTISTARTS]:
+    for i in order[:POOL_SIZE]:
         v = float(values[i])
         if v < POOL_FRACTION * top_val or v <= 0.0:
             break
         pool.append((v, float(ds[i]), float(rs[i])))
     if not pool:
         pool = [(top_val, float(ds[order[0]]), float(rs[order[0]]))]
-    return _dedupe_candidates(pool, MULTISTARTS), int(np.count_nonzero(ranked))
+    return _dedupe_candidates(pool, MULTISTARTS), ranked
 
 
 def search(profile: RadialProfile, s: float, params: AmbientParams,
@@ -359,8 +370,7 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
         return _project(d, r, s, r_min, r_max)
 
     ds_all, rs_all, grid_step_r = _coarse_balls(s, T)
-    warm_ball = None if warm is None else project(warm.d, warm.r)
-    starts, ranked = _coarse_starts(profile, s, ds_all, rs_all, params, warm_ball)
+    starts, ranked = _coarse_starts(profile, ds_all, rs_all, params)
     evals += ranked
     if warm is not None:
         starts.append((None, warm.d, warm.r))

@@ -104,6 +104,16 @@ class TestAffineFamily:
         assert rep.passed and rep.info["trend_ok"]
         assert abs(rep.lhs - rep.rhs) <= 1e-9 * rep.info["derivative_scale"]
 
+    def test_passing_report_reads_within_tolerance(self, params2_mod, tent_mod):
+        # a best ball of `maxvar verify --n 2 --beta 0.5 --suite all --seed 7`
+        # on the tent: both sides are about 7e-9 and differ by 1e-3 of
+        # themselves, far inside the tolerance on the derivative's scale
+        ball = AxisBall(0.09672431997360315, 0.6002740104083646)
+        rep = check_affine_family(tent_mod, 0.6969983303819678, ball, params2_mod, Q)
+        assert rep.passed
+        assert rep.rel_residual <= rep.tolerance
+        assert rep.rel_residual == rep.abs_residual / rep.info["derivative_scale"]
+
     def test_nonoptimal_direction_reported(self, params2_mod, tent_mod):
         res = search(tent_mod, 0.9, params2_mod)
         rep = check_affine_family(tent_mod, 0.9, perturbed_ball(res).ball,

@@ -223,22 +223,125 @@ class TestCoarsePruning:
             s = T * float(np.exp(rng.uniform(np.log(1e-2), np.log(64.0))))
             ds, rs, _ = search_module._coarse_balls(s, T)
             bound = search_module._objective_bound(prof, ds, rs, params)
-            assert np.all(batch_objective(prof, ds, rs, params) <= 2.0 * bound)
-            best = search(prof, s, params).ball
-            # cold, and warm from the optimum: the highest floor there is
-            for warm in (None, (best.d, best.r)):
-                starts, ranked = search_module._coarse_starts(prof, s, ds, rs, params, warm)
-                with monkeypatch.context() as m:
-                    m.setattr(search_module, "_objective_bound", keep_all)
-                    full_starts, full_ranked = search_module._coarse_starts(
-                        prof, s, ds, rs, params, warm)
-                assert starts == full_starts
-                assert full_ranked == len(ds)
-                skipped += len(ds) - ranked
-        if n == 1:
-            assert skipped == 0  # the exact objective is cheaper than its bound
-        else:
-            assert skipped > 0
+            assert np.all(batch_objective(prof, ds, rs, params)
+                          <= search_module.BOUND_SLACK * bound)
+            starts, ranked = search_module._coarse_starts(prof, ds, rs, params)
+            with monkeypatch.context() as m:
+                m.setattr(search_module, "_objective_bound", keep_all)
+                full_starts, full_ranked = search_module._coarse_starts(prof, ds, rs, params)
+            assert starts == full_starts
+            assert full_ranked == len(ds)
+            skipped += len(ds) - ranked
+        assert skipped > 0
+
+
+def sequential_compass(evaluate, d0, r0, step_d, step_r, project, tol, max_evals):
+    """The compass one request at a time, without look-ahead: the reference
+    for search._compass.  Returns (d, r, value, converged) and the number
+    of requests."""
+    d, r = project(d0, r0)
+    best, evals, requests = evaluate([(d, r)])[0], 1, 1
+    sd, sr = step_d, step_r
+    while evals < max_evals:
+        if max(sd, sr) <= tol:
+            return (d, r, best, True), requests
+        fresh = [(v, project(d + v[0] * sd, r + v[1] * sr))
+                 for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        fresh = [(v, c) for v, c in fresh if c != (d, r)]
+        k = None
+        if fresh:
+            vals = evaluate([c for _, c in fresh])
+            evals, requests = evals + len(fresh), requests + 1
+            k = int(np.argmax(vals))
+        if k is None or vals[k] <= best:
+            sd, sr = 0.5 * sd, 0.5 * sr
+            continue
+        (vd, vr), (d, r) = fresh[k]
+        best, grow = vals[k], 2.0
+        while evals < max_evals:
+            cand = project(d + vd * sd * grow, r + vr * sr * grow)
+            if cand == (d, r):
+                break
+            val = evaluate([cand])[0]
+            evals, requests = evals + 1, requests + 1
+            if val <= best:
+                break
+            (d, r), best, grow = cand, val, 2.0 * grow
+    return (d, r, best, False), requests
+
+
+class TestCompassLookAhead:
+    """The compass asks one request ahead and replays the answers in the
+    sequential order: every endpoint, value and flag is the sequential
+    compass's, in fewer rounds."""
+
+    @staticmethod
+    def starts(rng, s, T, count):
+        """Random starts, which the compass projects, every other one on the
+        boundary family r = |d - s| (its inner branch only where r <= s)."""
+        rs = (s + T) * 10.0 ** rng.uniform(-3.0, 0.0, size=count)
+        ds = rng.uniform(0.0, 1.0, size=count) * (s + rs)
+        inner = rng.random(count) < 0.5
+        ds[::2] = np.where(inner & (rs <= s), s - rs, s + rs)[::2]
+        return list(zip(ds.tolist(), rs.tolist()))
+
+    @staticmethod
+    def run_both(prof, s, params, starts, fine):
+        T = prof.support_radius
+        r_min = search_module.R_MIN_FRAC * T
+        project = lambda d, r: search_module._project(d, r, s, r_min, s + T)
+        calls = []
+
+        def evaluate(ds, rs):
+            calls.append(len(ds))
+            return fixed_rule_objective(prof, ds, rs, params)
+
+        def one_by_one(balls):
+            ds, rs = zip(*balls)
+            return evaluate(np.array(ds), np.array(rs)).tolist()
+
+        # the coarse and the fine pass of search
+        steps = [(0.1 * r, 0.1 * r, 1e-4 * r) if not fine else
+                 (1e-3 * r, 1e-3 * r, search_module.REFINE_TOL * r) for _, r in starts]
+        shipped = search_module._lockstep(evaluate, [
+            search_module._compass(d, r, sd, sr, project, tol)
+            for (d, r), (sd, sr, tol) in zip(starts, steps)])
+        rounds = len(calls)
+        reference = [sequential_compass(one_by_one, d, r, sd, sr, project, tol,
+                                        search_module.REFINE_MAX_EVALS)
+                     for (d, r), (sd, sr, tol) in zip(starts, steps)]
+        return shipped, [out for out, _ in reference], rounds, [n for _, n in reference]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_same_endpoints_as_the_sequential_compass(self, n):
+        rng = np.random.default_rng(2000 + n)
+        prof = random_profile(rng, 12, t_max=float(rng.uniform(0.5, 2.0)))
+        T = prof.support_radius
+        params = AmbientParams(n, (0.2, 0.5, 0.8)[n % 3])
+        checked = 0
+        for s in (0.05 * T, 0.6 * T, 3.0 * T):
+            for fine in (False, True):
+                starts = self.starts(rng, s, T, 9)
+                shipped, reference, rounds, requests = self.run_both(
+                    prof, s, params, starts, fine)
+                assert shipped == reference
+                # the look-ahead saves rounds: all runs together take fewer
+                # than the longest sequential run
+                assert rounds < max(requests)
+                checked += len(starts)
+        assert checked >= 50
+
+    def test_evaluation_cap_inside_a_look_ahead_round(self, params2, monkeypatch):
+        prof = random_profile(np.random.default_rng(2010), 12)
+        T = prof.support_radius
+        stopped = 0
+        for cap in (2, 5, 6, 7, 9, 12, 17, 30):
+            monkeypatch.setattr(search_module, "REFINE_MAX_EVALS", cap)
+            starts = self.starts(np.random.default_rng(cap), 0.6 * T, T, 6)
+            shipped, reference, _, _ = self.run_both(prof, 0.6 * T, params2, starts, True)
+            assert shipped == reference
+            stopped += sum(not ok for *_, ok in shipped)
+        assert stopped > 0
 
 
 class TestRegions:
