@@ -1,15 +1,16 @@
 """Ball and sphere integral averages of the profile and its gradient.
 
 All averages reduce to 1D integrals in the radius t against the cap
-kernels, by one Gauss-Legendre rule per panel between lo, the knots,
-|d - r| and hi (Davis & Rabinowitz, 2.7).  Below |d - r| the sphere lies
-in the ball and every integrand is a polynomial of degree <= n, so
-n // 2 + 1 nodes are exact at every n.  Above it, at odd n, the integrands
-are polynomials of degree <= 2n - 2 and n nodes are exact: one rule serves
-every average and batch.  At even n the cap kernels have square-root ends
-there, which t = |d - r| + 2 min(d, r) sin^2(phi) makes smooth; the batches
-take a fixed number of nodes in phi, and single balls integrate the caps
-adaptively in phi.
+kernels, by one fixed rule at every n and for every batch: a Gauss-Legendre
+rule per panel between lo, the knots, |d - r| and hi (Davis & Rabinowitz,
+2.7).  Below |d - r| the sphere lies in the ball and every integrand is a
+polynomial of degree <= n, so n // 2 + 1 nodes are exact at every n.  Above
+it, at odd n, the integrands are polynomials of degree <= 2n - 2 and n
+nodes are exact.  At even n the cap kernels have square-root ends there,
+which t = |d - r| + L sin^2(phi), L = d + r - |d - r|, makes smooth; the
+panels take a fixed number of nodes in phi, graded geometrically toward
+the feature that a near-tangent ball puts at phi = 0.  The rule has no
+tolerance and no budget, and a single ball is a batch of one row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .core import AmbientParams, RadialProfile
 from .geometry import AxisBall, cap_area, cap_first_moment, sin_power_total
-from .quadrature import QuadratureConfig, integrate_adaptive
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,11 @@ class LevelSetWeight:
 # at even n the cap panels take n plus this many Gauss nodes in phi: the
 # phi integrand's degree grows with n
 _COARSE_EXTRA = 4  # batch_objective
-_FINE_EXTRA = 14  # fixed_rule_objective
+_FINE_EXTRA = 14  # fixed_rule_objective and the averages of single balls
+# a cap panel [a, b] that starts inside a feature narrower than
+# _GRADE_AT * b splits at b * _GRADE^k, k >= 1 (see _graded)
+_GRADE = 0.15
+_GRADE_AT = 0.3
 
 
 @cache
@@ -68,34 +72,41 @@ def _panels(knots, lo, hi, split):
     return np.maximum(knots[k - 1], lo2[side]), np.minimum(knots[k], hi2[side]), side
 
 
-def _to_phi(t, base, span):
-    """The phi in [0, pi/2] of t = base + span * sin^2(phi)."""
-    # minimum and maximum skip np.clip's wrapper, which small batches feel
-    return np.arcsin(np.sqrt(np.minimum(np.maximum((t - base) / span, 0.0), 1.0)))
-
-
-def _from_phi(phi, base, span):
-    """t = base + span * sin^2(phi) and its derivative dt/dphi."""
-    sin = np.sin(phi)
-    return base + span * sin**2, 2.0 * span * sin * np.cos(phi)
+def _graded(owner, a, b, width, fire):
+    """The cap panels [a_i, b_i] in phi, each fired one split at
+    b * _GRADE^k, k = 1..K, down to a tenth of its row's feature width or to
+    a (b * _GRADE^K >= max(width / 10, a)): the piece [b * _GRADE, b] keeps
+    its place, the others go after every panel, which leaves each row's
+    order of summation its own.  The integrands are analytic in phi but for
+    poles about the width from phi = 0, and panels graded geometrically
+    toward them converge exponentially, as hp refinement does at a corner
+    (Schwab 1998).
+    """
+    fired = np.flatnonzero(fire)
+    levels = (np.log(np.maximum(0.1 * width, a[fired]) / b[fired]) // np.log(_GRADE)).astype(int)
+    src = fired.repeat(levels)
+    # k runs from 1 to K over the pieces that follow
+    k = np.arange(1, len(src) + 1) - (levels.cumsum() - levels).repeat(levels)
+    top = b[src]
+    left = np.where(k == levels.repeat(levels), a[src], top * _GRADE ** (k + 1))
+    a[fired] = b[fired] * _GRADE
+    return (np.concatenate((owner, owner[src])), np.concatenate((a, left)),
+            np.concatenate((b, top * _GRADE ** k)))
 
 
 _CHUNK_NODES = 1 << 16  # nodes per evaluation, which bounds the temporaries
 
 
-def _panel_sums(profile: RadialProfile, n: int, lo, hi, ds, rs, fun, extra: int):
-    """Per row, the integral of fun(t, d_i, r_i) over [lo_i, hi_i] by one
-    Gauss-Legendre rule per :func:`_panels` panel, split at |d_i - r_i|.
-
-    Below the split the sphere lies in the ball, the integrands are
-    polynomials of degree <= n, and n // 2 + 1 nodes are exact.  Above it,
-    at odd n, they have degree <= 2n - 2 and n nodes are exact.  At even n
-    the cap kernels have square-root ends there; t = |d - r| + L sin^2(phi),
-    L = 2 min(d, r), makes them smooth, and the panel takes n + extra nodes
-    in phi.  Rows go in runs of about _CHUNK_NODES nodes, which change a
-    row's sum by rounding at most.
+def _panel_sums(profile: RadialProfile, n: int, lo, hi, ds, rs, fun, extra: int,
+                arcsine: bool = False):
+    """Per row, the integral of fun(t, d_i, r_i) over [lo_i, hi_i] by the
+    module's rule on the :func:`_panels` panels, split at |d_i - r_i|, with
+    n + extra nodes per cap panel at even n (:func:`_graded`).  With arcsine,
+    fun leaves out the factor ((t - |d - r|)(d + r - t))^(-1/2), which the
+    map makes the constant 2.  Rows go in runs of about _CHUNK_NODES nodes;
+    no row's sum depends on the other rows.
     """
-    cap = (n, False) if n % 2 else (n + extra, True)
+    cap = (n, False, False) if n % 2 else (n + extra, True, arcsine)
     knots = profile.knots_t
     if len(lo) * (len(knots) + 1) * cap[0] <= _CHUNK_NODES:
         return _run_sums(knots, n, lo, hi, ds, rs, fun, cap)
@@ -106,123 +117,109 @@ def _panel_sums(profile: RadialProfile, n: int, lo, hi, ds, rs, fun, extra: int)
 
 
 def _run_sums(knots, n: int, lo, hi, ds, rs, fun, cap):
-    """:func:`_panel_sums` on one run of rows, cap = (nodes, mapped to phi)."""
+    """:func:`_panel_sums` on one run of rows, cap = (nodes, mapped to phi,
+    arcsine)."""
     rows = len(lo)
     base = np.abs(ds - rs)
     left, right, side = _panels(knots, lo, hi, base)
     # the panels below the split come first, then the caps'; both rules'
     # nodes go into one flat call
     full = side.searchsorted(rows)
-    full_rule = (n // 2 + 1, False)
-    cut = full * full_rule[0]
-    size = cut + (len(side) - full) * cap[0]
-    index, t, weight = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
     row = side % rows
-    for part, nodes, (m, mapped) in ((slice(None, full), slice(None, cut), full_rule),
-                                     (slice(full, None), slice(cut, None), cap)):
-        x, w = _gauss(m)
-        owner = row[part, None]
-        index[nodes].reshape(-1, m)[...] = owner
-        a, b = left[part, None], right[part, None]
-        if mapped:
-            # sin^2(phi) as a quotient of lengths: dilating the ball by a
-            # power of two leaves every phi node unchanged
-            at, span = base[owner], 2.0 * np.minimum(ds, rs)[owner]
-            a, b = _to_phi(np.concatenate((a, b), axis=1), at, span).T[:, :, None]
-        h, tm, wm = b - a, t[nodes].reshape(-1, m), weight[nodes].reshape(-1, m)
-        np.add(a, np.multiply(h, x, out=tm), out=tm)
+    m, mapped, arcsine = cap
+    caps = row[full:], left[full:], right[full:]
+    if mapped:
+        # sin^2(phi) = (t - base) / span, a quotient of lengths in [0, 1]:
+        # dilating the ball by a power of two leaves every phi node unchanged
+        span = ds + rs - base
+        owner, a, b = caps
+        at, sp = base[owner], span[owner]
+        a, b = np.arcsin(np.sqrt((np.concatenate((a, b)).reshape(2, -1) - at) / sp))
+        # width w = sqrt(at / sp) < _GRADE_AT * b, then a < w and a < _GRADE * b
+        # (K >= 1), squared; the first test alone is rarely passed
+        fire = at < _GRADE_AT**2 * b * b * sp
+        caps = owner, a, b
+        if np.count_nonzero(fire) and \
+                np.count_nonzero(fire := fire & (a * a * sp < at) & (a < _GRADE * b)):
+            caps = _graded(owner, a, b, np.sqrt(at[fire] / sp[fire]), fire)
+            at, sp = base[caps[0]], span[caps[0]]
+    cut = full * (n // 2 + 1)
+    size = cut + len(caps[0]) * m
+    index, t, weight = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
+    for (owner, a, b), nodes, k in (((row[:full], left[:full], right[:full]),
+                                     slice(None, cut), n // 2 + 1), (caps, slice(cut, None), m)):
+        x, w = _gauss(k)
+        index[nodes].reshape(-1, k)[...] = owner[:, None]
+        h, tm, wm = (b - a)[:, None], t[nodes].reshape(-1, k), weight[nodes].reshape(-1, k)
+        np.add(a[:, None], np.multiply(h, x, out=tm), out=tm)
         np.multiply(h, w, out=wm)
-        if mapped:  # tm holds the phi nodes
-            tm[...], jac = _from_phi(tm, at, span)
-            wm *= jac
+    if mapped:  # the caps' nodes are in phi: t = base + span sin^2(phi)
+        at, sp = at[:, None], sp[:, None]
+        phi, wm = t[cut:].reshape(-1, m), weight[cut:].reshape(-1, m)
+        sin = np.sin(phi)
+        wm *= 2.0 if arcsine else 2.0 * sp * sin * np.cos(phi)
+        phi[...] = at + sp * sin**2
     return np.bincount(index, weights=fun(t, ds[index], rs[index]) * weight, minlength=rows)
 
 
-def _range_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                    qcfg: QuadratureConfig, fun, a: float, b: float) -> float:
-    """Integral of fun(t, d, r) over [a, b] in the ball's range, exact by
-    :func:`_panel_sums` (qcfg unused) but for the caps above |d - r| at even
-    n: a near-tangent ball (d close to r) puts a feature about
-    (|d - r| / r)^(1/2) wide into phi, which no fixed rule resolves, so they
-    integrate adaptively in phi, split at the knots."""
-    d, r, n = ball.d, ball.r, params.n
-    base = abs(d - r)
-    exact_hi = b if n % 2 else min(b, base)  # no cap panel at even n: extra unused
-    row = (np.array([x]) for x in (a, exact_hi, d, r))
-    total = float(_panel_sums(profile, n, *row, fun, 0)[0]) if exact_hi > a else 0.0
-    lo = max(a, base)
-    if n % 2 or b <= lo:
-        return total
-    span = 2.0 * min(d, r)
-    knots = profile.knots_t
-    pts = _to_phi(np.concatenate(([lo], knots[(knots > lo) & (knots < b)], [b])), base, span)
-    # halved up front, most balls converge without a second bisection round
-    pts = np.sort(np.concatenate((pts, 0.5 * (pts[1:] + pts[:-1]))))
-
-    def in_phi(phi):
-        t, jac = _from_phi(phi, base, span)
-        return fun(t, d, r) * jac
-
-    return total + integrate_adaptive(in_phi, pts, qcfg)
-
-
-def _ball_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                   qcfg: QuadratureConfig, fun, intervals=None) -> float:
+def _ball_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams, fun,
+                   intervals=None) -> float:
     """Integral of fun(t, d, r) over the ball, per volume, or over its part
-    with |y| in the union of the radius intervals, one integral per interval
-    so that an indicator weight leaves every integrand continuous."""
-    lo, hi = max(0.0, ball.d - ball.r), min(ball.d + ball.r, profile.support_radius)
-    total = 0.0
-    for a, b in [(lo, hi)] if intervals is None else intervals:
-        a, b = max(lo, a), min(hi, b)
-        if b > a:
-            total += _range_integral(profile, ball, params, qcfg, fun, a, b)
-    return total / (params.omega_n * ball.r ** params.n)
+    with |y| in the union of the radius intervals, one row per interval so
+    that an indicator weight leaves every integrand continuous.  One ball
+    is a batch of one: the arithmetic is :func:`_objective`'s, bit for bit."""
+    d, r = ball.d, ball.r
+    lo, hi = max(0.0, d - r), min(d + r, profile.support_radius)
+    # an empty or inverted row has no panels
+    pieces = [(lo, hi)] if intervals is None else intervals
+    rows = [(max(lo, a), min(hi, b), d, r) for a, b in pieces]
+    los, his, ds, rs = np.array(rows, dtype=float).reshape(-1, 4).T.copy()
+    sums = _panel_sums(profile, params.n, los, his, ds, rs, fun, _FINE_EXTRA)
+    return sum((sums / (params.omega_n * rs**params.n)).tolist(), 0.0)
 
 
 def ball_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                 qcfg: QuadratureConfig) -> float:
-    """Integral average of |f| over the ball."""
+                 qcfg=None) -> float:
+    """Integral average of |f| over the ball (qcfg, here and below, is
+    ignored: the rule has no tolerance)."""
     fun = lambda t, d, r: profile.value(t) * cap_area(t, d, r, params)
-    return _ball_integral(profile, ball, params, qcfg, fun)
+    return _ball_integral(profile, ball, params, fun)
 
 
 def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                   qcfg: QuadratureConfig) -> float:
-    """Integral average of |f| over the boundary sphere of the ball; at odd
-    n >= 3 exact in rho = |y| (qcfg unused), at n = 1 two points."""
+                   qcfg=None) -> float:
+    """Integral average of |f| over the boundary sphere of the ball; at n = 1
+    two points.
+
+    With rho^2 = d^2 + r^2 + 2 d r cos(phi), d phi = rho d rho / (d r sin(phi)):
+    the average of F(rho(phi)) against sin^k(phi), k = n - 2, is the integral
+    of F(rho) rho / (d r) sin^(k-1)(phi) over [|d - r|, d + r], where
+    sin^2(phi) = p q / (2 d r)^2, p = (d + r - rho)(rho - |d - r|) and
+    q = (d + r + rho)(rho + |d - r|).  At odd n the integrand is a
+    polynomial on every panel; at even n the rule's arcsine measure takes
+    the factor p^(-1/2), singular at both ends.
+    """
     d, r = ball.d, ball.r
     if params.n == 1:
         return 0.5 * float(profile.value(abs(d - r)) + profile.value(d + r))
     if d == 0.0:
         return float(profile.value(r))
     k = params.n - 2
-    if k % 2:
-        # rho^2 = d^2 + r^2 + 2 d r cos(phi): d phi = rho d rho / (d r sin(phi))
-        def fun(rho, d, r):
-            a = np.abs(d - r)
-            sin2 = (d + r - rho) * (d + r + rho) * (rho - a) * (rho + a) / (2.0 * d * r) ** 2
-            return profile.value(rho) * rho / (d * r) * sin2 ** ((k - 1) // 2)
 
-        hi = min(d + r, profile.support_radius)
-        return _range_integral(profile, ball, params, qcfg, fun, abs(d - r), hi) \
-            / sin_power_total(k)
-    # rho(phi) = |d*e + r*omega(phi)| decreases from d+r to |d-r|
-    def rho_vals(phi):
-        return np.sqrt(np.maximum(d * d + r * r + 2.0 * d * r * np.cos(phi), 0.0))
+    def fun(rho, d, r):
+        a = np.abs(d - r)
+        sin2 = (d + r - rho) * (d + r + rho) * (rho - a) * (rho + a) / (2.0 * d * r) ** 2
+        value = profile.value(rho) * rho / (d * r) * sin2 ** (k // 2)
+        # even k: sin^(k-1) = sin^k 2 d r / sqrt(p q), and the rule takes p^(-1/2)
+        return value if k % 2 else value * (2.0 * d * r) / np.sqrt((d + r + rho) * (rho + a))
 
-    pts = [0.0, np.pi]
-    for t in profile.knots_t:
-        if abs(d - r) < t < d + r:
-            u = (t * t - d * d - r * r) / (2.0 * d * r)
-            pts.append(float(np.arccos(np.clip(u, -1.0, 1.0))))
-    fun = lambda phi: profile.value(rho_vals(phi)) * np.sin(phi) ** k
-    # integrate_adaptive drops repeated points; np.unique would import numpy.ma
-    return integrate_adaptive(fun, np.sort(pts), qcfg) / sin_power_total(k)
+    row = (np.array([x]) for x in (abs(d - r), min(d + r, profile.support_radius), d, r))
+    total = _panel_sums(profile, params.n, *row, fun, _FINE_EXTRA, arcsine=True)
+    return float(total[0]) / sin_power_total(k)
 
 
 def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                             qcfg: QuadratureConfig) -> float:
+                             qcfg=None) -> float:
     """Axial component of the average gradient over the ball.
 
     By rotational symmetry this is the only nonzero component of the
@@ -231,18 +228,18 @@ def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: Amb
     if ball.d == 0.0:
         return 0.0
     fun = lambda t, d, r: profile.slope(t) * cap_first_moment(t, d, r, params)
-    return _ball_integral(profile, ball, params, qcfg, fun)
+    return _ball_integral(profile, ball, params, fun)
 
 
 def gradient_radial_moment(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                           qcfg: QuadratureConfig) -> float:
+                           qcfg=None) -> float:
     """Average of Df(y) . y over the ball."""
     fun = lambda t, d, r: profile.slope(t) * t * cap_area(t, d, r, params)
-    return _ball_integral(profile, ball, params, qcfg, fun)
+    return _ball_integral(profile, ball, params, fun)
 
 
 def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                              qcfg: QuadratureConfig, weight=None) -> float:
+                              qcfg=None, weight=None) -> float:
     """Average of |Df(y)| w(|y|) over the ball.
 
     weight: None for w = 1, :class:`RadialWeight` for w(t) = t/s, or
@@ -256,7 +253,7 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
         raise TypeError(f"unsupported weight {weight!r}")
     fun = lambda t, d, r: np.abs(profile.slope(t)) * wfun(t) * cap_area(t, d, r, params)
     intervals = weight.intervals if isinstance(weight, LevelSetWeight) else None
-    return _ball_integral(profile, ball, params, qcfg, fun, intervals)
+    return _ball_integral(profile, ball, params, fun, intervals)
 
 
 def _objective(profile: RadialProfile, ds, rs, params: AmbientParams, extra: int):
@@ -273,10 +270,10 @@ def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
     """Vectorized r^beta * ball-average for arrays of balls (coarse search).
 
     At odd n the exact :func:`fixed_rule_objective`.  At even n the same
-    panels, with n + _COARSE_EXTRA nodes per cap panel: against the quad
-    oracle its relative error on balls meeting the support stays below 1e-5
-    at n = 2, for r / T from 1e-4 to 2 and up to 40 knots, and below 5e-5
-    on near-tangent balls, |d - r| / r from 1e-4 to 1e-1.
+    graded panels, with n + _COARSE_EXTRA nodes per cap panel: against the
+    quad oracle its relative error on balls meeting the support stays below
+    1e-5 at n = 2, for r / T from 1e-4 to 2 and up to 40 knots, near-tangent
+    balls (|d - r| / r from 1e-4 to 1e-1) included.
     """
     return _objective(profile, ds, rs, params, _COARSE_EXTRA)
 
@@ -284,10 +281,12 @@ def batch_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
 def fixed_rule_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
     """Vectorized r^beta * ball-average for arrays of balls (search refinement).
 
-    :func:`_panel_sums`: at odd n the exact rule of :func:`ball_average`,
-    with the same bits.  At even n the full-sphere panels are exact too, and
-    the cap panels take n + _FINE_EXTRA nodes in phi: against the quad
-    oracle the relative error stays below 1e-12 at n = 2, for r / T from
-    1e-4 to 2 and up to 40 knots, and below 2e-8 on near-tangent balls.
+    :func:`_panel_sums` with the rule of :func:`ball_average`, whose value
+    times numpy's r^beta (``search.objective``) it equals bit for bit at
+    every n.  At odd n the rule is exact.  At even n the full-sphere panels
+    are exact too, and the cap panels take n + _FINE_EXTRA nodes in phi:
+    against the quad oracle the relative error stays below 1e-12 at n = 2,
+    for r / T from 1e-4 to 2 and up to 40 knots, near-tangent balls
+    included.
     """
     return _objective(profile, ds, rs, params, _FINE_EXTRA)

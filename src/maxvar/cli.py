@@ -24,7 +24,6 @@ from .identities import (SWEEP_CHECKS, annulus_checks, divergence_checks,
                          sweep_identity_suite)
 from .oracles import (oracle_1d_maximal, oracle_dense_average_2d,
                       oracle_mc_ball_average)
-from .quadrature import IDENTITY_QUADRATURE, QuadratureError
 from .search import GridSpec, maximal_profile, search
 from .variation import UnconvergedSweepError, family_sweep, variation_report
 
@@ -267,7 +266,7 @@ def _cmd_oracle(args) -> int:
         print(f"oracle={_fmt(oracle)} search={_fmt(fast)} rel_diff={_fmt(rel)}")
         return EXIT_OK if rel <= 1e-3 else EXIT_ASSERTION
     ball = AxisBall(args.d, args.r)
-    det = ball_average(profile, ball, params, IDENTITY_QUADRATURE)
+    det = ball_average(profile, ball, params)
     if args.mode == "mc":
         mean, stderr = oracle_mc_ball_average(profile, ball, params,
                                               args.samples, args.seed)
@@ -347,7 +346,7 @@ def main(argv=None) -> int:
     except (ProfileError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"maxvar: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, UnconvergedSweepError) as exc:
+    except UnconvergedSweepError as exc:
         print(f"maxvar: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
 

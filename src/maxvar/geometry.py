@@ -107,6 +107,10 @@ def _arcsin_series(count: int):
     return np.cumprod(np.concatenate(([1.0], (2.0 * j + 2.0) / (2.0 * j + 3.0))))
 
 
+# the sin^2 up to which 2^i terms of the tail suffice: x^(2^i) <= 2^-55
+_TAIL_BOUNDS = 2.0 ** (-55.0 / 2.0 ** np.arange(7))
+
+
 def sin_power_integral(k: int, w):
     """Integral of sin^k over [0, theta], with w = 1 - cos(theta) in [0, 2].
 
@@ -114,8 +118,10 @@ def sin_power_integral(k: int, w):
     theta - cos(theta) * sum_{j < k/2} c_j sin^(2j+1)(theta) (see
     :func:`_arcsin_series`) from theta = pi / 4 on, where it loses at most a
     factor 40 to cancellation; below pi / 4 the bracket's positive tail
-    cos(theta) * sum_{j >= k/2} c_j sin^(2j+1)(theta), summed until its
-    ratio, at most 1/2, has shrunk the terms past 2^-55: ~1e-14 relative.
+    cos(theta) * sum_{j >= k/2} c_j sin^(2j+1)(theta), each element summed
+    to the least power of two of terms at which its ratio sin^2(theta), at
+    most 1/2, has shrunk them past 2^-55: ~1e-14 relative, with a length
+    that depends on the element alone, not on the rest of its batch.
     """
     w = np.asarray(w, dtype=float)
     if k % 2:
@@ -126,14 +132,17 @@ def sin_power_integral(k: int, w):
     m = k // 2
     sin2 = w * (2.0 - w)
     small = w < 1.0 - math.sqrt(0.5)  # theta < pi / 4
-    x = sin2[small]
-    ratio = float(np.max(x, initial=0.0))
-    terms = 1 if ratio == 0.0 else max(1, math.ceil(55.0 * math.log(2.0) / -math.log(ratio)))
-    coeffs = _arcsin_series(m + terms)[::-1]
+    series = _arcsin_series(m + 2 ** (_TAIL_BOUNDS.size - 1))
     cos_sin = (1.0 - w) * np.sqrt(sin2)
-    bracket = np.asarray(theta - cos_sin * _horner(coeffs[terms:], sin2))
-    # the tail, summed only where it is taken
-    bracket[small] = cos_sin[small] * x**m * _horner(coeffs[:terms], x)
+    bracket = np.asarray(theta - cos_sin * _horner(series[m - 1::-1], sin2))
+    # the tail, summed only where it is taken, in classes of equal length
+    x = sin2[small]
+    level = _TAIL_BOUNDS.searchsorted(x)
+    tail = np.empty_like(x)
+    for i in np.flatnonzero(np.bincount(level)):
+        sel = level == i
+        tail[sel] = _horner(series[m:m + 2**i][::-1], x[sel])
+    bracket[small] = cos_sin[small] * x**m * tail
     return math.prod((2 * i - 1) / (2 * i) for i in range(1, m + 1)) * bracket[()]
 
 

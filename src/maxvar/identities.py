@@ -4,7 +4,8 @@ Each check compares two independently computed sides of an identity (or
 the two sides of an inequality) and returns a structured report.  Checks
 conditioned on best balls use a looser tolerance than pure quadrature
 identities because their residuals are dominated by optimizer error;
-negative controls perturb the optimal radius by 5% and must fail.
+negative controls perturb the optimal radius by 5% and must fail.  The
+averages have no tolerance to set: every check's qcfg is ignored.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .averages import (LevelSetWeight, RadialWeight, ball_average,
 from .core import AmbientParams, RadialProfile, level_intervals
 from .families import random_profile
 from .geometry import AxisBall
-from .quadrature import IDENTITY_QUADRATURE, QuadratureConfig
 from .search import BestBallResult, MaximalProfile
 
 QUAD_TOL = 1e-6          # pure quadrature identities
@@ -84,31 +84,31 @@ def _ball_inputs(ball: AxisBall, **extra) -> dict:
 
 
 def check_divergence(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                     qcfg: QuadratureConfig) -> IdentityReport:
+                     qcfg=None) -> IdentityReport:
     """Average of Df.(z - y) equals n [ball average - sphere average]."""
-    gax = gradient_axial_component(profile, ball, params, qcfg)
-    grad = gradient_radial_moment(profile, ball, params, qcfg)
+    gax = gradient_axial_component(profile, ball, params)
+    grad = gradient_radial_moment(profile, ball, params)
     lhs = ball.d * gax - grad
-    rhs = params.n * (ball_average(profile, ball, params, qcfg)
-                      - sphere_average(profile, ball, params, qcfg))
+    rhs = params.n * (ball_average(profile, ball, params)
+                      - sphere_average(profile, ball, params))
     return _report("divergence", lhs, rhs, QUAD_TOL, profile.max_value,
                    inputs=_ball_inputs(ball, n=params.n))
 
 
 def check_stationarity(profile: RadialProfile, s: float, result: BestBallResult,
-                       params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
+                       params: AmbientParams, qcfg=None) -> IdentityReport:
     """At a best ball the average equals -(1/beta) * average of Df.(y - x)."""
     ball = result.ball
-    lhs = ball_average(profile, ball, params, qcfg)
-    gax = gradient_axial_component(profile, ball, params, qcfg)
-    grad = gradient_radial_moment(profile, ball, params, qcfg)
+    lhs = ball_average(profile, ball, params)
+    gax = gradient_axial_component(profile, ball, params)
+    grad = gradient_radial_moment(profile, ball, params)
     rhs = -(grad - s * gax) / params.beta
     return _report("stationarity", lhs, rhs, BEST_BALL_TOL, profile.max_value,
                    inputs=_ball_inputs(ball, s=s))
 
 
 def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
-                        params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
+                        params: AmbientParams, qcfg=None) -> IdentityReport:
     """Scaling-family derivative against its closed form.
 
     The family maps the ball to center (1+h)d - h s and radius (1+h)r;
@@ -120,13 +120,9 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
     which has the same average because f is radial.
     """
     d, r = ball.d, ball.r
-    # the finite differences divide out the step, so the objective needs a
-    # much tighter quadrature than the identity default
-    tight = QuadratureConfig(rel_tol=min(qcfg.rel_tol, 1e-12), max_subdivisions=8000)
-
     def phi(h):
         moved = AxisBall(abs((1.0 + h) * d - h * s), (1.0 + h) * r)
-        return moved.r ** params.beta * ball_average(profile, moved, params, tight)
+        return moved.r ** params.beta * ball_average(profile, moved, params)
 
     value = phi(0.0)
     scale_der = params.beta * value
@@ -138,8 +134,8 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
     threshold = BEST_BALL_TOL * scale
     trend_ok = abs(diffs[2] - diffs[1]) <= abs(diffs[1] - diffs[0]) + 0.05 * threshold
 
-    gax = gradient_axial_component(profile, ball, params, qcfg)
-    grad = gradient_radial_moment(profile, ball, params, qcfg)
+    gax = gradient_axial_component(profile, ball, params)
+    grad = gradient_radial_moment(profile, ball, params)
     analytic = r ** params.beta * (grad - s * gax) + scale_der
 
     a = abs(fd - analytic)
@@ -155,21 +151,21 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
 
 
 def check_boundary_formula(profile: RadialProfile, result: BestBallResult,
-                           params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
+                           params: AmbientParams, qcfg=None) -> IdentityReport:
     """|avg Df| = (n/r) [(1 - beta/n) avg - sphere avg] at boundary best balls."""
     if result.contact.kind == "interior":
         return _not_applicable("boundary_formula", "interior contact")
     ball = result.ball
-    lhs = abs(gradient_axial_component(profile, ball, params, qcfg))
-    avg = ball_average(profile, ball, params, qcfg)
-    savg = sphere_average(profile, ball, params, qcfg)
+    lhs = abs(gradient_axial_component(profile, ball, params))
+    avg = ball_average(profile, ball, params)
+    savg = sphere_average(profile, ball, params)
     rhs = (params.n / ball.r) * ((1.0 - params.beta / params.n) * avg - savg)
     return _report("boundary_formula", lhs, rhs, BEST_BALL_TOL, profile.max_value,
                    inputs=_ball_inputs(ball, s=result.s))
 
 
 def check_inner_bound(profile: RadialProfile, result: BestBallResult, s: float,
-                      params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
+                      params: AmbientParams, qcfg=None) -> IdentityReport:
     """|avg Df| <= avg of |Df| |y|/s for best balls inside B(0, s)."""
     ball = result.ball
     name = "inner_bound"
@@ -177,8 +173,8 @@ def check_inner_bound(profile: RadialProfile, result: BestBallResult, s: float,
         return _not_applicable(name, "interior contact", _ball_inputs(ball, s=s))
     if ball.d + ball.r > s * (1.0 + 1e-6):
         return _not_applicable(name, "ball not inside B(0, s)", _ball_inputs(ball, s=s))
-    lhs = abs(gradient_axial_component(profile, ball, params, qcfg))
-    rhs = weighted_gradient_average(profile, ball, params, qcfg, weight=RadialWeight(s))
+    lhs = abs(gradient_axial_component(profile, ball, params))
+    rhs = weighted_gradient_average(profile, ball, params, weight=RadialWeight(s))
     passed = lhs <= rhs + INEQ_SLACK * max(lhs, rhs, 1e-300)
     rel = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
     return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs),
@@ -188,7 +184,7 @@ def check_inner_bound(profile: RadialProfile, result: BestBallResult, s: float,
 
 
 def check_key_lemma(profile: RadialProfile, result: BestBallResult, s: float,
-                    params: AmbientParams, qcfg: QuadratureConfig) -> IdentityReport:
+                    params: AmbientParams, qcfg=None) -> IdentityReport:
     """Level-set bound: the gradient average is controlled on the doubled ball.
 
     Reports the empirical ratio lhs / rhs0 where rhs0 integrates |Df| over
@@ -201,13 +197,13 @@ def check_key_lemma(profile: RadialProfile, result: BestBallResult, s: float,
         return _not_applicable(name, "interior contact", _ball_inputs(ball, s=s))
     if ball.r > (s / 4.0) * (1.0 + 1e-6):
         return _not_applicable(name, "radius exceeds s/4", _ball_inputs(ball, s=s))
-    avg = ball_average(profile, ball, params, qcfg)
+    avg = ball_average(profile, ball, params)
     window = (max(0.0, ball.d - 2.0 * ball.r), ball.d + 2.0 * ball.r)
     level = level_intervals(profile, 0.5 * avg, 2.0 * avg, window)
     doubled = AxisBall(ball.d, 2.0 * ball.r)
-    rhs0 = weighted_gradient_average(profile, doubled, params, qcfg,
+    rhs0 = weighted_gradient_average(profile, doubled, params,
                                      weight=LevelSetWeight(tuple(level)))
-    lhs = abs(gradient_axial_component(profile, ball, params, qcfg))
+    lhs = abs(gradient_axial_component(profile, ball, params))
     passed = (lhs <= 1e-8) or (rhs0 > 0.0)
     ratio = lhs / rhs0 if rhs0 > 0.0 else (0.0 if lhs <= 1e-8 else np.inf)
     rel = abs(lhs - rhs0) / max(lhs, rhs0, 1e-300)
@@ -221,16 +217,16 @@ def check_key_lemma(profile: RadialProfile, result: BestBallResult, s: float,
 
 def check_ball_comparison(profile: RadialProfile, result_a: BestBallResult,
                           result_b: BestBallResult, params: AmbientParams,
-                          qcfg: QuadratureConfig) -> IdentityReport:
+                          qcfg=None) -> IdentityReport:
     """avg_{B2} >= 2^-n (r1/r2)^beta avg_{B1} for best balls with B2 in 2 B1."""
     b1, b2 = result_a.ball, result_b.ball
     name = "ball_comparison"
     inputs = {"d1": b1.d, "r1": b1.r, "d2": b2.d, "r2": b2.r}
     if abs(b2.d - b1.d) + b2.r > 2.0 * b1.r * (1.0 + 1e-12):
         return _not_applicable(name, "no containment in the doubled ball", inputs)
-    lhs = ball_average(profile, b2, params, qcfg)
+    lhs = ball_average(profile, b2, params)
     rhs = 2.0 ** (-params.n) * (b1.r / b2.r) ** params.beta \
-        * ball_average(profile, b1, params, qcfg)
+        * ball_average(profile, b1, params)
     passed = lhs >= rhs - INEQ_SLACK * max(lhs, rhs, 1e-300)
     rel = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
     return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs),
@@ -239,7 +235,7 @@ def check_ball_comparison(profile: RadialProfile, result_a: BestBallResult,
 
 
 def check_annulus_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                          qcfg: QuadratureConfig) -> IdentityReport:
+                          qcfg=None) -> IdentityReport:
     """1D average of F over [d-r, d+r] against the average over B(d, 2r).
 
     Applicable when the ball sits in the annulus (r <= d/2).  The paper
@@ -248,9 +244,9 @@ def check_annulus_average(profile: RadialProfile, ball: AxisBall, params: Ambien
     name = "annulus_average"
     if ball.r > ball.d / 2.0:
         return _not_applicable(name, "ball not inside the annulus", _ball_inputs(ball))
-    line_avg = ball_average(profile, ball, _LINE, qcfg)
+    line_avg = ball_average(profile, ball, _LINE)
     doubled = AxisBall(ball.d, 2.0 * ball.r)
-    ball_avg = ball_average(profile, doubled, params, qcfg)
+    ball_avg = ball_average(profile, doubled, params)
     ratio = line_avg / ball_avg if ball_avg > 0.0 else (0.0 if line_avg == 0.0 else np.inf)
     passed = np.isfinite(ratio)
     return IdentityReport(name=name, lhs=float(line_avg), rhs=float(ball_avg),
@@ -276,7 +272,7 @@ def divergence_checks(profile: RadialProfile, params: AmbientParams,
                       rng: np.random.Generator, count: int):
     """Divergence checks on count random balls that meet the support."""
     T = profile.support_radius
-    return [check_divergence(profile, _random_ball(rng, T), params, IDENTITY_QUADRATURE)
+    return [check_divergence(profile, _random_ball(rng, T), params)
             for _ in range(count)]
 
 
@@ -290,8 +286,7 @@ def annulus_checks(profile: RadialProfile, params: AmbientParams,
         d = rng.uniform(0.3 * T, 1.5 * T)
         r = rng.uniform(0.05, 0.5) * d / 2.0
         if min(d + 2 * r, T) > max(0.0, d - 2 * r):
-            reports.append(check_annulus_average(profile, AxisBall(d, r), params,
-                                                 IDENTITY_QUADRATURE))
+            reports.append(check_annulus_average(profile, AxisBall(d, r), params))
     return reports
 
 
@@ -336,29 +331,28 @@ def sweep_identity_suite(profile: RadialProfile, mp: MaximalProfile,
                          params: AmbientParams, checks=SWEEP_CHECKS):
     """Run the named best-ball-conditioned checks over a finished sweep,
     with negative controls for stationarity and the boundary formula."""
-    qcfg = IDENTITY_QUADRATURE
     reports = []
     boundary_pts = [(float(s), res) for s, res in zip(mp.grid, mp.results)
                     if res.converged and res.contact.kind != "interior"]
     for s, res in boundary_pts:
         bad = perturbed_ball(res)
         if "stationarity" in checks:
-            reports.append(check_stationarity(profile, s, res, params, qcfg))
-            rep = check_stationarity(profile, s, bad, params, qcfg)
+            reports.append(check_stationarity(profile, s, res, params))
+            rep = check_stationarity(profile, s, bad, params)
             reports.append(replace(rep, name="stationarity_negctrl", expect_fail=True))
         if "boundary" in checks:
-            reports.append(check_boundary_formula(profile, res, params, qcfg))
-            rep = check_boundary_formula(profile, bad, params, qcfg)
+            reports.append(check_boundary_formula(profile, res, params))
+            rep = check_boundary_formula(profile, bad, params)
             reports.append(replace(rep, name="boundary_formula_negctrl", expect_fail=True))
         if "affine" in checks:
-            reports.append(check_affine_family(profile, s, res.ball, params, qcfg))
+            reports.append(check_affine_family(profile, s, res.ball, params))
         if "inner" in checks:
-            reports.append(check_inner_bound(profile, res, s, params, qcfg))
+            reports.append(check_inner_bound(profile, res, s, params))
         if "keylemma" in checks:
-            reports.append(check_key_lemma(profile, res, s, params, qcfg))
+            reports.append(check_key_lemma(profile, res, s, params))
     if "comparison" in checks:
         for (s1, r1), (s2, r2) in zip(boundary_pts[:-1], boundary_pts[1:]):
-            reports.append(check_ball_comparison(profile, r1, r2, params, qcfg))
+            reports.append(check_ball_comparison(profile, r1, r2, params))
     return reports
 
 

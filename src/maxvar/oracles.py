@@ -3,7 +3,7 @@
 These validate the fast kernels: a brute-force 1D maximal value optimized
 over interval endpoints, seeded Monte-Carlo ball averages, and a dense
 polar quadrature for discs in the plane.  None of them touch the cap
-kernels or the adaptive integrator.
+kernels or the panel rule of the averages.
 """
 
 from __future__ import annotations

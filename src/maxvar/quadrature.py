@@ -1,15 +1,15 @@
 """Adaptive 1D quadrature over piecewise-smooth integrands.
 
-Gauss-Kronrod 7/15 applied per subinterval, with batched breadth-first
-bisection of the worst intervals.  Callers supply the breakpoints (the
-profile knots, in the cap angle phi of the even-n averages, or in the
-sphere's polar angle) so every subinterval is smooth inside; what is left,
-the narrow feature that a near-tangent ball puts into phi, the bisection
-resolves.
+Nothing in the library calls it: every average uses the fixed panel rule
+of :mod:`maxvar.averages`.  It stays while perfbench/ still warms up with
+integrate_adaptive and passes IDENTITY_QUADRATURE to the averages, whose
+qcfg parameters ignore it, and goes with that benchmark change (ROADMAP.md,
+the benchmark item).
 
-The error test is QUADPACK's (Piessens et al. 1983, resabs): the summed
-|K15 - G7| must be at most rel_tol times the K15 estimate of int |f|, taken
-from the nodes already evaluated, so no caller picks an absolute floor.
+Gauss-Kronrod 7/15 applied per subinterval, with batched breadth-first
+bisection of the worst intervals.  The error test is QUADPACK's (Piessens
+et al. 1983, resabs): the summed |K15 - G7| must be at most rel_tol times
+the K15 estimate of int |f|, taken from the nodes already evaluated.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class QuadratureConfig:
             raise ValueError("the tolerance must be positive and the budget at least 1")
 
 
-# identity suites and reported values; the search refines with a fixed rule
 IDENTITY_QUADRATURE = QuadratureConfig(rel_tol=1e-9)
 
 

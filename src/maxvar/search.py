@@ -21,8 +21,8 @@ same as without skipping.  Every refinement stage evaluates the
 fixed-rule objective, and the compasses of all starts run in lock-step,
 one batched call per round; each compass request also asks for the next
 one, and the answers are replayed in sequential order.  The reported
-value is recomputed by ball_average at IDENTITY_QUADRATURE (at odd n all
-stages use the same exact rule).  All moves are comparison-based and the
+value is :func:`objective` of the reported ball, which is the compass's own
+value bit for bit: the averages have one rule at every n.  All moves are comparison-based and the
 projection is linear in (d, r, s), so scaling the profile by a positive
 constant repeats the search path and dilating it dilates the path.
 """
@@ -38,7 +38,6 @@ from .averages import (ball_average, batch_objective, fixed_rule_objective,
                        gradient_axial_component)
 from .core import AmbientParams, RadialProfile, l1_norm
 from .geometry import AxisBall, Contact, InfeasibleBallError, classify_contact
-from .quadrature import IDENTITY_QUADRATURE, QuadratureConfig
 
 REGION_LABELS = ("zero_derivative", "E1", "E2", "E3", "unclassified")
 
@@ -130,11 +129,13 @@ class GridSpec:
 
 
 def objective(profile: RadialProfile, s: float, ball: AxisBall, params: AmbientParams,
-              qcfg: QuadratureConfig) -> float:
-    """r^beta times the ball average; the ball must contain s."""
+              qcfg=None) -> float:
+    """r^beta times the ball average; the ball must contain s (qcfg is
+    ignored).  numpy's power, as in fixed_rule_objective, whose value for
+    the ball this is, bit for bit."""
     if not ball.contains(s, tol=1e-12 * max(ball.r, s)):
         raise InfeasibleBallError(f"ball (d={ball.d}, r={ball.r}) does not contain s={s}")
-    return ball.r ** params.beta * ball_average(profile, ball, params, qcfg)
+    return float((np.array([ball.r]) ** params.beta * ball_average(profile, ball, params))[0])
 
 
 _DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -351,8 +352,8 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     """Globally maximize the objective over feasible axis balls at radius s.
 
     Among maxima within the tie tolerance the smallest radius wins, then
-    the smallest center distance.  The returned value is recomputed at the
-    identity-suite quadrature tolerance.
+    the smallest center distance.  The returned value is the compass's:
+    :func:`objective` of the returned ball, bit for bit.
     """
     if not 0.0 <= s < np.inf:
         raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
@@ -394,13 +395,13 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     best_val = max(f[0] for f in finals)
     tie = [f for f in finals if f[0] >= best_val - TIE_TOL * abs(best_val)]
     tie.sort(key=lambda f: (f[2], f[1]))
-    v, d, r, ok = tie[0]
+    _, d, r, ok = tie[0]
     ball = AxisBall(d, r)
-    final_value = ball.r ** params.beta * ball_average(profile, ball, params,
-                                                       IDENTITY_QUADRATURE)
+    # the compass's value, bit for bit: its rule and arithmetic on a batch of one
+    value = objective(profile, s, ball, params)
     contact = classify_contact(ball, s, CONTACT_TOL)
     region = _region_label(contact, s)
-    return BestBallResult(s=s, value=float(final_value), ball=ball, contact=contact,
+    return BestBallResult(s=s, value=value, ball=ball, contact=contact,
                           region=region, objective_evals=evals, converged=bool(ok),
                           tie_candidates=len(_dedupe_candidates([f[:3] for f in tie], len(tie),
                                                                 rel=TIE_BALL_REL)))
@@ -431,8 +432,7 @@ def _sweep(profile, pts, params, warms):
 
 
 def _formula_channel(profile, results, params) -> np.ndarray:
-    return np.array([derivative_by_formula(profile, r, params, IDENTITY_QUADRATURE)
-                     for r in results])
+    return np.array([derivative_by_formula(profile, r, params) for r in results])
 
 
 def _assemble(profile, pts, results, formula) -> MaximalProfile:
@@ -479,7 +479,7 @@ def refined_profile(profile: RadialProfile, grid: GridSpec, base: MaximalProfile
 
 
 def derivative_by_formula(profile: RadialProfile, result: BestBallResult,
-                          params: AmbientParams, qcfg: QuadratureConfig) -> float:
+                          params: AmbientParams, qcfg=None) -> float:
     """Signed radial derivative r^beta * (axial gradient average).
 
     Exactly zero at interior contact; at boundary contact the sign agrees
@@ -488,7 +488,7 @@ def derivative_by_formula(profile: RadialProfile, result: BestBallResult,
     if result.contact.kind == "interior":
         return 0.0
     ball = result.ball
-    return ball.r ** params.beta * gradient_axial_component(profile, ball, params, qcfg)
+    return ball.r ** params.beta * gradient_axial_component(profile, ball, params)
 
 
 def derivative_by_fd(mp: MaximalProfile, profile: RadialProfile | None = None) -> np.ndarray:

@@ -19,7 +19,11 @@ def rel_err(a, b, floor=1e-300):
 # -- an independent oracle for the radial averages --------------------------
 # Built from scipy alone: the cap angle by Kahan's formula for needle-like
 # triangles, the integral of sin^k by the incomplete beta function
-# (DLMF 8.17), and adaptive quad on the radial integrands.
+# (DLMF 8.17), and adaptive quad on the radial integrands.  Above |d - r|
+# the caps and the sphere are integrated in psi, t = |d - r| + L sin^2(psi)
+# with L = 2 min(d, r), which smooths their square-root ends; a near-tangent
+# ball (d close to r) leaves a feature about sqrt(|d - r| / L) wide at
+# psi = 0, and quad is handed break points graded toward it.
 
 
 def kahan_cap_angle(t, d, r):
@@ -49,6 +53,23 @@ def _quad(fun, lo, hi, points):
         return quad(fun, lo, hi, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-13)[0]
 
 
+def _psi_quad(h, d, r, hi, knots):
+    """Integral over t in [|d - r|, hi], hi <= d + r, of an integrand that
+    h(t, sc) gives in psi, sc = L sin(psi) cos(psi) (so dt = 2 sc dpsi)."""
+    base, L = abs(d - r), 2.0 * min(d, r)
+    if hi <= base:
+        return 0.0
+    to_psi = lambda t: math.asin(math.sqrt(min(1.0, (t - base) / L)))
+    top = math.pi / 2.0 if hi >= d + r else to_psi(hi)
+    pts = [to_psi(k) for k in knots if base < k < hi]
+    first, width = min(pts + [top]), math.sqrt(base / L)
+    while first > 0.1 * width and first > 1e-12:
+        first *= 0.15
+        pts.append(first)
+    return _quad(lambda psi: h(base + L * math.sin(psi) ** 2,
+                               L * math.sin(psi) * math.cos(psi)), 0.0, top, pts)
+
+
 def quad_averages(profile, d, r, n, s, keys=None):
     """Ball, sphere, axial-gradient, radial-moment and |Df| t/s averages of
     the radial function with profile F over B(d e, r) in R^n, by quad; keys
@@ -76,15 +97,29 @@ def quad_averages(profile, d, r, n, s, keys=None):
     moment = lambda t: \
         sigma * t ** (n - 1) * math.sin(kahan_cap_angle(t, d, r)) ** (n - 1) / (n - 1)
     lo, hi = max(0.0, d - r), min(d + r, profile.support_radius)
-    ball = lambda g: _quad(g, lo, hi, knots + [abs(d - r)]) / volume if hi > lo else 0.0
-    # the sphere in its polar angle phi, |y|^2 = d^2 + r^2 + 2 d r cos(phi)
-    rho = lambda phi: math.sqrt(max(d * d + r * r + 2.0 * d * r * math.cos(phi), 0.0))
-    phis = [math.acos(min(1.0, max(-1.0, (k * k - d * d - r * r) / (2.0 * d * r))))
-            for k in knots] if d > 0.0 else []
+    base = abs(d - r)
+
+    def ball(g):
+        inner = _quad(g, lo, min(hi, base), knots) if min(hi, base) > lo else 0.0
+        return (inner + _psi_quad(lambda t, sc: g(t) * 2.0 * sc, d, r, hi, knots)) / volume
+
+    def sphere():
+        # rho = |d e + r omega| over the sphere: rho d rho = d r sin(phi) d phi
+        # and sin^2(phi) = (d + r - rho)(rho - |d - r|) q / (2 d r)^2 with
+        # q = (d + r + rho)(rho + |d - r|); in psi the first two factors are
+        # sc^2, which cancels the measure's singular ends
+        k = n - 2
+
+        def h(rho, sc):
+            q = (d + r + rho) * (rho + base)
+            return 2.0 * F(rho) * rho / (d * r) * sc ** k \
+                * (math.sqrt(q) / (2.0 * d * r)) ** (k - 1)
+
+        return F(r) if d == 0.0 else _psi_quad(h, d, r, hi, knots) / sin_power_to(k, math.pi)
+
     averages = {
         "ball": lambda: ball(lambda t: F(t) * area(t)),
-        "sphere": lambda: _quad(lambda phi: F(rho(phi)) * math.sin(phi) ** (n - 2), 0.0,
-                                math.pi, phis) / sin_power_to(n - 2, math.pi),
+        "sphere": sphere,
         "axial": lambda: ball(lambda t: dF(t) * moment(t)),
         "radial": lambda: ball(lambda t: dF(t) * t * area(t)),
         "weighted": lambda: ball(lambda t: abs(dF(t)) * t / s * area(t))}

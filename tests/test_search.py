@@ -116,6 +116,19 @@ class TestSearch:
         assert len(tied) > 1
         assert res.tie_candidates == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_value_is_the_objective_bit_for_bit(self, n):
+        # one rule at every n: the compass's fixed-rule value of the ball is
+        # the public objective's, with no re-evaluation at another tolerance
+        params = AmbientParams(n, 0.5)
+        prof = random_profile(np.random.default_rng(60 + n), 12)
+        for s in (0.05, 0.5, 2.0):
+            s *= prof.support_radius
+            res = search(prof, s, params)
+            compass = fixed_rule_objective(prof, np.array([res.ball.d]), np.array([res.ball.r]),
+                                           params)[0]
+            assert res.value == objective(prof, s, res.ball, params) == compass
+
     def test_zero_radius_rejected(self, params2, tent_profile):
         with pytest.raises(ValueError):
             search(tent_profile, -0.5, params2)
