@@ -397,7 +397,7 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     tie.sort(key=lambda f: (f[2], f[1]))
     _, d, r, ok = tie[0]
     ball = AxisBall(d, r)
-    # the compass's value, bit for bit: its rule and arithmetic on a batch of one
+    # the compass's value; recomputed only for perfbench's tracer test (ROADMAP.md item 7)
     value = objective(profile, s, ball, params)
     contact = classify_contact(ball, s, CONTACT_TOL)
     region = _region_label(contact, s)

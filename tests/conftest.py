@@ -71,9 +71,9 @@ def _psi_quad(h, d, r, hi, knots):
 
 
 def quad_averages(profile, d, r, n, s, keys=None):
-    """Ball, sphere, axial-gradient, radial-moment and |Df| t/s averages of
-    the radial function with profile F over B(d e, r) in R^n, by quad; keys
-    selects some of them.
+    """Ball, sphere, axial-gradient, radial-moment, |Df| t/s and |Df|
+    averages of the radial function with profile F over B(d e, r) in R^n,
+    by quad; keys selects some of them.
 
     n = 1 integrates the even extension F(|u|) over [d - r, d + r], the
     ball average from the 1D oracle's primitive.
@@ -89,7 +89,8 @@ def quad_averages(profile, d, r, n, s, keys=None):
                     "sphere": lambda: 0.5 * (F(abs(d - r)) + F(d + r)),
                     "axial": lambda: line(lambda u: math.copysign(1.0, u) * dF(abs(u))),
                     "radial": lambda: line(lambda u: dF(abs(u)) * abs(u)),
-                    "weighted": lambda: line(lambda u: abs(dF(abs(u))) * abs(u) / s)}
+                    "weighted": lambda: line(lambda u: abs(dF(abs(u))) * abs(u) / s),
+                    "abs_slope": lambda: line(lambda u: abs(dF(abs(u))))}
         return {key: averages[key]() for key in keys or averages}
     sigma = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
     volume = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * r ** n
@@ -122,7 +123,8 @@ def quad_averages(profile, d, r, n, s, keys=None):
         "sphere": sphere,
         "axial": lambda: ball(lambda t: dF(t) * moment(t)),
         "radial": lambda: ball(lambda t: dF(t) * t * area(t)),
-        "weighted": lambda: ball(lambda t: abs(dF(t)) * t / s * area(t))}
+        "weighted": lambda: ball(lambda t: abs(dF(t)) * t / s * area(t)),
+        "abs_slope": lambda: ball(lambda t: abs(dF(t)) * area(t))}
     return {key: averages[key]() for key in keys or averages}
 
 

@@ -117,17 +117,30 @@ class TestSearch:
         assert res.tie_candidates == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_value_is_the_objective_bit_for_bit(self, n):
-        # one rule at every n: the compass's fixed-rule value of the ball is
-        # the public objective's, with no re-evaluation at another tolerance
+    def test_value_is_the_objective_bit_for_bit(self, n, monkeypatch):
+        # one rule at every n: the value the compass got for the ball inside
+        # its batch is the result's, and the public objective's, bit for bit
+        finals = []
+        lockstep = search_module._lockstep
+
+        def recording(evaluate, runs):
+            out = lockstep(evaluate, runs)
+            finals[:] = out
+            return out
+
+        monkeypatch.setattr(search_module, "_lockstep", recording)
         params = AmbientParams(n, 0.5)
         prof = random_profile(np.random.default_rng(60 + n), 12)
+        T = prof.support_radius
+        others = np.random.default_rng(n).uniform(0.05 * T, T, size=(2, 7))
         for s in (0.05, 0.5, 2.0):
-            s *= prof.support_radius
+            s *= T
             res = search(prof, s, params)
-            compass = fixed_rule_objective(prof, np.array([res.ball.d]), np.array([res.ball.r]),
-                                           params)[0]
-            assert res.value == objective(prof, s, res.ball, params) == compass
+            compass = [v for d, r, v, _ in finals if (d, r) == (res.ball.d, res.ball.r)]
+            batch = fixed_rule_objective(prof, np.append(others[0], res.ball.d),
+                                         np.append(others[1], res.ball.r), params)
+            assert compass and res.value == compass[0] == batch[-1]
+            assert res.value == objective(prof, s, res.ball, params)
 
     def test_zero_radius_rejected(self, params2, tent_profile):
         with pytest.raises(ValueError):
