@@ -8,11 +8,14 @@ larger radius.  Strategy: a coarse grid (log in r, linear in d per row)
 plus a dedicated sweep of the boundary family r = |d - s|, ranked by the
 batch objective (the fixed rule's panels, with fewer nodes per cap panel
 at even n); compass refinement of the top-K deduplicated starts to 1e-4
-and of the distinct endpoints to REFINE_TOL.  Every compass step is
-projected to the nearest feasible ball, so from the constraint a step of
-d away from s slides the ball outward along the boundary family and a
-step of r down slides it inward: the compass follows the family
-r = |d - s| without a stage of its own.  The ranking skips the coarse
+and of the distinct endpoints to REFINE_TOL.  The compass polls the edge
+moves (d +- h, r +- h): in the edge coordinates a = d - r and b = d + r
+the constraint |d - s| <= r is the box a <= s <= b, and the creases of the
+objective, where a ball edge crosses a knot, are coordinate lines, so
+each move shifts one edge and holds the other.  Every compass step is
+projected to the nearest feasible ball, so a move that holds the edge at
+s slides the ball along the boundary family r = |d - s|, and the compass
+follows that family without a stage of its own.  The ranking skips the coarse
 balls that cannot seed a start, the bounding step of branch and bound: a
 ball's objective is at most r^beta * min(max F over the ball,
 ||f||_1 / |B|), and the balls are ranked in decreasing order of that
@@ -20,7 +23,8 @@ bound until no unranked one can reach the start pool; the pool is the
 same as without skipping.  Every refinement stage evaluates the
 fixed-rule objective, and the compasses of all starts run in lock-step,
 one batched call per round; each compass request also asks for the next
-one, and the answers are replayed in sequential order.  The reported
+one, and the answers are replayed in sequential order.  The midpoint
+searches of a refined profile run in lock-step too.  The reported
 value is :func:`objective` of the reported ball, which is the compass's own
 value bit for bit: the averages have one rule at every n.  All moves are comparison-based and the
 projection is linear in (d, r, s), so scaling the profile by a positive
@@ -30,7 +34,7 @@ constant repeats the search path and dilating it dilates the path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,7 +142,9 @@ def objective(profile: RadialProfile, s: float, ball: AxisBall, params: AmbientP
     return float((np.array([ball.r]) ** params.beta * ball_average(profile, ball, params))[0])
 
 
-_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# the edge moves: in the edge coordinates a = d - r and b = d + r, where the
+# constraint |d - s| <= r is the box a <= s <= b, each moves one edge by 2h
+_DIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
 def _project(d, r, s, r_min, r_max):
@@ -162,67 +168,68 @@ def _project(d, r, s, r_min, r_max):
     return d, r_max if r_max < r else r
 
 
-def _polls(d, r, sd, sr, project):
-    """The neighbors of (d, r) at steps (sd, sr) that do not project back to it."""
-    polls = [(v, project(d + v[0] * sd, r + v[1] * sr)) for v in _DIRS]
+def _polls(d, r, h, project):
+    """The edge moves of (d, r) at step h that do not project back to it."""
+    polls = [(v, project(d + v[0] * h, r + v[1] * h)) for v in _DIRS]
     return [(v, cand) for v, cand in polls if cand != (d, r)]
 
 
-def _compass(d0, r0, step_d, step_r, project, tol):
+def _compass(d0, r0, step, project, tol):
     """Derivative-free maximization by comparisons only (scale-equivariant).
 
     A generator driven by :func:`_lockstep`: it yields the balls it needs
-    evaluated and is sent their values.  The four neighbors go out in one
-    request, each projected to the nearest feasible ball, so at the
-    constraint the d and r steps slide along the boundary family in
-    opposite directions.  After an improving move the step doubles along
-    the same direction while it keeps improving, so long travels cost log
-    many evaluations.  Returns (d, r, value, converged).
+    evaluated and is sent their values.  The four edge moves (d +- h,
+    r +- h) go out in one request, each projected to the nearest feasible
+    ball; each moves one edge of the ball and holds the other.  At the
+    constraint the two moves that hold the edge at s slide along the
+    boundary family, the move that pushes it past s projects back and is
+    not polled, and the last moves inward.  After an
+    improving move the step doubles along the same direction while it keeps
+    improving, so long travels cost log many evaluations.  Returns
+    (d, r, value, converged).
 
     Each request also asks for the next one if this one fails to improve
-    (the neighbors at half the step) or improves (the next doubled step).
+    (the moves at half the step) or improves (the next doubled step).
     The answers are replayed in the sequential order and REFINE_MAX_EVALS
     counts only the sequential evaluations, so no path, value or flag moves.
     """
     d, r = project(d0, r0)
-    sd, sr = step_d, step_r
-    fresh = _polls(d, r, sd, sr, project) if max(sd, sr) > tol else []
+    h = step
+    fresh = _polls(d, r, h, project) if h > tol else []
     best, *vals = yield [(d, r)] + [c for _, c in fresh]
     # the look-ahead: (poll state or growth ball, poll neighbors, values)
-    ahead = (d, r, sd, sr), fresh, vals
+    ahead = (d, r, h), fresh, vals
     evals = 1
     while evals < REFINE_MAX_EVALS:
-        if max(sd, sr) <= tol:
+        if h <= tol:
             return d, r, best, True
-        if ahead[0] == (d, r, sd, sr):
+        if ahead[0] == (d, r, h):
             _, fresh, vals = ahead
         else:
-            fresh = _polls(d, r, sd, sr, project)
+            fresh = _polls(d, r, h, project)
             if fresh:
-                half = 0.5 * sd, 0.5 * sr
-                after = _polls(d, r, *half, project) if max(half) > tol else []
+                after = _polls(d, r, 0.5 * h, project) if 0.5 * h > tol else []
                 vals = yield [c for _, c in fresh + after]
-                ahead = (d, r) + half, after, vals[len(fresh):]
+                ahead = (d, r, 0.5 * h), after, vals[len(fresh):]
         k = None
         if fresh:
             evals += len(fresh)
             vals = vals[:len(fresh)]
             k = vals.index(max(vals))
         if k is None or vals[k] <= best:
-            sd *= 0.5
-            sr *= 0.5
+            h *= 0.5
             continue
         (vd, vr), (d, r) = fresh[k]
         best = vals[k]
-        grow = 2.0
+        stride = 2.0 * h
         while evals < REFINE_MAX_EVALS:
-            cand = project(d + vd * sd * grow, r + vr * sr * grow)
+            cand = project(d + vd * stride, r + vr * stride)
             if cand == (d, r):
                 break
             if ahead[0] == cand:
                 val = ahead[2][0]
             else:
-                after = project(cand[0] + vd * sd * (2.0 * grow), cand[1] + vr * sr * (2.0 * grow))
+                after = project(cand[0] + vd * 2.0 * stride, cand[1] + vr * 2.0 * stride)
                 val, *vals = yield [cand] if after == cand else [cand, after]
                 if vals:
                     ahead = after, None, vals
@@ -230,18 +237,26 @@ def _compass(d0, r0, step_d, step_r, project, tol):
             if val <= best:
                 break
             (d, r), best = cand, val
-            grow *= 2.0
+            stride *= 2.0
     return d, r, best, False
 
 
-def _lockstep(evaluate, runs):
-    """Drive compass runs together: each round makes one evaluate call for
-    the balls that every live run asks for.  Returns the runs' results."""
+def _merge(runs):
+    """Run generators together: each round yields one request, the balls
+    that every live run asks for, and sends each run its share of the
+    values.  Returns the runs' results and the number of balls asked for."""
     results = [None] * len(runs)
-    asks = {i: next(run) for i, run in enumerate(runs)}
+    asks = {}
+    for i, run in enumerate(runs):
+        try:
+            asks[i] = next(run)
+        except StopIteration as done:
+            results[i] = done.value
+    balls = 0
     while asks:
-        ds, rs = zip(*(b for ask in asks.values() for b in ask))
-        vals = evaluate(np.array(ds), np.array(rs)).tolist()
+        request = [b for ask in asks.values() for b in ask]
+        balls += len(request)
+        vals = yield request
         pos = 0
         pending = {}
         for i, ask in asks.items():
@@ -252,7 +267,20 @@ def _lockstep(evaluate, runs):
             except StopIteration as done:
                 results[i] = done.value
         asks = pending
-    return results
+    return results, balls
+
+
+def _lockstep(evaluate, runs):
+    """Drive runs together (:func:`_merge`): one evaluate call per round.
+    Returns the runs' results."""
+    merged = _merge(runs)
+    try:
+        request = next(merged)
+        while True:
+            ds, rs = zip(*request)
+            request = merged.send(evaluate(np.array(ds), np.array(rs)).tolist())
+    except StopIteration as done:
+        return done.value[0]
 
 
 def _dedupe_candidates(cands, limit, rel=0.05):
@@ -355,54 +383,65 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     the smallest center distance.  The returned value is the compass's:
     :func:`objective` of the returned ball, bit for bit.
     """
+    res = _lockstep(_evaluator(profile, params), [_searching(profile, s, params, warm)])[0]
+    # the compass's value; recomputed only for perfbench's tracer test (ROADMAP.md item 7)
+    return replace(res, value=objective(profile, s, res.ball, params))
+
+
+def _evaluator(profile, params):
+    return lambda ds, rs: fixed_rule_objective(profile, ds, rs, params)
+
+
+def _searching(profile: RadialProfile, s: float, params: AmbientParams,
+               warm: AxisBall | None = None):
+    """:func:`search` as a generator driven by :func:`_lockstep`.
+
+    Runs the coarse ranking when started, then yields the fixed-rule
+    requests of both compass stages; returns the BestBallResult with the
+    compass's value.  The fixed rule gives a ball the same value in any
+    batch, so searches driven together return what each returns alone.
+    """
     if not 0.0 <= s < np.inf:
         raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
     r_max = s + T
-    evals = 0
-
-    def evaluate(ds, rs):
-        nonlocal evals
-        evals += len(ds)
-        return fixed_rule_objective(profile, ds, rs, params)
 
     def project(d, r):
         return _project(d, r, s, r_min, r_max)
 
     ds_all, rs_all, grid_step_r = _coarse_balls(s, T)
-    starts, ranked = _coarse_starts(profile, ds_all, rs_all, params)
-    evals += ranked
+    starts, evals = _coarse_starts(profile, ds_all, rs_all, params)
+    del ds_all, rs_all  # searches driven together would hold them all
     if warm is not None:
         starts.append((None, warm.d, warm.r))
 
     # --- refinement: a coarse compass pass per start, dedupe the endpoints,
     # then refine only distinct local optima to REFINE_TOL
-    runs = []
-    for _, d0, r0 in starts:
-        scale = max(r0, r_min)
-        step = grid_step_r * scale
-        runs.append(_compass(d0, r0, max(step, 1e-3 * scale), step, project, 1e-4 * scale))
-    stage_one = [(v, d, r) for d, r, v, _ in _lockstep(evaluate, runs)]
+    runs = [_compass(d0, r0, grid_step_r * max(r0, r_min), project, 1e-4 * max(r0, r_min))
+            for _, d0, r0 in starts]
+    ends, balls = yield from _merge(runs)
+    evals += balls
+    stage_one = [(v, d, r) for d, r, v, _ in ends]
     # endpoints of the coarse pass within 1% of each other lie in one basin;
     # refining more than one of them to REFINE_TOL repeats the same work
     stage_one.sort(key=lambda c: -c[0])
     survivors = _dedupe_candidates(stage_one, MULTISTARTS, rel=0.01)
-    runs = [_compass(d1, r1, 1e-3 * max(r1, r_min), 1e-3 * max(r1, r_min), project,
-                     REFINE_TOL * max(r1, r_min)) for _, d1, r1 in survivors]
-    finals = [(v, d, r, ok) for d, r, v, ok in _lockstep(evaluate, runs)]
+    runs = [_compass(d1, r1, 1e-3 * max(r1, r_min), project, REFINE_TOL * max(r1, r_min))
+            for _, d1, r1 in survivors]
+    ends, balls = yield from _merge(runs)
+    evals += balls
+    finals = [(v, d, r, ok) for d, r, v, ok in ends]
 
     best_val = max(f[0] for f in finals)
     tie = [f for f in finals if f[0] >= best_val - TIE_TOL * abs(best_val)]
     tie.sort(key=lambda f: (f[2], f[1]))
-    _, d, r, ok = tie[0]
+    value, d, r, ok = tie[0]
     ball = AxisBall(d, r)
-    # the compass's value; recomputed only for perfbench's tracer test (ROADMAP.md item 7)
-    value = objective(profile, s, ball, params)
     contact = classify_contact(ball, s, CONTACT_TOL)
-    region = _region_label(contact, s)
     return BestBallResult(s=s, value=value, ball=ball, contact=contact,
-                          region=region, objective_evals=evals, converged=bool(ok),
+                          region=_region_label(contact, s), objective_evals=evals,
+                          converged=bool(ok),
                           tie_candidates=len(_dedupe_candidates([f[:3] for f in tie], len(tie),
                                                                 rel=TIE_BALL_REL)))
 
@@ -418,17 +457,6 @@ def _region_label(contact: Contact, s: float) -> str:
     if c < 0.75:
         return "E2"
     return "E3"
-
-
-def _sweep(profile, pts, params, warms):
-    """Search the points in order, each warm-started from its entry of
-    warms or, where that is None, from the previous point's ball."""
-    results = []
-    for s, warm in zip(pts, warms):
-        if warm is None and results:
-            warm = results[-1].ball
-        results.append(search(profile, float(s), params, warm=warm))
-    return results
 
 
 def _formula_channel(profile, results, params) -> np.ndarray:
@@ -453,7 +481,10 @@ def maximal_profile(profile: RadialProfile, grid, params: AmbientParams) -> Maxi
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, dtype=float)
     if np.any(pts <= 0.0):
         raise ValueError("maximal-profile grids must be strictly positive")
-    results = _sweep(profile, pts, params, [None] * len(pts))
+    results = []
+    for s in pts:
+        results.append(search(profile, float(s), params,
+                              warm=results[-1].ball if results else None))
     return _assemble(profile, pts, results, _formula_channel(profile, results, params))
 
 
@@ -461,14 +492,18 @@ def refined_profile(profile: RadialProfile, grid: GridSpec, base: MaximalProfile
                     params: AmbientParams) -> MaximalProfile:
     """The maximal profile on ``grid.refined()``, given the sweep of ``grid``.
 
-    Only the midpoints are searched, in order, each warm-started from its
-    left base neighbor's ball; the base results and formula derivatives
-    are reused at the even indices.
+    Only the midpoints are searched, each warm-started from its left base
+    neighbor's ball; the base results and formula derivatives are reused at
+    the even indices.  The midpoints' searches are independent, so they
+    run in lock-step, one batched evaluation per round, and each returns
+    what a lone :func:`search` returns, value included.
     """
     fine = grid.refined()
     if not np.array_equal(fine[0::2], base.grid):
         raise ValueError("base sweep is not on the points of this grid")
-    mids = _sweep(profile, fine[1::2], params, [r.ball for r in base.results[:-1]])
+    mids = _lockstep(_evaluator(profile, params),
+                     [_searching(profile, float(s), params, warm=left.ball)
+                      for s, left in zip(fine[1::2], base.results[:-1])])
     results = [None] * len(fine)
     results[0::2] = base.results
     results[1::2] = mids
