@@ -37,6 +37,8 @@ class AmbientParams:
     q: float = field(init=False)
     omega_n: float = field(init=False)
     sigma_n: float = field(init=False)
+    # sigma_lower's value; nan when n = 1, where it is undefined
+    _sigma_lower: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.n != int(self.n):
@@ -48,6 +50,9 @@ class AmbientParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "omega_n", omega)
         object.__setattr__(self, "sigma_n", self.n * omega)
+        m = self.n - 1
+        object.__setattr__(self, "_sigma_lower",
+                           2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0) if m else math.nan)
         assert abs(q * self.beta - self.n * (q - 1.0)) <= 1e-12 * self.n
 
     @property
@@ -55,8 +60,7 @@ class AmbientParams:
         """Surface measure of the unit sphere in R^(n-1); 2 when n = 2."""
         if self.n < 2:
             raise ValueError("sigma_lower is undefined for n = 1")
-        m = self.n - 1
-        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+        return self._sigma_lower
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +74,8 @@ class RadialProfile:
     max_value: float = field(init=False)
     # [0, *slopes, 0], indexed by searchsorted(knots_t, t, side="right")
     _slope_table: np.ndarray = field(init=False, repr=False)
+    # row k holds the maxima of knots_v over runs of 2^k knots (see max_on)
+    _max_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.knots_t, dtype=float)
@@ -86,8 +92,14 @@ class RadialProfile:
             raise ProfileError("profile is identically zero")
         slopes = np.diff(v) / np.diff(t)
         table = np.concatenate(([0.0], slopes, [0.0]))
+        idx = np.arange(len(v))
+        runs = [v]
+        while 2 ** len(runs) <= len(v):
+            prev = runs[-1]
+            runs.append(np.maximum(prev, prev[np.minimum(idx + 2 ** (len(runs) - 1),
+                                                        len(v) - 1)]))
         for name, val in (("knots_t", t), ("knots_v", v), ("slopes", slopes),
-                          ("_slope_table", table)):
+                          ("_slope_table", table), ("_max_table", np.array(runs))):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
         object.__setattr__(self, "support_radius", float(t[-1]))
@@ -106,19 +118,13 @@ class RadialProfile:
         """Maximum of F over each interval [lo, hi] (vectorized, lo <= hi).
 
         F is linear between knots, so the maximum is at an end or at a knot
-        inside; the knots' maximum comes from a sparse table of maxima over
-        runs of 2^k knots, two lookups per interval.
+        inside; the knots' maximum comes from the profile's sparse table of
+        maxima over runs of 2^k knots, two lookups per interval.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         v = self.knots_v
-        idx = np.arange(len(v))
-        table = [v]
-        while 2 ** len(table) <= len(v):
-            prev = table[-1]
-            table.append(np.maximum(prev, prev[np.minimum(idx + 2 ** (len(table) - 1),
-                                                          len(v) - 1)]))
-        table = np.array(table)
+        table = self._max_table
         i0 = np.searchsorted(self.knots_t, lo, side="right")
         i1 = np.searchsorted(self.knots_t, hi, side="left")
         count = np.maximum(i1 - i0, 1)

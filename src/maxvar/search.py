@@ -7,8 +7,9 @@ justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row)
 plus a dedicated sweep of the boundary family r = |d - s|, ranked by the
 batch objective (the fixed rule's panels, with fewer nodes per cap panel
-at even n); compass refinement of the top-K deduplicated starts to 1e-4
-and of the distinct endpoints to REFINE_TOL.  The compass polls the edge
+at even n); compass refinement of the top-K deduplicated starts down to
+the hand-off step (HANDOFF of the radius), at which the compass of the
+distinct endpoints starts, and on to REFINE_TOL.  The compass polls the edge
 moves (d +- h, r +- h): in the edge coordinates a = d - r and b = d + r
 the constraint |d - s| <= r is the box a <= s <= b, and the creases of the
 objective, where a ball edge crosses a knot, are coordinate lines, so
@@ -19,11 +20,12 @@ follows that family without a stage of its own.  The ranking skips the coarse
 balls that cannot seed a start, the bounding step of branch and bound: a
 ball's objective is at most r^beta * min(max F over the ball,
 ||f||_1 / |B|), and the balls are ranked in decreasing order of that
-bound until no unranked one can reach the start pool; the pool is the
-same as without skipping.  Every refinement stage evaluates the
-fixed-rule objective, and the compasses of all starts run in lock-step,
-one batched call per round; each compass request also asks for the next
-one, and the answers are replayed in sequential order.  The midpoint
+bound until no unranked one can reach the last pooled ball that the
+dedupe of the starts reads; the starts are the same as without skipping.
+Every refinement stage evaluates the fixed-rule objective, and the
+compasses of all starts run in lock-step, one batched call per round;
+each compass request also asks for the next one, and the answers are
+replayed in sequential order.  The midpoint
 searches of a refined profile run in lock-step too.  The reported
 value is :func:`objective` of the reported ball, which is the compass's own
 value bit for bit: the averages have one rule at every n.  All moves are comparison-based and the
@@ -50,6 +52,7 @@ REGION_LABELS = ("zero_derivative", "E1", "E2", "E3", "unclassified")
 R_PER_DECADE = 24
 D_PER_ROW = 48
 MULTISTARTS = 8
+HANDOFF = 1e-3  # of the radius: the coarse compass stops at this step, the fine one starts
 REFINE_TOL = 1e-7
 TIE_TOL = 1e-9
 TIE_BALL_REL = 1e-6  # tied balls closer than this in (d, r) count once
@@ -68,9 +71,10 @@ class BestBallResult:
     """Search outcome at one evaluation radius.
 
     objective_evals counts every ball whose objective the search evaluated:
-    the coarse balls it ranked (not those the bound skipped) and every
-    compass evaluation, the look-ahead included.  tie_candidates counts the
-    distinct balls tied with the best value.
+    the coarse balls it ranked (not those whose bound falls below the last
+    pooled ball the dedupe reads) and every compass evaluation, the
+    look-ahead included.  tie_candidates counts the distinct balls tied
+    with the best value.
     """
 
     s: float
@@ -105,6 +109,8 @@ class GridSpec:
     log: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"need an integer point count, got {self.label()}")
         if not (0.0 < self.lo < self.hi < np.inf) or self.count < 3:
             raise ValueError(f"need 0 < lo < hi < inf and 3 or more points, got {self.label()}")
 
@@ -344,35 +350,52 @@ def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
 
     The top POOL_SIZE balls within POOL_FRACTION of the best form the pool,
     deduplicated to MULTISTARTS starts.  Balls are ranked in decreasing
-    order of their bound (:func:`_objective_bound`): the first 4 * POOL_SIZE,
-    then every one whose bound times BOUND_SLACK reaches the pool's
-    threshold among those ranked so far.  That threshold only rises, so the
-    balls left out (value 0) cannot enter the pool: it is the unpruned one.
+    order of their bound (:func:`_objective_bound`): the first 2 * POOL_SIZE,
+    then every one whose bound times BOUND_SLACK reaches the value of the
+    last pooled ball that the dedupe reads among those ranked so far.  A
+    ball left out (value 0) is below every ball the dedupe read, so it
+    cannot change the starts: they are those of the unpruned ranking.
+
+    That value is at least the pool's threshold, max(POOL_SIZE-th value,
+    POOL_FRACTION * best), which only rises as balls are ranked.  No batch
+    passes 4 * POOL_SIZE balls before the value is read there, so the
+    ranking stops no later than ranking by the threshold from the first
+    4 * POOL_SIZE would.
     """
     bound = _objective_bound(profile, ds, rs, params)
     by_bound = np.argsort(-bound, kind="stable")
     reach = -BOUND_SLACK * bound[by_bound]  # increasing
     values = np.zeros(len(ds))
-    ranked, end = 0, 4 * POOL_SIZE
+    ranked, end = 0, 2 * POOL_SIZE
     while ranked < end:
         batch = by_bound[ranked:end]
         values[batch] = batch_objective(profile, ds[batch], rs[batch], params)
         ranked += len(batch)
-        top = np.partition(values, -POOL_SIZE)[-POOL_SIZE:]  # the grid has >= 432 balls
-        threshold = max(top[0], POOL_FRACTION * top.max())
-        end = max(ranked, int(reach.searchsorted(-threshold, side="right")))
+        starts, stop = _pooled_starts(values, ds, rs)
+        # stop falls when a new ball shadows kept starts; end never does
+        end = max(ranked, int(reach.searchsorted(-stop, side="right")))
+        if ranked < 4 * POOL_SIZE:
+            end = min(end, 4 * POOL_SIZE)
+    return starts, ranked
+
+
+def _pooled_starts(values, ds, rs):
+    """The deduplicated starts of the balls' values and the value of the
+    last pooled ball that the dedupe reads."""
     # a stable sort keeps exact ties in grid order, whichever balls were skipped
-    order = np.argsort(-values, kind="stable")
-    top_val = float(values[order[0]])
-    pool = []
-    for i in order[:POOL_SIZE]:
-        v = float(values[i])
-        if v < POOL_FRACTION * top_val or v <= 0.0:
-            break
-        pool.append((v, float(ds[i]), float(rs[i])))
-    if not pool:
-        pool = [(top_val, float(ds[order[0]]), float(rs[order[0]]))]
-    return _dedupe_candidates(pool, MULTISTARTS), ranked
+    order = np.argsort(-values, kind="stable")[:POOL_SIZE]
+    vals = values[order]
+    top_val = float(vals[0])
+    # the values fall along order, so the pool is a prefix: the balls within
+    # POOL_FRACTION of the best with a positive value, else the best alone
+    cut = max(1, int(np.count_nonzero((vals >= POOL_FRACTION * top_val) & (vals > 0.0))))
+    pool = list(zip(vals[:cut].tolist(), ds[order[:cut]].tolist(), rs[order[:cut]].tolist()))
+    starts = _dedupe_candidates(pool, MULTISTARTS)
+    if len(starts) == MULTISTARTS:
+        return starts, starts[-1][0]
+    if len(pool) == POOL_SIZE:
+        return starts, pool[-1][0]
+    return starts, POOL_FRACTION * top_val
 
 
 def search(profile: RadialProfile, s: float, params: AmbientParams,
@@ -416,9 +439,10 @@ def _searching(profile: RadialProfile, s: float, params: AmbientParams,
     if warm is not None:
         starts.append((None, warm.d, warm.r))
 
-    # --- refinement: a coarse compass pass per start, dedupe the endpoints,
-    # then refine only distinct local optima to REFINE_TOL
-    runs = [_compass(d0, r0, grid_step_r * max(r0, r_min), project, 1e-4 * max(r0, r_min))
+    # --- refinement: a coarse compass pass per start down to the hand-off
+    # step, dedupe the endpoints, then refine only distinct local optima
+    # from the hand-off step to REFINE_TOL
+    runs = [_compass(d0, r0, grid_step_r * max(r0, r_min), project, HANDOFF * max(r0, r_min))
             for _, d0, r0 in starts]
     ends, balls = yield from _merge(runs)
     evals += balls
@@ -427,7 +451,7 @@ def _searching(profile: RadialProfile, s: float, params: AmbientParams,
     # refining more than one of them to REFINE_TOL repeats the same work
     stage_one.sort(key=lambda c: -c[0])
     survivors = _dedupe_candidates(stage_one, MULTISTARTS, rel=0.01)
-    runs = [_compass(d1, r1, 1e-3 * max(r1, r_min), project, REFINE_TOL * max(r1, r_min))
+    runs = [_compass(d1, r1, HANDOFF * max(r1, r_min), project, REFINE_TOL * max(r1, r_min))
             for _, d1, r1 in survivors]
     ends, balls = yield from _merge(runs)
     evals += balls

@@ -29,6 +29,10 @@ class TestAmbientParams:
     def test_sigma_lower(self):
         assert AmbientParams(2, 0.5).sigma_lower == pytest.approx(2.0)
         assert AmbientParams(3, 0.5).sigma_lower == pytest.approx(2.0 * np.pi)
+        with pytest.raises(ValueError):
+            AmbientParams(1, 0.5).sigma_lower
+        # the cached value (nan at n = 1) takes no part in equality
+        assert AmbientParams(1, 0.5) == AmbientParams(1, 0.5)
 
     @pytest.mark.parametrize("n,beta", [(2, 0.0), (2, 2.0), (2, -0.5), (0, 0.5)])
     def test_invalid_params(self, n, beta):

@@ -135,6 +135,38 @@ class TestSearch:
         assert len(tied) > 1
         assert res.tie_candidates == 1
 
+    def test_coarse_compass_hands_off_to_the_fine_compass(self, monkeypatch):
+        # every coarse run stops at the hand-off step and every fine run
+        # starts at it, from a coarse run's endpoint
+        runs = []
+        compass = search_module._compass
+
+        def recording(d0, r0, step, project, tol):
+            run = {"start": (d0, r0), "step": step, "tol": tol}
+            runs.append(run)
+            run["end"] = yield from compass(d0, r0, step, project, tol)
+            return run["end"]
+
+        monkeypatch.setattr(search_module, "_compass", recording)
+        hand_off, fine_tol = search_module.HANDOFF, search_module.REFINE_TOL
+        prof = random_profile(np.random.default_rng(7), 12)
+        T = prof.support_radius
+        r_min = search_module.R_MIN_FRAC * T
+        for n in (1, 2, 3):
+            params = AmbientParams(n, 0.5)
+            warm = None
+            for s in (0.05 * T, 0.7 * T, 3.0 * T):
+                runs.clear()
+                warm = search(prof, s, params, warm=warm).ball
+                scale = [max(run["start"][1], r_min) for run in runs]
+                coarse = [run["tol"] == hand_off * x for run, x in zip(runs, scale)]
+                k = coarse.index(False)
+                assert k > 0 and not any(coarse[k:])
+                ends = {run["end"][:2] for run in runs[:k]}
+                for run, x in zip(runs[k:], scale[k:]):
+                    assert run["step"] == hand_off * x and run["tol"] == fine_tol * x
+                    assert run["start"] in ends
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_value_is_the_objective_bit_for_bit(self, n, monkeypatch):
         # one rule at every n: the value the compass got for the ball inside
@@ -266,14 +298,35 @@ class TestBoundaryFamily:
         assert checked >= 3
 
 
+def pool_threshold_ranked(prof, ds, rs, params):
+    """The number of coarse balls that the pool-threshold rule ranks: the
+    first 4 * POOL_SIZE in decreasing order of the bound, then every one
+    whose slackened bound reaches max(POOL_SIZE-th value, POOL_FRACTION *
+    best) among those ranked so far."""
+    pool_size = search_module.POOL_SIZE
+    bound = search_module._objective_bound(prof, ds, rs, params)
+    by_bound = np.argsort(-bound, kind="stable")
+    reach = -search_module.BOUND_SLACK * bound[by_bound]
+    values = np.zeros(len(ds))
+    ranked, end = 0, 4 * pool_size
+    while ranked < end:
+        batch = by_bound[ranked:end]
+        values[batch] = batch_objective(prof, ds[batch], rs[batch], params)
+        ranked += len(batch)
+        top = np.partition(values, -pool_size)[-pool_size:]
+        threshold = max(top[0], search_module.POOL_FRACTION * top.max())
+        end = max(ranked, int(reach.searchsorted(-threshold, side="right")))
+    return ranked
+
+
 class TestCoarsePruning:
-    """The bound skips only coarse balls that cannot reach the start pool."""
+    """The bound skips only coarse balls that cannot change the starts."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_pruning_keeps_the_starts(self, n, monkeypatch):
         rng = np.random.default_rng(1000 + n)
         keep_all = lambda profile, ds, rs, params: np.full(len(ds), np.inf)
-        skipped = 0
+        skipped = fewer = 0
         for i, knots in enumerate((4, 12, 40, 200, 20, 100)):
             prof = random_profile(rng, knots, t_max=float(rng.uniform(0.5, 2.0)))
             T = prof.support_radius
@@ -290,7 +343,12 @@ class TestCoarsePruning:
             assert starts == full_starts
             assert full_ranked == len(ds)
             skipped += len(ds) - ranked
-        assert skipped > 0
+            # the stop at the last pooled ball the dedupe reads never ranks
+            # more than the pool's threshold would
+            old_ranked = pool_threshold_ranked(prof, ds, rs, params)
+            assert ranked <= old_ranked
+            fewer += ranked < old_ranked
+        assert skipped > 0 and fewer > 0
 
 
 def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):
@@ -587,3 +645,6 @@ class TestGridSpec:
         for lo, hi in ((0.01, np.inf), (np.nan, 1.0), (0.01, np.nan)):
             with pytest.raises(ValueError, match=f"{lo:g}:{hi:g}"):
                 GridSpec(lo, hi, 5)
+        with pytest.raises(ValueError, match="0.1:1:3.5:log"):
+            GridSpec(0.1, 1.0, 3.5)
+        assert len(GridSpec(0.1, 1.0, np.int64(5)).points()) == 5
