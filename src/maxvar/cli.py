@@ -19,9 +19,8 @@ from .averages import ball_average
 from .core import AmbientParams, ProfileError, RadialProfile, load_profile
 from .families import random_profile
 from .geometry import AxisBall
-from .identities import (SWEEP_CHECKS, annulus_checks, divergence_checks,
-                         format_reports, reports_to_json, suite_outcome,
-                         sweep_identity_suite)
+from .identities import (SUITES, format_reports, reports_to_json, suite_outcome,
+                         verify_suite)
 from .oracles import (oracle_1d_maximal, oracle_dense_average_2d,
                       oracle_mc_ball_average)
 from .search import GridSpec, maximal_profile, search
@@ -31,10 +30,6 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
-
-SUITES = ("all", "divergence", "stationarity", "boundary", "inner", "keylemma",
-          "comparison", "annulus")
-
 
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -172,14 +167,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]):
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str]) -> argparse.Namespace:
+    """Fill the flags not given on the command line from the --config file.
+    Each value, overridden or not, is parsed as its flag's text, type and
+    choices included, and must read back as itself: {"n": "2"} is refused."""
     if not getattr(args, "config", None):
-        return
+        return args
     data = json.loads(Path(args.config).read_text())
-    given = {a.split("=")[0].lstrip("-") for a in argv if a.startswith("--")}
-    for key, val in data.items():
-        if key not in given and hasattr(args, key):
-            setattr(args, key, val)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {args.config} does not hold a JSON object")
+    values = {k: v for k, v in data.items() if hasattr(args, k)}
+    switches = {k for k in values if isinstance(getattr(args, k), bool)}  # true or false
+    tokens = [f"--{k}" if k in switches else f"--{k}={v if isinstance(v, str) else json.dumps(v)}"
+              for k, v in values.items() if v is not False]
+    as_written = parser.parse_args(argv + tokens)
+    for key, val in values.items():
+        if not (isinstance(val, bool) if key in switches else getattr(as_written, key) == val):
+            parser.error(f"argument --{key}: config value {json.dumps(val)} has the "
+                         f"wrong type (the flag reads it as {getattr(as_written, key)!r})")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])  # the command line wins
 
 
 def _cmd_eval(args) -> int:
@@ -219,17 +227,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     params = AmbientParams(args.n, args.beta)
     profile = _load_profile_file(args.profile)
-    rng = np.random.default_rng(args.seed)
-    reports = []
-    if args.suite in ("all", "divergence"):
-        reports.extend(divergence_checks(profile, params, rng, args.count))
-    if args.suite in ("all", "annulus"):
-        reports.extend(annulus_checks(profile, params, rng, args.count))
-    if args.suite == "all" or args.suite in SWEEP_CHECKS:
-        grid = _parse_grid(args.grid, profile)
-        mp = maximal_profile(profile, grid, params)
-        checks = SWEEP_CHECKS if args.suite == "all" else (args.suite,)
-        reports.extend(sweep_identity_suite(profile, mp, params, checks=checks))
+    reports = verify_suite(profile, params, args.suite, np.random.default_rng(args.seed),
+                           args.count, _parse_grid(args.grid, profile))
     counts = suite_outcome(reports)
     header = _header_lines("verify", args, ("n", "beta", "profile", "suite", "seed"))
     if args.format == "json":
@@ -334,7 +333,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         missing = [k for k in REQUIRED[args.command] if getattr(args, k, None) is None]
         if missing:
             raise ValueError(f"missing required flags: {', '.join('--' + m for m in missing)}")

@@ -5,7 +5,10 @@ the two sides of an inequality) and returns a structured report.  Checks
 conditioned on best balls use a looser tolerance than pure quadrature
 identities because their residuals are dominated by optimizer error;
 negative controls perturb the optimal radius by 5% and must fail.  The
-averages have no tolerance to set: every check's qcfg is ignored.
+best-ball checks take the search result, whose s they use; the checks of
+any ball (divergence, affine family, annulus) take a qcfg that they
+ignore, since the averages have no tolerance to set.  :func:`verify_suite`
+runs a named suite for the CLI and the seeded library suites alike.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .averages import (LevelSetWeight, RadialWeight, ball_average,
 from .core import AmbientParams, RadialProfile, level_intervals
 from .families import random_profile
 from .geometry import AxisBall
-from .search import BestBallResult, MaximalProfile
+from .search import BestBallResult, GridSpec, MaximalProfile, maximal_profile
 
 QUAD_TOL = 1e-6          # pure quadrature identities
 BEST_BALL_TOL = 1e-3     # identities conditioned on an optimizer result
@@ -52,35 +55,37 @@ class IdentityReport:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
-
-def _report(name, lhs, rhs, tolerance, scale, inputs=None, info=None, applicable=True):
-    """Relative residual with an absolute fallback for near-zero pairs."""
+def _report(name, lhs, rhs, passed, tolerance, inputs, info=None, residuals=None,
+            applicable=True):
+    """The report of one check.  The residuals default to |lhs - rhs| and
+    that over the larger side."""
     lhs, rhs = float(lhs), float(rhs)
-    a = abs(lhs - rhs)
-    rel = a / max(abs(lhs), abs(rhs), 1e-300)
+    if residuals is None:
+        gap = abs(lhs - rhs)
+        residuals = (gap, gap / max(abs(lhs), abs(rhs), 1e-300))
+    return IdentityReport(name=name, lhs=lhs, rhs=rhs, abs_residual=float(residuals[0]),
+                          rel_residual=float(residuals[1]), tolerance=tolerance,
+                          passed=bool(passed), applicable=applicable, inputs=inputs,
+                          info=info or {})
+
+
+def _identity(name, lhs, rhs, tolerance, scale, inputs):
+    """An identity: the relative residual within tolerance, or both sides
+    within the absolute floor NEAR_ZERO_REL * scale of zero and of each other."""
+    gap, size = abs(lhs - rhs), max(abs(lhs), abs(rhs))
     near = NEAR_ZERO_REL * scale
-    if max(abs(lhs), abs(rhs)) <= near:
-        passed = a <= near
-    else:
-        passed = rel <= tolerance
-    return IdentityReport(name=name, lhs=lhs, rhs=rhs, abs_residual=a,
-                          rel_residual=rel, tolerance=tolerance, passed=passed,
-                          applicable=applicable, inputs=inputs or {}, info=info or {})
+    passed = gap <= near if size <= near else gap / max(size, 1e-300) <= tolerance
+    return _report(name, lhs, rhs, passed, tolerance, inputs)
 
 
-def _not_applicable(name, reason, inputs=None):
-    return IdentityReport(name=name, lhs=np.nan, rhs=np.nan, abs_residual=np.nan,
-                          rel_residual=np.nan, tolerance=np.nan, passed=True,
-                          applicable=False, inputs=inputs or {}, info={"reason": reason})
+def _not_applicable(name, reason, inputs):
+    return _report(name, np.nan, np.nan, True, np.nan, inputs, {"reason": reason},
+                   applicable=False)
 
 
 def _ball_inputs(ball: AxisBall, **extra) -> dict:
-    out = {"d": ball.d, "r": ball.r}
-    out.update(extra)
-    return out
+    return {"d": ball.d, "r": ball.r, **extra}
 
 
 def check_divergence(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -91,20 +96,20 @@ def check_divergence(profile: RadialProfile, ball: AxisBall, params: AmbientPara
     lhs = ball.d * gax - grad
     rhs = params.n * (ball_average(profile, ball, params)
                       - sphere_average(profile, ball, params))
-    return _report("divergence", lhs, rhs, QUAD_TOL, profile.max_value,
-                   inputs=_ball_inputs(ball, n=params.n))
+    return _identity("divergence", lhs, rhs, QUAD_TOL, profile.max_value,
+                     _ball_inputs(ball, n=params.n))
 
 
-def check_stationarity(profile: RadialProfile, s: float, result: BestBallResult,
-                       params: AmbientParams, qcfg=None) -> IdentityReport:
+def check_stationarity(profile: RadialProfile, result: BestBallResult,
+                       params: AmbientParams) -> IdentityReport:
     """At a best ball the average equals -(1/beta) * average of Df.(y - x)."""
-    ball = result.ball
+    ball, s = result.ball, result.s
     lhs = ball_average(profile, ball, params)
     gax = gradient_axial_component(profile, ball, params)
     grad = gradient_radial_moment(profile, ball, params)
     rhs = -(grad - s * gax) / params.beta
-    return _report("stationarity", lhs, rhs, BEST_BALL_TOL, profile.max_value,
-                   inputs=_ball_inputs(ball, s=s))
+    return _identity("stationarity", lhs, rhs, BEST_BALL_TOL, profile.max_value,
+                     _ball_inputs(ball, s=s))
 
 
 def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
@@ -139,64 +144,59 @@ def check_affine_family(profile: RadialProfile, s: float, ball: AxisBall,
     analytic = r ** params.beta * (grad - s * gax) + scale_der
 
     a = abs(fd - analytic)
-    passed = a <= threshold and trend_ok
-    rel = a / scale
-    return IdentityReport(name="affine_family", lhs=float(fd), rhs=float(analytic),
-                          abs_residual=float(a), rel_residual=float(rel),
-                          tolerance=BEST_BALL_TOL, passed=bool(passed),
-                          inputs=_ball_inputs(ball, s=s),
-                          info={"objective": value, "derivative_scale": scale_der,
-                                "step_sweep": [float(x) for x in diffs],
-                                "trend_ok": bool(trend_ok)})
+    return _report("affine_family", fd, analytic, a <= threshold and trend_ok,
+                   BEST_BALL_TOL, _ball_inputs(ball, s=s),
+                   info={"objective": value, "derivative_scale": scale_der,
+                         "step_sweep": diffs, "trend_ok": bool(trend_ok)},
+                   residuals=(a, a / scale))
 
 
 def check_boundary_formula(profile: RadialProfile, result: BestBallResult,
-                           params: AmbientParams, qcfg=None) -> IdentityReport:
+                           params: AmbientParams) -> IdentityReport:
     """|avg Df| = (n/r) [(1 - beta/n) avg - sphere avg] at boundary best balls."""
-    if result.contact.kind == "interior":
-        return _not_applicable("boundary_formula", "interior contact")
     ball = result.ball
+    inputs = _ball_inputs(ball, s=result.s)
+    if result.contact.kind == "interior":
+        return _not_applicable("boundary_formula", "interior contact", inputs)
     lhs = abs(gradient_axial_component(profile, ball, params))
     avg = ball_average(profile, ball, params)
     savg = sphere_average(profile, ball, params)
     rhs = (params.n / ball.r) * ((1.0 - params.beta / params.n) * avg - savg)
-    return _report("boundary_formula", lhs, rhs, BEST_BALL_TOL, profile.max_value,
-                   inputs=_ball_inputs(ball, s=result.s))
+    return _identity("boundary_formula", lhs, rhs, BEST_BALL_TOL, profile.max_value, inputs)
 
 
-def check_inner_bound(profile: RadialProfile, result: BestBallResult, s: float,
-                      params: AmbientParams, qcfg=None) -> IdentityReport:
+def check_inner_bound(profile: RadialProfile, result: BestBallResult,
+                      params: AmbientParams) -> IdentityReport:
     """|avg Df| <= avg of |Df| |y|/s for best balls inside B(0, s)."""
-    ball = result.ball
+    ball, s = result.ball, result.s
     name = "inner_bound"
+    inputs = _ball_inputs(ball, s=s)
     if result.contact.kind == "interior":
-        return _not_applicable(name, "interior contact", _ball_inputs(ball, s=s))
+        return _not_applicable(name, "interior contact", inputs)
     if ball.d + ball.r > s * (1.0 + 1e-6):
-        return _not_applicable(name, "ball not inside B(0, s)", _ball_inputs(ball, s=s))
+        return _not_applicable(name, "ball not inside B(0, s)", inputs)
     lhs = abs(gradient_axial_component(profile, ball, params))
     rhs = weighted_gradient_average(profile, ball, params, weight=RadialWeight(s))
     passed = lhs <= rhs + INEQ_SLACK * max(lhs, rhs, 1e-300)
-    rel = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-    return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs),
-                          abs_residual=float(max(lhs - rhs, 0.0)), rel_residual=float(rel),
-                          tolerance=INEQ_SLACK, passed=bool(passed),
-                          inputs=_ball_inputs(ball, s=s))
+    return _report(name, lhs, rhs, passed, INEQ_SLACK, inputs,
+                   residuals=(max(lhs - rhs, 0.0), abs(lhs - rhs) / max(lhs, rhs, 1e-300)))
 
 
-def check_key_lemma(profile: RadialProfile, result: BestBallResult, s: float,
-                    params: AmbientParams, qcfg=None) -> IdentityReport:
+def check_key_lemma(profile: RadialProfile, result: BestBallResult,
+                    params: AmbientParams) -> IdentityReport:
     """Level-set bound: the gradient average is controlled on the doubled ball.
 
     Reports the empirical ratio lhs / rhs0 where rhs0 integrates |Df| over
     the set {1/2 avg <= F <= 2 avg} in 2B; the comparison constant is not
     explicit, so only positivity of rhs0 is asserted (when lhs > 1e-8).
     """
-    ball = result.ball
+    ball, s = result.ball, result.s
     name = "key_lemma"
+    inputs = _ball_inputs(ball, s=s)
     if result.contact.kind == "interior":
-        return _not_applicable(name, "interior contact", _ball_inputs(ball, s=s))
+        return _not_applicable(name, "interior contact", inputs)
     if ball.r > (s / 4.0) * (1.0 + 1e-6):
-        return _not_applicable(name, "radius exceeds s/4", _ball_inputs(ball, s=s))
+        return _not_applicable(name, "radius exceeds s/4", inputs)
     avg = ball_average(profile, ball, params)
     window = (max(0.0, ball.d - 2.0 * ball.r), ball.d + 2.0 * ball.r)
     level = level_intervals(profile, 0.5 * avg, 2.0 * avg, window)
@@ -206,18 +206,13 @@ def check_key_lemma(profile: RadialProfile, result: BestBallResult, s: float,
     lhs = abs(gradient_axial_component(profile, ball, params))
     passed = (lhs <= 1e-8) or (rhs0 > 0.0)
     ratio = lhs / rhs0 if rhs0 > 0.0 else (0.0 if lhs <= 1e-8 else np.inf)
-    rel = abs(lhs - rhs0) / max(lhs, rhs0, 1e-300)
-    return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs0),
-                          abs_residual=float(abs(lhs - rhs0)), rel_residual=float(rel),
-                          tolerance=np.nan, passed=bool(passed),
-                          inputs=_ball_inputs(ball, s=s),
-                          info={"ratio": float(ratio), "ball_avg": float(avg),
-                                "level_set": [list(iv) for iv in level]})
+    return _report(name, lhs, rhs0, passed, np.nan, inputs,
+                   info={"ratio": float(ratio), "ball_avg": float(avg),
+                         "level_set": [list(iv) for iv in level]})
 
 
 def check_ball_comparison(profile: RadialProfile, result_a: BestBallResult,
-                          result_b: BestBallResult, params: AmbientParams,
-                          qcfg=None) -> IdentityReport:
+                          result_b: BestBallResult, params: AmbientParams) -> IdentityReport:
     """avg_{B2} >= 2^-n (r1/r2)^beta avg_{B1} for best balls with B2 in 2 B1."""
     b1, b2 = result_a.ball, result_b.ball
     name = "ball_comparison"
@@ -228,10 +223,8 @@ def check_ball_comparison(profile: RadialProfile, result_a: BestBallResult,
     rhs = 2.0 ** (-params.n) * (b1.r / b2.r) ** params.beta \
         * ball_average(profile, b1, params)
     passed = lhs >= rhs - INEQ_SLACK * max(lhs, rhs, 1e-300)
-    rel = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-    return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs),
-                          abs_residual=float(max(rhs - lhs, 0.0)), rel_residual=float(rel),
-                          tolerance=INEQ_SLACK, passed=bool(passed), inputs=inputs)
+    return _report(name, lhs, rhs, passed, INEQ_SLACK, inputs,
+                   residuals=(max(rhs - lhs, 0.0), abs(lhs - rhs) / max(lhs, rhs, 1e-300)))
 
 
 def check_annulus_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -248,15 +241,54 @@ def check_annulus_average(profile: RadialProfile, ball: AxisBall, params: Ambien
     doubled = AxisBall(ball.d, 2.0 * ball.r)
     ball_avg = ball_average(profile, doubled, params)
     ratio = line_avg / ball_avg if ball_avg > 0.0 else (0.0 if line_avg == 0.0 else np.inf)
-    passed = np.isfinite(ratio)
-    return IdentityReport(name=name, lhs=float(line_avg), rhs=float(ball_avg),
-                          abs_residual=np.nan, rel_residual=np.nan, tolerance=np.nan,
-                          passed=bool(passed), inputs=_ball_inputs(ball),
-                          info={"ratio": float(ratio)})
+    return _report(name, line_avg, ball_avg, np.isfinite(ratio), np.nan, _ball_inputs(ball),
+                   info={"ratio": float(ratio)}, residuals=(np.nan, np.nan))
 
 
 # ---------------------------------------------------------------------------
-# seeded suites
+# suites
+
+
+def perturbed_ball(result: BestBallResult) -> BestBallResult:
+    """Negative control: scale the optimal radius by CONTROL_FACTOR,
+    keeping the center."""
+    grown = AxisBall(result.ball.d, result.ball.r * CONTROL_FACTOR)
+    return replace(result, ball=grown)
+
+
+# the checks of one best ball, in report order, each with whether it also
+# runs as a negative control on perturbed_ball(result)
+BEST_BALL_CHECKS = {
+    "stationarity": (check_stationarity, True),
+    "boundary": (check_boundary_formula, True),
+    "affine": (lambda profile, res, params:
+               check_affine_family(profile, res.s, res.ball, params), False),
+    "inner": (check_inner_bound, False),
+    "keylemma": (check_key_lemma, False),
+}
+# the ball comparison runs after them, on neighboring best balls
+SWEEP_CHECKS = (*BEST_BALL_CHECKS, "comparison")
+SUITES = ("all", "divergence", "annulus", *SWEEP_CHECKS)
+
+
+def sweep_identity_suite(profile: RadialProfile, mp: MaximalProfile,
+                         params: AmbientParams, checks=SWEEP_CHECKS):
+    """Run the named best-ball-conditioned checks at every converged
+    boundary best ball of a finished sweep, with their negative controls,
+    then the ball comparison of neighboring ones."""
+    points = [res for res in mp.results if res.converged and res.contact.kind != "interior"]
+    table = [entry for name, entry in BEST_BALL_CHECKS.items() if name in checks]
+    reports = []
+    for res in points:
+        for check, control in table:
+            reports.append(check(profile, res, params))
+            if control:
+                rep = check(profile, perturbed_ball(res), params)
+                reports.append(replace(rep, name=rep.name + "_negctrl", expect_fail=True))
+    if "comparison" in checks:
+        reports += [check_ball_comparison(profile, a, b, params)
+                    for a, b in zip(points[:-1], points[1:])]
+    return reports
 
 
 def _random_ball(rng: np.random.Generator, T: float) -> AxisBall:
@@ -268,25 +300,30 @@ def _random_ball(rng: np.random.Generator, T: float) -> AxisBall:
             return AxisBall(d, r)
 
 
-def divergence_checks(profile: RadialProfile, params: AmbientParams,
-                      rng: np.random.Generator, count: int):
-    """Divergence checks on count random balls that meet the support."""
-    T = profile.support_radius
-    return [check_divergence(profile, _random_ball(rng, T), params)
-            for _ in range(count)]
-
-
-def annulus_checks(profile: RadialProfile, params: AmbientParams,
-                   rng: np.random.Generator, count: int):
-    """Annulus-average ratios on count random balls in the annulus, skipping
-    those whose double misses the support."""
+def verify_suite(profile: RadialProfile, params: AmbientParams, suite: str,
+                 rng: np.random.Generator, count: int, grid=None):
+    """The reports of one of SUITES, in this order: divergence checks on
+    count random balls that meet the support, annulus ratios on those of
+    count random balls in the annulus whose double meets it, and the sweep
+    checks over the maximal profile on grid (``GridSpec.standard`` by
+    default).  "all" runs every part."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}, expected one of {', '.join(SUITES)}")
     T = profile.support_radius
     reports = []
-    for _ in range(count):
-        d = rng.uniform(0.3 * T, 1.5 * T)
-        r = rng.uniform(0.05, 0.5) * d / 2.0
-        if min(d + 2 * r, T) > max(0.0, d - 2 * r):
-            reports.append(check_annulus_average(profile, AxisBall(d, r), params))
+    if suite in ("all", "divergence"):
+        reports += [check_divergence(profile, _random_ball(rng, T), params)
+                    for _ in range(count)]
+    if suite in ("all", "annulus"):
+        for _ in range(count):
+            d = rng.uniform(0.3 * T, 1.5 * T)
+            r = rng.uniform(0.05, 0.5) * d / 2.0
+            if min(d + 2 * r, T) > max(0.0, d - 2 * r):  # the double meets the support
+                reports.append(check_annulus_average(profile, AxisBall(d, r), params))
+    if suite == "all" or suite in SWEEP_CHECKS:
+        mp = maximal_profile(profile, grid or GridSpec.standard(profile), params)
+        reports += sweep_identity_suite(profile, mp, params,
+                                        SWEEP_CHECKS if suite == "all" else (suite,))
     return reports
 
 
@@ -303,7 +340,7 @@ def divergence_suite(seed: int, per_n: int = 100, dims=(1, 2, 3)):
     for n in dims:
         params = AmbientParams(n, SUITE_BETA)
         for prof in _random_profiles(rng, per_n):
-            reports += divergence_checks(prof, params, rng, 1)
+            reports += verify_suite(prof, params, "divergence", rng, 1)
     return reports
 
 
@@ -313,46 +350,7 @@ def annulus_suite(seed: int, count: int = 50):
     params = AmbientParams(ANNULUS_N, SUITE_BETA)
     reports = []
     for prof in _random_profiles(rng, count):
-        reports += annulus_checks(prof, params, rng, 1)
-    return reports
-
-
-def perturbed_ball(result: BestBallResult) -> BestBallResult:
-    """Negative control: scale the optimal radius by CONTROL_FACTOR,
-    keeping the center."""
-    grown = AxisBall(result.ball.d, result.ball.r * CONTROL_FACTOR)
-    return replace(result, ball=grown)
-
-
-SWEEP_CHECKS = ("stationarity", "boundary", "affine", "inner", "keylemma", "comparison")
-
-
-def sweep_identity_suite(profile: RadialProfile, mp: MaximalProfile,
-                         params: AmbientParams, checks=SWEEP_CHECKS):
-    """Run the named best-ball-conditioned checks over a finished sweep,
-    with negative controls for stationarity and the boundary formula."""
-    reports = []
-    boundary_pts = [(float(s), res) for s, res in zip(mp.grid, mp.results)
-                    if res.converged and res.contact.kind != "interior"]
-    for s, res in boundary_pts:
-        bad = perturbed_ball(res)
-        if "stationarity" in checks:
-            reports.append(check_stationarity(profile, s, res, params))
-            rep = check_stationarity(profile, s, bad, params)
-            reports.append(replace(rep, name="stationarity_negctrl", expect_fail=True))
-        if "boundary" in checks:
-            reports.append(check_boundary_formula(profile, res, params))
-            rep = check_boundary_formula(profile, bad, params)
-            reports.append(replace(rep, name="boundary_formula_negctrl", expect_fail=True))
-        if "affine" in checks:
-            reports.append(check_affine_family(profile, s, res.ball, params))
-        if "inner" in checks:
-            reports.append(check_inner_bound(profile, res, s, params))
-        if "keylemma" in checks:
-            reports.append(check_key_lemma(profile, res, s, params))
-    if "comparison" in checks:
-        for (s1, r1), (s2, r2) in zip(boundary_pts[:-1], boundary_pts[1:]):
-            reports.append(check_ball_comparison(profile, r1, r2, params))
+        reports += verify_suite(prof, params, "annulus", rng, 1)
     return reports
 
 

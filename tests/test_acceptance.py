@@ -145,14 +145,14 @@ def test_criterion_4_stationarity_and_boundary_formula(family, std_sweeps,
     for name, mp in std_sweeps.items():
         prof = family[name]
         for s, res in boundary_points(mp):
-            rep_s = check_stationarity(prof, s, res, std_params, Q)
-            rep_b = check_boundary_formula(prof, res, std_params, Q)
+            rep_s = check_stationarity(prof, res, std_params)
+            rep_b = check_boundary_formula(prof, res, std_params)
             assert rep_s.passed, f"{name} s={s}: stationarity {rep_s.rel_residual}"
             assert rep_b.passed, f"{name} s={s}: boundary {rep_b.rel_residual}"
             worst = max(worst, rep_s.rel_residual, rep_b.rel_residual)
             bad = perturbed_ball(res)
-            ctl_s = check_stationarity(prof, s, bad, std_params, Q)
-            ctl_b = check_boundary_formula(prof, bad, std_params, Q)
+            ctl_s = check_stationarity(prof, bad, std_params)
+            ctl_b = check_boundary_formula(prof, bad, std_params)
             assert not ctl_s.passed, f"{name} s={s}: stationarity control passed"
             assert not ctl_b.passed, f"{name} s={s}: boundary control passed"
             checked += 1
@@ -198,17 +198,17 @@ def test_criterion_6_inequality_suites(family, std_sweeps, refined_sweeps,
         prof = family[name]
         pts = boundary_points(mp)
         for s, res in pts:
-            rep = check_inner_bound(prof, res, s, std_params, Q)
+            rep = check_inner_bound(prof, res, std_params)
             if rep.applicable:
                 assert rep.passed, f"{name} s={s}: inner bound violated"
                 inner_app += 1
         for (s1, r1), (s2, r2) in zip(pts[:-1], pts[1:]):
-            rep = check_ball_comparison(prof, r1, r2, std_params, Q)
+            rep = check_ball_comparison(prof, r1, r2, std_params)
             if rep.applicable:
                 assert rep.passed, f"{name} s={s2}: comparison violated"
                 comp_app += 1
         for s, res in pts:
-            rep = check_key_lemma(prof, res, s, std_params, Q)
+            rep = check_key_lemma(prof, res, std_params)
             if rep.applicable:
                 assert rep.passed
                 key_app += 1
@@ -226,7 +226,7 @@ def test_criterion_6_inequality_suites(family, std_sweeps, refined_sweeps,
     def key_ratios(mp):
         out = {}
         for s, res in boundary_points(mp):
-            rep = check_key_lemma(shell, res, s, sh_params, Q)
+            rep = check_key_lemma(shell, res, sh_params)
             if rep.applicable:
                 if rep.lhs > 1e-8:
                     assert rep.rhs > 0.0, f"s={s}: vanishing right side"

@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from maxvar.cli import main
+from maxvar.cli import build_parser, main
+from maxvar.identities import SUITES
 
 
 @pytest.fixture()
@@ -157,6 +158,18 @@ class TestVerify:
         assert rc == 0
         assert "stationarity" in out and "ctrl-ok" in out
 
+    def test_suite_choices_are_the_runner_names(self):
+        command = next(a for a in build_parser()._actions if a.dest == "command")
+        suite = next(a for a in command.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == SUITES
+
+    def test_affine_suite(self, tent_json, capsys):
+        rc = main(["verify", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--suite", "affine", "--grid", "0.3:2:8:log"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "affine_family" in out and '"ok": true' in out
+
 
 class TestRatio:
     def test_report_emitted(self, tent_json, tmp_path):
@@ -240,6 +253,57 @@ class TestConfigFile:
         rows = [l.split(",") for l in out.splitlines()
                 if l and not l.startswith("#") and not l.startswith("s,")]
         assert [float(r[0]) for r in rows] == [0.5]
+
+    # config values pass the flags' own type and choices checks
+    def test_config_suite_outside_the_choices(self, tent_json, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "bogus"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                  "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "invalid choice: 'bogus'" in captured.err
+
+    def test_config_number_written_as_a_string(self, tent_json, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "2"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--beta", "0.5", "--profile", tent_json, "--s", "0.5",
+                  "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--n" in captured.err and "wrong type" in captured.err
+
+    def test_config_format_outside_the_choices(self, tent_json, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        out = tmp_path / "sweep.out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                  "--grid", "0.1:2:8:log", "--out", str(out), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tent_json, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[2, 0.5]")
+        rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--s", "0.5", "--config", str(cfg)])
+        assert rc == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_config_switch(self, tent_json, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"refine": True}))
+        out = tmp_path / "ratio.json"
+        rc = main(["ratio", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--grid", "0.1:2:6:log", "--out", str(out), "--config", str(cfg)])
+        assert rc == 0
+        assert json.loads(out.read_text())["refinement_deviation"] is not None
 
     def test_missing_flags_usage_error(self, capsys):
         rc = main(["eval", "--n", "2"])

@@ -6,13 +6,12 @@ import pytest
 from maxvar.core import AmbientParams, load_profile
 from maxvar.families import dilate_profile, random_profile, tent
 from maxvar.geometry import AxisBall
-from maxvar.identities import (annulus_suite, check_affine_family,
-                               check_annulus_average, check_ball_comparison,
-                               check_boundary_formula, check_divergence,
-                               check_inner_bound, check_key_lemma,
+from maxvar.identities import (annulus_suite, check_affine_family, check_annulus_average,
+                               check_ball_comparison, check_boundary_formula,
+                               check_divergence, check_inner_bound, check_key_lemma,
                                check_stationarity, divergence_suite,
                                format_reports, perturbed_ball, reports_to_json,
-                               suite_outcome, sweep_identity_suite)
+                               suite_outcome, sweep_identity_suite, verify_suite)
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
 from maxvar.search import GridSpec, maximal_profile, search
 
@@ -56,19 +55,19 @@ class TestDivergence:
 class TestStationarity:
     def test_at_best_ball(self, params2_mod, tent_mod):
         res = search(tent_mod, 0.9, params2_mod)
-        rep = check_stationarity(tent_mod, 0.9, res, params2_mod, Q)
+        rep = check_stationarity(tent_mod, res, params2_mod)
         assert rep.passed and rep.rel_residual <= 1e-3
 
     def test_degenerate_origin_case(self, params2_mod):
         chi = load_profile([(0, 1), (1, 1), (1, 0)])
         res = search(chi, 0.0, params2_mod)
-        rep = check_stationarity(chi, 0.0, res, params2_mod, Q)
+        rep = check_stationarity(chi, res, params2_mod)
         # x = 0: rhs reduces to -(1/beta) * radial moment; informational
         assert np.isfinite(rep.rel_residual)
 
     def test_negative_control_fails(self, params2_mod, tent_mod):
         res = search(tent_mod, 0.9, params2_mod)
-        rep = check_stationarity(tent_mod, 0.9, perturbed_ball(res), params2_mod, Q)
+        rep = check_stationarity(tent_mod, perturbed_ball(res), params2_mod)
         assert not rep.passed
         assert rep.rel_residual > 1e-2
 
@@ -129,7 +128,7 @@ class TestBoundaryFormula:
         for s, res in zip(tent_sweep.grid, tent_sweep.results):
             if res.contact.kind == "interior" or not res.converged:
                 continue
-            rep = check_boundary_formula(tent_mod, res, params2_mod, Q)
+            rep = check_boundary_formula(tent_mod, res, params2_mod)
             assert rep.passed, f"s={s}: residual {rep.rel_residual}"
             # corollary: the right side is a vector norm, hence nonnegative
             assert rep.rhs >= -1e-12
@@ -138,14 +137,15 @@ class TestBoundaryFormula:
 
     def test_negative_control(self, params2_mod, tent_mod):
         res = search(tent_mod, 0.9, params2_mod)
-        rep = check_boundary_formula(tent_mod, perturbed_ball(res), params2_mod, Q)
+        rep = check_boundary_formula(tent_mod, perturbed_ball(res), params2_mod)
         assert not rep.passed
 
     def test_interior_not_applicable(self, params2_mod):
         chi = load_profile([(0, 1), (1, 1), (1, 0)])
         res = search(chi, 0.2, params2_mod)
-        rep = check_boundary_formula(chi, res, params2_mod, Q)
+        rep = check_boundary_formula(chi, res, params2_mod)
         assert not rep.applicable
+        assert rep.inputs == {"d": res.ball.d, "r": res.ball.r, "s": 0.2}
 
 
 class TestInnerBound:
@@ -153,13 +153,13 @@ class TestInnerBound:
         res = search(tent_mod, 0.5, params2_mod)
         # boundary contact at d = 0, r = s: lhs = 0 <= rhs
         if res.contact.kind != "interior" and res.ball.d + res.ball.r <= 0.5 * (1 + 1e-6):
-            rep = check_inner_bound(tent_mod, res, 0.5, params2_mod, Q)
+            rep = check_inner_bound(tent_mod, res, params2_mod)
             assert rep.passed
 
     def test_e2_points_hold(self, params2_mod, tent_mod, tent_sweep):
         applicable = 0
-        for s, res in zip(tent_sweep.grid, tent_sweep.results):
-            rep = check_inner_bound(tent_mod, res, float(s), params2_mod, Q)
+        for res in tent_sweep.results:
+            rep = check_inner_bound(tent_mod, res, params2_mod)
             if rep.applicable:
                 assert rep.passed
                 applicable += 1
@@ -179,8 +179,7 @@ class TestInnerBound:
 class TestKeyLemma:
     def test_tent_sweep_is_vacuous_but_counted(self, params2_mod, tent_mod, tent_sweep):
         # the tent's best balls are all large (E2): r <= s/4 never holds
-        reports = [check_key_lemma(tent_mod, res, float(s), params2_mod, Q)
-                   for s, res in zip(tent_sweep.grid, tent_sweep.results)]
+        reports = [check_key_lemma(tent_mod, res, params2_mod) for res in tent_sweep.results]
         assert all(not rep.applicable for rep in reports)
 
     def test_shell_profile_has_applicable_points(self):
@@ -190,7 +189,7 @@ class TestKeyLemma:
         seen = 0
         for s in (1.5, 1.6, 1.75):
             res = search(prof, s, params)
-            rep = check_key_lemma(prof, res, s, params, Q)
+            rep = check_key_lemma(prof, res, params)
             if rep.applicable:
                 assert rep.passed
                 if rep.lhs > 1e-8:
@@ -211,7 +210,7 @@ class TestKeyLemma:
             fake = BestBallResult(s=4.0, value=0.0, ball=ball,
                                   contact=classify_contact(ball, 4.0, 1e-6),
                                   region="E3", objective_evals=0, converged=True)
-        rep = check_key_lemma(prof, fake, 4.0, params2_mod, Q)
+        rep = check_key_lemma(prof, fake, params2_mod)
         assert rep.applicable and rep.passed
         assert rep.lhs <= 1e-10
 
@@ -219,7 +218,7 @@ class TestKeyLemma:
 class TestBallComparison:
     def test_same_ball_trivial(self, params2_mod, tent_mod):
         res = search(tent_mod, 0.9, params2_mod)
-        rep = check_ball_comparison(tent_mod, res, res, params2_mod, Q)
+        rep = check_ball_comparison(tent_mod, res, res, params2_mod)
         assert rep.applicable and rep.passed
         assert rep.lhs >= 2.0 ** (-params2_mod.n) * rep.lhs
 
@@ -228,7 +227,7 @@ class TestBallComparison:
                if r.contact.kind != "interior" and r.converged]
         applicable = 0
         for a, b in zip(pts[:-1], pts[1:]):
-            rep = check_ball_comparison(tent_mod, a, b, params2_mod, Q)
+            rep = check_ball_comparison(tent_mod, a, b, params2_mod)
             if rep.applicable:
                 assert rep.passed
                 applicable += 1
@@ -241,7 +240,7 @@ class TestBallComparison:
         # comparison inequality must detect the substitution
         fake = replace(res, ball=AxisBall(res.ball.d + 1.3 * res.ball.r,
                                           res.ball.r * 0.65))
-        rep = check_ball_comparison(tent_mod, res, fake, params2_mod, Q)
+        rep = check_ball_comparison(tent_mod, res, fake, params2_mod)
         assert rep.applicable
         assert not rep.passed
 
@@ -277,6 +276,19 @@ class TestSuitePlumbing:
         assert outcome["ok"]
         assert outcome["controls_ok"] > 0
         assert outcome["controls_bad"] == 0
+
+    def test_not_applicable_reports_carry_their_inputs(self, params2_mod, tent_mod,
+                                                       tent_sweep):
+        skipped = [rep for rep in sweep_identity_suite(tent_mod, tent_sweep, params2_mod)
+                   if not rep.applicable]
+        assert skipped
+        for rep in skipped:
+            keys = {"d1", "r1", "d2", "r2"} if rep.name == "ball_comparison" else {"d", "r", "s"}
+            assert set(rep.inputs) == keys, rep.name
+
+    def test_unknown_suite_raises(self, params2_mod, tent_mod):
+        with pytest.raises(ValueError, match="unknown suite"):
+            verify_suite(tent_mod, params2_mod, "bogus", np.random.default_rng(0), 1)
 
     def test_formatting_roundtrip(self, params2_mod, tent_mod):
         rep = check_divergence(tent_mod, AxisBall(0.3, 0.5), params2_mod, Q)
