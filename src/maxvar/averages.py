@@ -180,14 +180,13 @@ def _ball_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams
 
 def ball_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
                  qcfg=None) -> float:
-    """Integral average of |f| over the ball (qcfg, here and below, is
-    ignored: the rule has no tolerance)."""
+    """Integral average of |f| over the ball (qcfg is ignored: the rule has
+    no tolerance)."""
     fun = lambda t, d, r: profile.value(t) * cap_area(t, d, r, params)
     return _ball_integral(profile, ball, params, fun)
 
 
-def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                   qcfg=None) -> float:
+def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams) -> float:
     """Integral average of |f| over the boundary sphere of the ball; at n = 1
     two points.
 
@@ -218,8 +217,8 @@ def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams
     return float(total[0]) / sin_power_total(k)
 
 
-def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                             qcfg=None) -> float:
+def gradient_axial_component(profile: RadialProfile, ball: AxisBall,
+                             params: AmbientParams) -> float:
     """Axial component of the average gradient over the ball.
 
     By rotational symmetry this is the only nonzero component of the
@@ -231,15 +230,15 @@ def gradient_axial_component(profile: RadialProfile, ball: AxisBall, params: Amb
     return _ball_integral(profile, ball, params, fun)
 
 
-def gradient_radial_moment(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                           qcfg=None) -> float:
+def gradient_radial_moment(profile: RadialProfile, ball: AxisBall,
+                           params: AmbientParams) -> float:
     """Average of Df(y) . y over the ball."""
     fun = lambda t, d, r: profile.slope(t) * t * cap_area(t, d, r, params)
     return _ball_integral(profile, ball, params, fun)
 
 
 def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                              qcfg=None, weight=None) -> float:
+                              weight=None) -> float:
     """Average of |Df(y)| w(|y|) over the ball.
 
     weight: None for w = 1, :class:`RadialWeight` for w(t) = t/s, or

@@ -309,6 +309,8 @@ def verify_suite(profile: RadialProfile, params: AmbientParams, suite: str,
     default).  "all" runs every part."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {', '.join(SUITES)}")
+    if count < 1:
+        raise ValueError(f"need a count of 1 or more, got {count}")
     T = profile.support_radius
     reports = []
     if suite in ("all", "divergence"):
@@ -355,7 +357,8 @@ def annulus_suite(seed: int, count: int = 50):
 
 
 def suite_outcome(reports) -> dict:
-    """Tally a report list; controls count as failures when they pass."""
+    """Tally a report list; controls count as failures when they pass, and
+    an empty list, which checks nothing, is not ok."""
     counts = {"passed": 0, "failed": 0, "not_applicable": 0, "controls_ok": 0,
               "controls_bad": 0}
     for rep in reports:
@@ -370,7 +373,7 @@ def suite_outcome(reports) -> dict:
             counts["passed"] += 1
         else:
             counts["failed"] += 1
-    counts["ok"] = counts["failed"] == 0 and counts["controls_bad"] == 0
+    counts["ok"] = bool(reports) and counts["failed"] == 0 and counts["controls_bad"] == 0
     return counts
 
 

@@ -4,10 +4,10 @@ The objective r^beta * (ball average) is maximized over axis balls
 (d, r) with d >= 0, |d - s| <= r, r_min <= r <= s + T.  Rotational
 symmetry about the evaluation axis and the mirror-domination argument
 justify the 2D reduction; the covering ball (0, s + T) dominates every
-larger radius.  Strategy: a coarse grid (log in r, linear in d per row)
-plus a dedicated sweep of the boundary family r = |d - s|, ranked by the
-batch objective (the fixed rule's panels, with fewer nodes per cap panel
-at even n); compass refinement of the top-K deduplicated starts down to
+larger radius.  Strategy: a coarse grid (log in r, linear in d per row,
+the rows ending on the boundary family r = |d - s|), ranked by the batch
+objective (the fixed rule's panels, with fewer nodes per cap panel at
+even n); compass refinement of the top-K deduplicated starts down to
 the hand-off step (HANDOFF of the radius), at which the compass of the
 distinct endpoints starts, and on to REFINE_TOL.  The compass polls the edge
 moves (d +- h, r +- h): in the edge coordinates a = d - r and b = d + r
@@ -58,7 +58,6 @@ TIE_TOL = 1e-9
 TIE_BALL_REL = 1e-6  # tied balls closer than this in (d, r) count once
 R_MIN_FRAC = 1e-4
 CONTACT_TOL = 1e-6
-BOUNDARY_POINTS = 256
 REFINE_MAX_EVALS = 4000
 POOL_FRACTION = 0.5  # coarse balls within this fraction of the best one seed starts
 POOL_SIZE = 16 * MULTISTARTS  # and at most this many of them
@@ -316,9 +315,13 @@ def _objective_bound(profile: RadialProfile, ds, rs, params: AmbientParams):
 
 
 def _coarse_balls(s: float, T: float):
-    """The coarse grid (log-spaced radii, linear centers per row) and the
-    boundary family r = |d - s|, as arrays ds, rs, with the relative step
-    between grid rows."""
+    """The coarse grid (log-spaced radii, linear centers per row) as arrays
+    ds, rs, with the relative step between grid rows.
+
+    Each row runs from max(0, s - r) to min(s, T) + r, so it starts at the
+    inner boundary ball (s - r, r) where r <= s and ends at the outer one
+    (s + r, r) where s <= T: the boundary family r = |d - s| needs no
+    balls of its own."""
     r_min = R_MIN_FRAC * T
     r_max = s + T
     # rows whose balls cannot reach the support (r <= (s - T)/2) carry zero objective
@@ -329,19 +332,8 @@ def _coarse_balls(s: float, T: float):
     lo_d = np.maximum(0.0, s - rs_rows)
     hi_d = np.minimum(s, T) + rs_rows
     frac = np.linspace(0.0, 1.0, D_PER_ROW)
-    ds_grid = (lo_d[:, None] + np.maximum(hi_d - lo_d, 0.0)[:, None] * frac[None, :]).ravel()
-    rs_grid = np.repeat(rs_rows, D_PER_ROW)
-
-    rs_b = np.geomspace(r_low, r_max, BOUNDARY_POINTS)
-    if s <= T:  # outer-contact balls span [s, s+2r]; dead beyond the support
-        d_outer, rs_outer = s + rs_b, rs_b
-    else:
-        d_outer = rs_outer = np.empty(0)
-    keep_inner = rs_b <= s
-    d_inner = s - rs_b[keep_inner]
-    ds = np.concatenate((ds_grid, d_outer, d_inner))
-    rs = np.concatenate((rs_grid, rs_outer, rs_b[keep_inner]))
-    return ds, rs, rs_rows[1] / rs_rows[0] - 1.0
+    ds = (lo_d[:, None] + np.maximum(hi_d - lo_d, 0.0)[:, None] * frac[None, :]).ravel()
+    return ds, np.repeat(rs_rows, D_PER_ROW), rs_rows[1] / rs_rows[0] - 1.0
 
 
 def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
@@ -538,7 +530,7 @@ def refined_profile(profile: RadialProfile, grid: GridSpec, base: MaximalProfile
 
 
 def derivative_by_formula(profile: RadialProfile, result: BestBallResult,
-                          params: AmbientParams, qcfg=None) -> float:
+                          params: AmbientParams) -> float:
     """Signed radial derivative r^beta * (axial gradient average).
 
     Exactly zero at interior contact; at boundary contact the sign agrees

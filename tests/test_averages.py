@@ -83,16 +83,16 @@ class TestBallAverage:
 class TestSphereAverage:
     def test_constant_near_sphere(self, params3):
         prof = const_profile()
-        assert sphere_average(prof, AxisBall(1.0, 0.5), params3, Q) == pytest.approx(
+        assert sphere_average(prof, AxisBall(1.0, 0.5), params3) == pytest.approx(
             0.7, rel=1e-12)
 
     def test_origin_centered_exact(self, params2, tent_profile):
-        assert sphere_average(tent_profile, AxisBall(0.0, 0.25), params2, Q) == \
+        assert sphere_average(tent_profile, AxisBall(0.0, 0.25), params2) == \
             pytest.approx(0.75, rel=1e-12)
 
     def test_against_circle_monte_carlo(self, params2, tent_profile):
         d, r = 1.0, 0.5
-        det = sphere_average(tent_profile, AxisBall(d, r), params2, Q)
+        det = sphere_average(tent_profile, AxisBall(d, r), params2)
         rng2 = np.random.default_rng(7)
         phi = rng2.uniform(0.0, 2 * np.pi, size=1_000_000)
         dist = np.hypot(d + r * np.cos(phi), r * np.sin(phi))
@@ -101,30 +101,30 @@ class TestSphereAverage:
         assert abs(det - vals.mean()) <= 3.0 * se
 
     def test_n1_endpoints(self, params1, tent_profile):
-        val = sphere_average(tent_profile, AxisBall(0.4, 0.7), params1, Q)
+        val = sphere_average(tent_profile, AxisBall(0.4, 0.7), params1)
         expected = 0.5 * (tent_profile.value(0.3) + tent_profile.value(1.1))
         assert val == pytest.approx(float(expected), abs=1e-15)
 
 
 class TestGradientAxial:
     def test_origin_symmetric_zero(self, params2, tent_profile):
-        assert gradient_axial_component(tent_profile, AxisBall(0.0, 0.6), params2, Q) == 0.0
+        assert gradient_axial_component(tent_profile, AxisBall(0.0, 0.6), params2) == 0.0
 
     def test_constant_zero(self, params2):
         prof = const_profile()
-        val = gradient_axial_component(prof, AxisBall(1.0, 0.5), params2, Q)
+        val = gradient_axial_component(prof, AxisBall(1.0, 0.5), params2)
         assert abs(val) <= 1e-12
 
     def test_against_dense_polar(self, params2, tent_profile):
         ball = AxisBall(1.0, 0.5)
-        det = gradient_axial_component(tent_profile, ball, params2, Q)
+        det = gradient_axial_component(tent_profile, ball, params2)
         oracle = dense_polar_gradient_axial(tent_profile, ball)
         assert rel_err(det, oracle) <= 1e-5
 
     def test_n1_endpoint_difference(self, params1, tent_profile):
         # even extension: the average of f' is the endpoint difference
         for d, r in ((0.6, 0.3), (0.2, 0.5), (0.0, 0.4)):
-            val = gradient_axial_component(tent_profile, AxisBall(d, r), params1, Q)
+            val = gradient_axial_component(tent_profile, AxisBall(d, r), params1)
             expected = (tent_profile.value(d + r) - tent_profile.value(abs(d - r))) \
                 / (2.0 * r)
             assert val == pytest.approx(float(expected), abs=1e-15)
@@ -133,15 +133,15 @@ class TestGradientAxial:
 class TestGradientRadialMoment:
     def test_constant_zero(self, params3):
         prof = const_profile()
-        assert abs(gradient_radial_moment(prof, AxisBall(1.0, 0.5), params3, Q)) <= 1e-12
+        assert abs(gradient_radial_moment(prof, AxisBall(1.0, 0.5), params3)) <= 1e-12
 
     def test_tent_closed_form(self, params2, tent_profile):
-        val = gradient_radial_moment(tent_profile, AxisBall(0.0, 1.0), params2, Q)
+        val = gradient_radial_moment(tent_profile, AxisBall(0.0, 1.0), params2)
         assert val == pytest.approx(-2.0 / 3.0, rel=1e-10)
 
     def test_against_monte_carlo(self, params2, tent_profile):
         d, r = 0.8, 0.5
-        det = gradient_radial_moment(tent_profile, AxisBall(d, r), params2, Q)
+        det = gradient_radial_moment(tent_profile, AxisBall(d, r), params2)
         rng2 = np.random.default_rng(21)
         m = 1_000_000
         dirs = rng2.normal(size=(m, 2))
@@ -158,18 +158,18 @@ class TestWeightedGradient:
     def test_weight_one_matches_monotone_piece(self, params2, tent_profile):
         # |F'| = 1 on the tent support
         ball = AxisBall(0.4, 0.3)
-        val = weighted_gradient_average(tent_profile, ball, params2, Q)
+        val = weighted_gradient_average(tent_profile, ball, params2)
         assert val == pytest.approx(1.0, rel=1e-10)
 
     def test_empty_level_set(self, params2, tent_profile):
-        val = weighted_gradient_average(tent_profile, AxisBall(0.4, 0.3), params2, Q,
+        val = weighted_gradient_average(tent_profile, AxisBall(0.4, 0.3), params2,
                                         weight=LevelSetWeight(()))
         assert val == 0.0
 
     def test_level_set_against_monte_carlo(self, params2, tent_profile):
         ball = AxisBall(0.5, 0.25)
         piece = ((0.3, 0.6),)
-        det = weighted_gradient_average(tent_profile, ball, params2, Q,
+        det = weighted_gradient_average(tent_profile, ball, params2,
                                         weight=LevelSetWeight(piece))
         rng2 = np.random.default_rng(31)
         m = 1_000_000
@@ -184,9 +184,9 @@ class TestWeightedGradient:
 
     def test_radial_weight_scaling(self, params2, tent_profile):
         ball = AxisBall(0.5, 0.25)
-        v1 = weighted_gradient_average(tent_profile, ball, params2, Q,
+        v1 = weighted_gradient_average(tent_profile, ball, params2,
                                        weight=RadialWeight(1.0))
-        v2 = weighted_gradient_average(tent_profile, ball, params2, Q,
+        v2 = weighted_gradient_average(tent_profile, ball, params2,
                                        weight=RadialWeight(2.0))
         assert v1 == pytest.approx(2.0 * v2, rel=1e-12)
 
@@ -204,11 +204,11 @@ class TestDivergenceIdentityKeystone:
                 if min(d + r, T) <= max(0.0, d - r) + 1e-3 * T:
                     continue
                 ball = AxisBall(d, r)
-                gax = gradient_axial_component(prof, ball, params, Q)
-                grad = gradient_radial_moment(prof, ball, params, Q)
+                gax = gradient_axial_component(prof, ball, params)
+                grad = gradient_radial_moment(prof, ball, params)
                 lhs = d * gax - grad
                 rhs = n * (ball_average(prof, ball, params, Q)
-                           - sphere_average(prof, ball, params, Q))
+                           - sphere_average(prof, ball, params))
                 worst = max(worst, rel_err(lhs, rhs, prof.max_value))
         assert worst <= 1e-6
 
@@ -229,7 +229,7 @@ class TestExactOneDimensional:
                           limit=300)[0] / (2 * r)
             assert rel_err(val, oracle, 1e-12) <= 1e-12
 
-            vma = gradient_radial_moment(prof, ball, params1, Q)
+            vma = gradient_radial_moment(prof, ball, params1)
             o2 = quad(lambda u: float(prof.slope(abs(u))) * abs(u), d - r, d + r,
                       points=[p for p in pts + [-p for p in pts]
                               if d - r < p < d + r],
@@ -375,10 +375,10 @@ class TestFixedRuleObjective:
 
 def five_averages(profile, ball, params, s):
     return {"ball": ball_average(profile, ball, params, Q),
-            "sphere": sphere_average(profile, ball, params, Q),
-            "axial": gradient_axial_component(profile, ball, params, Q),
-            "radial": gradient_radial_moment(profile, ball, params, Q),
-            "weighted": weighted_gradient_average(profile, ball, params, Q,
+            "sphere": sphere_average(profile, ball, params),
+            "axial": gradient_axial_component(profile, ball, params),
+            "radial": gradient_radial_moment(profile, ball, params),
+            "weighted": weighted_gradient_average(profile, ball, params,
                                                   weight=RadialWeight(s))}
 
 
@@ -421,11 +421,11 @@ class TestExactRuleOracle:
             ball = AxisBall(0.45 * T, 0.6 * T)
             cuts = np.sort(rng2.uniform(0.0, T, size=5))
             pieces = tuple(zip(np.concatenate(([0.0], cuts)), np.concatenate((cuts, [T]))))
-            whole = weighted_gradient_average(prof, ball, params, Q)
-            split = weighted_gradient_average(prof, ball, params, Q,
+            whole = weighted_gradient_average(prof, ball, params)
+            split = weighted_gradient_average(prof, ball, params,
                                               weight=LevelSetWeight(pieces))
             assert rel_err(split, whole) <= 1e-13
-            radial = weighted_gradient_average(prof, ball, params, Q, weight=RadialWeight(1.0))
+            radial = weighted_gradient_average(prof, ball, params, weight=RadialWeight(1.0))
             oracle = quad_averages(prof, ball.d, ball.r, n, 1.0)["weighted"]
             assert rel_err(radial, oracle) <= 1e-12
 

@@ -170,6 +170,22 @@ class TestVerify:
         assert rc == 0
         assert "affine_family" in out and '"ok": true' in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_a_usage_error(self, tent_json, capsys, count):
+        rc = main(["verify", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--suite", "divergence", "--count", count])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and "count" in captured.err
+
+    def test_suite_that_checks_nothing_fails(self, tent_json, capsys):
+        # no best ball on this grid touches its evaluation point
+        rc = main(["verify", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--suite", "stationarity", "--grid", "0.001:0.002:3:log"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert '"ok": false' in out and '"passed": 0' in out
+
 
 class TestRatio:
     def test_report_emitted(self, tent_json, tmp_path):

@@ -169,9 +169,9 @@ class TestInnerBound:
         # t/s >= t/s' for s <= s': larger weight, larger bound
         from maxvar.averages import weighted_gradient_average, RadialWeight
         ball = AxisBall(0.3, 0.2)
-        w1 = weighted_gradient_average(tent_mod, ball, params2_mod, Q,
+        w1 = weighted_gradient_average(tent_mod, ball, params2_mod,
                                        weight=RadialWeight(0.5))
-        w2 = weighted_gradient_average(tent_mod, ball, params2_mod, Q,
+        w2 = weighted_gradient_average(tent_mod, ball, params2_mod,
                                        weight=RadialWeight(1.0))
         assert w1 >= w2
 
@@ -289,6 +289,15 @@ class TestSuitePlumbing:
     def test_unknown_suite_raises(self, params2_mod, tent_mod):
         with pytest.raises(ValueError, match="unknown suite"):
             verify_suite(tent_mod, params2_mod, "bogus", np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_raises(self, params2_mod, tent_mod, count):
+        with pytest.raises(ValueError, match="count"):
+            verify_suite(tent_mod, params2_mod, "divergence", np.random.default_rng(0), count)
+
+    def test_empty_report_list_is_not_ok(self):
+        outcome = suite_outcome([])
+        assert not outcome["ok"] and outcome["passed"] == 0
 
     def test_formatting_roundtrip(self, params2_mod, tent_mod):
         rep = check_divergence(tent_mod, AxisBall(0.3, 0.5), params2_mod, Q)
