@@ -7,9 +7,11 @@ justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row,
 the rows ending on the boundary family r = |d - s|), ranked by the batch
 objective (the fixed rule's panels, with fewer nodes per cap panel at
-even n); compass refinement of the top-K deduplicated starts down to
-the hand-off step (HANDOFF of the radius), at which the compass of the
-distinct endpoints starts, and on to REFINE_TOL.  The compass polls the edge
+even n), plus the best centered ball, which the radial reduction
+solves in closed form (:func:`_centered_best`); compass refinement of
+the top-K deduplicated starts down to the hand-off step (HANDOFF of the
+radius), at which the compass of the distinct endpoints starts, and on
+to REFINE_TOL.  The compass polls the edge
 moves (d +- h, r +- h): in the edge coordinates a = d - r and b = d + r
 the constraint |d - s| <= r is the box a <= s <= b, and the creases of the
 objective, where a ball edge crosses a knot, are coordinate lines, so
@@ -24,8 +26,9 @@ bound until no unranked one can reach the last pooled ball that the
 dedupe of the starts reads; the starts are the same as without skipping.
 Every refinement stage evaluates the fixed-rule objective, and the
 compasses of all starts run in lock-step, one batched call per round;
-each compass request also asks for the next one, and the answers are
-replayed in sequential order.  The midpoint
+each compass request also asks for the moves at half the step, which the
+next request needs when no move improves, and the answers are replayed
+in sequential order.  The midpoint
 searches of a refined profile run in lock-step too.  The reported
 value is :func:`objective` of the reported ball, which is the compass's own
 value bit for bit: the averages have one rule at every n.  All moves are comparison-based and the
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averages import (ball_average, batch_objective, fixed_rule_objective,
+from .averages import (_gauss, ball_average, batch_objective, fixed_rule_objective,
                        gradient_axial_component)
 from .core import AmbientParams, RadialProfile, l1_norm
 from .geometry import AxisBall, Contact, InfeasibleBallError, classify_contact
@@ -72,8 +75,8 @@ class BestBallResult:
     objective_evals counts every ball whose objective the search evaluated:
     the coarse balls it ranked (not those whose bound falls below the last
     pooled ball the dedupe reads) and every compass evaluation, the
-    look-ahead included.  tie_candidates counts the distinct balls tied
-    with the best value.
+    look-ahead included; the closed-form centered start evaluates none.
+    tie_candidates counts the distinct balls tied with the best value.
     """
 
     s: float
@@ -175,8 +178,8 @@ def _project(d, r, s, r_min, r_max):
 
 def _polls(d, r, h, project):
     """The edge moves of (d, r) at step h that do not project back to it."""
-    polls = [(v, project(d + v[0] * h, r + v[1] * h)) for v in _DIRS]
-    return [(v, cand) for v, cand in polls if cand != (d, r)]
+    polls = [project(d + vd * h, r + vr * h) for vd, vr in _DIRS]
+    return [cand for cand in polls if cand != (d, r)]
 
 
 def _compass(d0, r0, step, project, tol):
@@ -188,21 +191,20 @@ def _compass(d0, r0, step, project, tol):
     ball; each moves one edge of the ball and holds the other.  At the
     constraint the two moves that hold the edge at s slide along the
     boundary family, the move that pushes it past s projects back and is
-    not polled, and the last moves inward.  After an
-    improving move the step doubles along the same direction while it keeps
-    improving, so long travels cost log many evaluations.  Returns
-    (d, r, value, converged).
+    not polled, and the last moves inward.  The compass moves to the best
+    improving poll and keeps the step, or halves the step when none
+    improves.  Returns (d, r, value, converged).
 
-    Each request also asks for the next one if this one fails to improve
-    (the moves at half the step) or improves (the next doubled step).
-    The answers are replayed in the sequential order and REFINE_MAX_EVALS
-    counts only the sequential evaluations, so no path, value or flag moves.
+    Each request also asks for the moves at half the step, the next request
+    if this one fails to improve.  The answers are replayed in the
+    sequential order and REFINE_MAX_EVALS counts only the sequential
+    evaluations, so no path, value or flag moves.
     """
     d, r = project(d0, r0)
     h = step
     fresh = _polls(d, r, h, project) if h > tol else []
-    best, *vals = yield [(d, r)] + [c for _, c in fresh]
-    # the look-ahead: (poll state or growth ball, poll neighbors, values)
+    best, *vals = yield [(d, r)] + fresh
+    # the look-ahead: the poll state, its polls and their values
     ahead = (d, r, h), fresh, vals
     evals = 1
     while evals < REFINE_MAX_EVALS:
@@ -214,7 +216,7 @@ def _compass(d0, r0, step, project, tol):
             fresh = _polls(d, r, h, project)
             if fresh:
                 after = _polls(d, r, 0.5 * h, project) if 0.5 * h > tol else []
-                vals = yield [c for _, c in fresh + after]
+                vals = yield fresh + after
                 ahead = (d, r, 0.5 * h), after, vals[len(fresh):]
         k = None
         if fresh:
@@ -224,25 +226,7 @@ def _compass(d0, r0, step, project, tol):
         if k is None or vals[k] <= best:
             h *= 0.5
             continue
-        (vd, vr), (d, r) = fresh[k]
-        best = vals[k]
-        stride = 2.0 * h
-        while evals < REFINE_MAX_EVALS:
-            cand = project(d + vd * stride, r + vr * stride)
-            if cand == (d, r):
-                break
-            if ahead[0] == cand:
-                val = ahead[2][0]
-            else:
-                after = project(cand[0] + vd * 2.0 * stride, cand[1] + vr * 2.0 * stride)
-                val, *vals = yield [cand] if after == cand else [cand, after]
-                if vals:
-                    ahead = after, None, vals
-            evals += 1
-            if val <= best:
-                break
-            (d, r), best = cand, val
-            stride *= 2.0
+        (d, r), best = fresh[k], vals[k]
     return d, r, best, False
 
 
@@ -312,6 +296,73 @@ def _objective_bound(profile: RadialProfile, ds, rs, params: AmbientParams):
     hi = np.maximum(np.minimum(ds + rs, profile.support_radius), lo)
     mass = l1_norm(profile, params) / (params.omega_n * rs**params.n)
     return rs**params.beta * np.minimum(profile.max_on(lo, hi), mass)
+
+
+def _centered_best(profile: RadialProfile, s: float, params: AmbientParams):
+    """The best centered ball B(0, r) over max(s, R_MIN_FRAC T) <= r <= s + T:
+    its radius and its objective n r^(beta - n) I(r), I(r) the integral of
+    F(t) t^(n-1) over [0, r], whose pieces the Gauss rule of the fixed rule's
+    full-sphere panels integrates exactly.  No cap kernel and no search.
+
+    The objective's derivative has the sign of P(r) = (beta - n) I(r) +
+    r^n F(r), which on the piece F = alpha + g t from the knot t_k is
+    c_k + A r^n + B r^(n+1), with A = alpha beta / n, B = g (beta + 1) / (n + 1)
+    and c_k = (beta - n) (I(t_k) - t_k^n (F(t_k) / n - g t_k / (n (n + 1)))).
+    P' = r^(n-1) (n A + (n + 1) B r) changes sign only at r* = -n A / ((n + 1) B),
+    so P falls only on the pieces with g < 0, past r*: the objective peaks
+    at most once per piece, at the root of P on [max(t_k, r*), t_(k+1)] when
+    P goes there from + to -.  Safeguarded Newton steps, a bisection
+    wherever a step leaves its bracket, find the roots of all brackets at
+    once.  The maximum is at a root, a knot or an end of the range.  The
+    work is in units of T, so dilating the profile by a power of two
+    dilates the radius exactly.
+    """
+    n, beta = params.n, params.beta
+    T = profile.support_radius
+    t = profile.knots_t / T
+    v = profile.knots_v
+    g = profile.slope(profile.knots_t) * T  # the last piece, past the support, is flat
+    lo, hi = max(s / T, R_MIN_FRAC), s / T + 1.0
+    x, w = _gauss(n // 2 + 1)
+
+    def integral(k, end):
+        """The integral of F t^(n-1) over [t_k, end] on piece k."""
+        h = end - t[k]
+        u = h[:, None] * x
+        return h * (((v[k, None] + g[k, None] * u) * (t[k, None] + u) ** (n - 1)) @ w)
+
+    pieces = np.arange(len(t) - 1)
+    cumulative = np.concatenate(([0.0], integral(pieces, t[1:]).cumsum()))
+    k = pieces[g[:-1] < 0.0]
+    tk, gk = t[k], g[k]
+    A = beta / n * (v[k] - gk * tk)
+    B = (beta + 1.0) / (n + 1) * gk
+    c = (beta - n) * (cumulative[k] - tk**n * (v[k] / n - gk * tk / (n * (n + 1))))
+    b = np.minimum(t[k + 1], hi)
+    a = np.minimum(np.maximum(np.maximum(tk, -n * A / ((n + 1) * B)), lo), b)
+    rises = (a < b) & (c + a**n * (A + B * a) > 0.0) & (c + b**n * (A + B * b) < 0.0)
+    c, A, B, a, b = (z[rises] for z in (c, A, B, a, b))
+    nA, nB = n * A, (n + 1) * B
+    r = 0.5 * (a + b)
+    live = np.ones(len(r), dtype=bool)
+    # a step from r* divides by P' = 0; it is not finite and bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.any():
+            rn = r**n
+            p = c + rn * (A + B * r)
+            a = np.where(p > 0.0, r, a)
+            b = np.where(p > 0.0, b, r)
+            step = r - p * r / (rn * (nA + nB * r))
+            nxt = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+            live &= (step != r) & (nxt != r)
+            r = np.where(live, nxt, r)
+    inside = t[(t > lo) & (t < hi)]
+    cand = np.concatenate(([lo], inside, r, [hi]))
+    j = t.searchsorted(cand, side="right") - 1
+    # past the support F = 0: the integral ends at T, however far s lies
+    vals = n * (cumulative[j] + integral(j, np.minimum(cand, 1.0))) * cand ** (beta - n)
+    best = int(vals.argmax())
+    return float(cand[best] * T), float(vals[best] * T**beta)
 
 
 def _coarse_balls(s: float, T: float):
@@ -430,6 +481,7 @@ def _searching(profile: RadialProfile, s: float, params: AmbientParams,
     del ds_all, rs_all  # searches driven together would hold them all
     if warm is not None:
         starts.append((None, warm.d, warm.r))
+    starts.append((None, 0.0, _centered_best(profile, s, params)[0]))
 
     # --- refinement: a coarse compass pass per start down to the hand-off
     # step, dedupe the endpoints, then refine only distinct local optima

@@ -2,10 +2,13 @@
 
 import importlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from maxvar.averages import ball_average, batch_objective, fixed_rule_objective
 from maxvar.core import AmbientParams, l1_norm, load_profile
@@ -204,18 +207,15 @@ class TestSearch:
         better = objective(prof, s, AxisBall(0.0, 2.87), params2, Q)
         assert res.value >= better * (1.0 - 1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="edge polls stop at (0, 1.484), 2.06% below the ball "
-                                           "(0, 1.307) that axis polls found; a certified search "
-                                           "must find it (ROADMAP.md item 1)")
     def test_point_queries_5_3_21_best_ball_found(self):
+        # edge polls stopped at (0, 1.484), 2.06% below the centered ball (0, 1.307)
         prof, s, params, better = stored_query("point_queries_5_3_21")
         res = search(prof, s, params)
         assert res.value >= objective(prof, s, better, params) * (1.0 - 1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="the search stops at (0, 0.184), 1.25% below the 1D "
-                                           "oracle, whose best interval is about (0, 0.921); a "
-                                           "certified search must find it (ROADMAP.md item 1)")
     def test_point_queries_33_5_29_matches_1d_oracle(self):
+        # n = 1: edge polls stopped at (0, 0.184), 1.25% below the 1D oracle,
+        # whose best interval is about (0, 0.921)
         prof, s, params, better = stored_query("point_queries_33_5_29")
         res = search(prof, s, params)
         assert res.value >= objective(prof, s, better, params) * (1.0 - 1e-9)
@@ -228,9 +228,19 @@ class TestSearch:
         assert res.value >= objective(prof, s, better, params) * (1.0 - 1e-9)
 
     def test_point_queries_1_3_38_best_ball_found(self):
-        # a start lands in this basin only through the order of tied coarse balls;
-        # the ball (0, 0.950 T) of the neighboring basin is 0.49% lower
+        # the best ball is centered, so the centered start finds it; coarse
+        # starts alone reached it only through the order of tied coarse
+        # balls, and the ball (0, 0.950 T) of the neighboring basin is 0.49% lower
         prof, s, params, better = stored_query("point_queries_1_3_38")
+        res = search(prof, s, params)
+        assert res.value >= objective(prof, s, better, params) * (1.0 - 1e-9)
+
+    # coarse starts stopped 1.31%, 0.37%, 0.18% and 0.12% low; the centered
+    # start reaches the better ball
+    @pytest.mark.parametrize("name", ["point_queries_2_0_52", "point_queries_2_3_47",
+                                      "point_queries_4_1_30", "point_queries_2_1_45"])
+    def test_centered_start_finds_the_best_ball(self, name):
+        prof, s, params, better = stored_query(name)
         res = search(prof, s, params)
         assert res.value >= objective(prof, s, better, params) * (1.0 - 1e-9)
 
@@ -239,6 +249,117 @@ class TestSearch:
         prof, s, params, _ = stored_query("known_defects_1_1_51")
         res = search(prof, s, params)
         assert rel_err(res.value, oracle_1d_maximal(prof, s, params.beta)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+    def test_never_below_the_centered_maximum(self, n):
+        rng = np.random.default_rng(3000 + n)
+        for _ in range(5):
+            prof = many_knot_profile(rng, int(np.exp(rng.uniform(np.log(4), np.log(200)))))
+            s = prof.support_radius * 10.0 ** rng.uniform(-2.0, np.log10(64.0))
+            params = AmbientParams(n, float(rng.uniform(0.1, 0.9)))
+            _, centered = search_module._centered_best(prof, s, params)
+            assert search(prof, s, params).value >= centered * (1.0 - 1e-12)
+
+
+def many_knot_profile(rng, knots):
+    """A random profile with any number of knots and support about 1."""
+    t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.0, size=knots - 1))))
+    v = rng.uniform(0.0, 1.0, size=knots)
+    v[0], v[-1] = max(v[0], 0.1), 0.0
+    return load_profile(list(zip(t * rng.uniform(0.5, 2.0) / t[-1], v)))
+
+
+def swept_centered(prof, s, params):
+    """The best centered ball by a sweep of r, refined by a bounded scalar
+    search: n r^(beta - n) times the quad integral of F t^(n-1) over [0, r].
+    Shares no code with search._centered_best.  Returns (value, phi), phi
+    the swept function."""
+    n, beta = params.n, params.beta
+    t, v = prof.knots_t, prof.knots_v
+    F = lambda x: np.interp(x, t, v, right=0.0) * x ** (n - 1)
+    cum = np.concatenate(([0.0], np.cumsum([quad(F, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                                            for a, b in zip(t[:-1], t[1:])])))
+
+    def phi(r):
+        k = min(int(np.searchsorted(t, r, side="right")) - 1, len(t) - 1)
+        part = quad(F, t[k], min(r, t[-1]), epsabs=0.0, epsrel=1e-13)[0] if r > t[k] else 0.0
+        return n * (cum[k] + part) * r ** (beta - n)
+
+    T = prof.support_radius
+    lo, hi = max(s, search_module.R_MIN_FRAC * T), s + T
+    rs = np.unique(np.concatenate((np.geomspace(lo, hi, 400), t[(t > lo) & (t < hi)])))
+    vals = [phi(r) for r in rs]
+    i = int(np.argmax(vals))
+    found = minimize_scalar(lambda r: -phi(r), method="bounded",
+                            bounds=(rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]),
+                            options={"xatol": 1e-12 * rs[i]})
+    return max(vals[i], -found.fun), phi
+
+
+class TestCenteredBest:
+    """search._centered_best, the exact best centered ball, against the
+    fixed-rule objective and an independent quad sweep."""
+
+    @staticmethod
+    def check(prof, s, params):
+        r, value = search_module._centered_best(prof, s, params)
+        T = prof.support_radius
+        assert max(s, search_module.R_MIN_FRAC * T) <= r <= s + T
+        assert rel_err(value, objective(prof, s, AxisBall(0.0, r), params)) <= 1e-12
+        best, phi = swept_centered(prof, s, params)
+        assert rel_err(value, phi(r)) <= 1e-12
+        assert value >= best * (1.0 - 1e-12)
+        return r, value
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_objective_and_a_quad_sweep(self, n):
+        rng = np.random.default_rng(4000 + n)
+        for knots, s_over_T in ((6, 0.01), (20, 0.3), (40, 1.5)):
+            prof = random_profile(rng, knots, t_max=float(rng.uniform(0.5, 2.0)))
+            params = AmbientParams(n, float(rng.uniform(0.05, 0.95)) * min(n, 2))
+            self.check(prof, s_over_T * prof.support_radius, params)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+    def test_dilation_by_two_is_exact(self, n):
+        rng = np.random.default_rng(4100 + n)
+        for _ in range(20):
+            prof = many_knot_profile(rng, int(rng.integers(4, 60)))
+            s = prof.support_radius * 10.0 ** rng.uniform(-2.0, 1.0)
+            params = AmbientParams(n, float(rng.uniform(0.1, 0.9)))
+            r, _ = search_module._centered_best(prof, s, params)
+            assert search_module._centered_best(dilate_profile(prof, 2.0), s / 2.0, params)[0] \
+                == r / 2.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_and_far_radii(self, n):
+        prof = random_profile(np.random.default_rng(4200 + n), 12)
+        T = prof.support_radius
+        params = AmbientParams(n, 0.5)
+        self.check(prof, 0.0, params)
+        # past the support the average only falls: the smallest ball wins
+        r, _ = self.check(prof, 64.0 * T, params)
+        assert r == 64.0 * T
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_flat_pieces(self, n):
+        params = AmbientParams(n, 0.5)
+        # a plateau, a steep ramp of width 1e-9 and a flat top
+        for prof in (chi_profile(), load_profile([(0, 0.5), (0.3, 0.5), (0.6, 1.0), (0.9, 1.0),
+                                                  (1.2, 0.0)])):
+            for s in (0.0, 0.1, 0.7):
+                self.check(prof, s, params)
+        r, value = search_module._centered_best(chi_profile(), 0.5, params)
+        assert r == pytest.approx(1.0, abs=1e-8) and value == pytest.approx(1.0, rel=1e-8)
+
+    def test_no_runtime_warning(self):
+        rng = np.random.default_rng(4300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(1, 11):
+                for prof in (chi_profile(), tent(), two_bump(), many_knot_profile(rng, 200)):
+                    for s_over_T in (0.0, 1e-6, 0.5, 1.0, 100.0, 1e40):
+                        search_module._centered_best(prof, s_over_T * prof.support_radius,
+                                                     AmbientParams(n, 0.5))
 
 
 class TestProjection:
@@ -394,7 +515,8 @@ class TestCoarsePruning:
 
 def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):
     """The compass one request at a time, without look-ahead: the reference
-    for search._compass.  It polls the edge moves (d +- h, r +- h).
+    for search._compass.  It polls the edge moves (d +- h, r +- h), moves to
+    the best improving one at the same step, else halves the step.
     Returns (d, r, value, converged) and the number of requests."""
     d, r = project(d0, r0)
     best, evals, requests = evaluate([(d, r)])[0], 1, 1
@@ -412,17 +534,7 @@ def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):
         if k is None or vals[k] <= best:
             h *= 0.5
             continue
-        (vd, vr), (d, r) = fresh[k]
-        best, grow = vals[k], 2.0
-        while evals < max_evals:
-            cand = project(d + vd * h * grow, r + vr * h * grow)
-            if cand == (d, r):
-                break
-            val = evaluate([cand])[0]
-            evals, requests = evals + 1, requests + 1
-            if val <= best:
-                break
-            (d, r), best, grow = cand, val, 2.0 * grow
+        (_, (d, r)), best = fresh[k], vals[k]
     return (d, r, best, False), requests
 
 
