@@ -247,7 +247,7 @@ def _cmd_ratio(args) -> int:
     rep = variation_report(profile, params, grid,
                            include_refinement=args.refine,
                            include_dilation=args.dilate is not None,
-                           dilation_lambda=args.dilate or 2.0)
+                           dilation_lambda=args.dilate)
     _emit(rep.to_json() + "\n", args.out)
     return EXIT_OK
 

@@ -54,6 +54,6 @@ def scale_profile(profile: RadialProfile, factor: float) -> RadialProfile:
 
 def dilate_profile(profile: RadialProfile, lam: float) -> RadialProfile:
     """Dilation F(lam * t): support shrinks by 1/lam for lam > 1."""
-    if lam <= 0.0:
-        raise ValueError("dilation factor must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"dilation factor must be positive and finite, got {lam}")
     return RadialProfile(profile.knots_t / lam, profile.knots_v.copy())

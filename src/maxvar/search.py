@@ -7,39 +7,35 @@ justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row,
 the rows ending on the boundary family r = |d - s|), ranked by the batch
 objective (the fixed rule's panels, with fewer nodes per cap panel at
-even n), plus the best centered ball, which the radial reduction
-solves in closed form (:func:`_centered_best`); compass refinement of
-the top-K deduplicated starts down to the hand-off step (HANDOFF of the
-radius), at which the compass of the distinct endpoints starts, and on
-to REFINE_TOL.  The compass polls the edge
+even n) with the balls that cannot seed a start skipped by a bound (the
+bounding step of branch and bound), plus the best centered ball, which
+the radial reduction solves in closed form (:func:`_centered_best`);
+compass refinement of the top-K deduplicated starts down to the hand-off
+step (HANDOFF of the radius), at which the compass of the distinct
+endpoints starts, and on to REFINE_TOL.  The compass polls the edge
 moves (d +- h, r +- h): in the edge coordinates a = d - r and b = d + r
 the constraint |d - s| <= r is the box a <= s <= b, and the creases of the
 objective, where a ball edge crosses a knot, are coordinate lines, so
 each move shifts one edge and holds the other.  Every compass step is
 projected to the nearest feasible ball, so a move that holds the edge at
 s slides the ball along the boundary family r = |d - s|, and the compass
-follows that family without a stage of its own.  The ranking skips the coarse
-balls that cannot seed a start, the bounding step of branch and bound: a
-ball's objective is at most r^beta * min(max F over the ball,
-||f||_1 / |B|), and the balls are ranked in decreasing order of that
-bound until no unranked one can reach the last pooled ball that the
-dedupe of the starts reads; the starts are the same as without skipping.
-Every refinement stage evaluates the fixed-rule objective, and the
-compasses of all starts run in lock-step, one batched call per round;
-each compass request also asks for the moves at half the step, which the
-next request needs when no move improves, and the answers are replayed
-in sequential order.  The midpoint
-searches of a refined profile run in lock-step too.  The reported
-value is :func:`objective` of the reported ball, which is the compass's own
-value bit for bit: the averages have one rule at every n.  All moves are comparison-based and the
-projection is linear in (d, r, s), so scaling the profile by a positive
-constant repeats the search path and dilating it dilates the path.
+follows that family without a stage of its own.  The compass runs in
+rounds, one fixed-rule call per round for every live run; each round a
+run asks for its polls at h and at h/2, and reads the h/2 polls only
+when no h poll improves.  One function, :func:`_search_points`, serves a
+lone :func:`search` and the midpoints of a refined profile alike.  The
+reported value is :func:`objective` of the reported ball, the compass's
+own value bit for bit: the averages have one rule at every n.  All moves
+are comparison-based and the projection is linear in (d, r, s), so
+scaling the profile by a positive constant repeats the search path and
+dilating it dilates the path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -74,8 +70,8 @@ class BestBallResult:
 
     objective_evals counts every ball whose objective the search evaluated:
     the coarse balls it ranked (not those whose bound falls below the last
-    pooled ball the dedupe reads) and every compass evaluation, the
-    look-ahead included; the closed-form centered start evaluates none.
+    pooled ball the dedupe reads) and every ball its compass asked for, the
+    unread polls at h/2 included; the closed-form centered start evaluates none.
     tie_candidates counts the distinct balls tied with the best value.
     """
 
@@ -176,113 +172,89 @@ def _project(d, r, s, r_min, r_max):
     return d, r_max if r_max < r else r
 
 
-def _polls(d, r, h, project):
-    """The edge moves of (d, r) at step h that do not project back to it."""
-    polls = [project(d + vd * h, r + vr * h) for vd, vr in _DIRS]
-    return [cand for cand in polls if cand != (d, r)]
+class _Run:
+    """One compass run from (d0, r0) at step ``step``, down to the stop step
+    ``tol``: its ball (d, r), step h, projection, best value, sequential
+    evals, balls asked for, the poll lists its next round asks for, and
+    its end (d, r, value, converged) once it stops."""
+
+    __slots__ = ("d", "r", "h", "tol", "project", "best", "evals", "balls", "asks", "end")
+
+    def __init__(self, d0, r0, step, tol, project):
+        self.d, self.r = project(d0, r0)
+        self.h, self.tol, self.project = step, tol, project
+        self.best, self.evals, self.balls, self.end = None, 0, 0, None
+        # the first round asks for the start and its polls at h
+        self.asks = [[(self.d, self.r)], self._polls(step) if step > tol else []]
+
+    def _polls(self, h):
+        """The edge moves of (d, r) at step h that do not project back to it."""
+        d, r = self.d, self.r
+        polls = [self.project(d + vd * h, r + vr * h) for vd, vr in _DIRS]
+        return [cand for cand in polls if cand != (d, r)]
+
+    def read(self, vals):
+        """Read the values of the round's asks in sequential order, the polls
+        at h and then, only if none improves, those at h/2; then ask for
+        the next round's polls or end the run."""
+        self.balls += len(vals)
+        asks = self.asks
+        if self.best is None:
+            self.best, self.evals = vals[0], 1
+            asks, vals = asks[1:], vals[1:]
+        while self.evals < REFINE_MAX_EVALS and self.h > self.tol:
+            if not asks:
+                fresh = self._polls(self.h)
+                if fresh:
+                    half = 0.5 * self.h
+                    self.asks = [fresh, self._polls(half) if half > self.tol else []]
+                    return
+            else:
+                polls, asks = asks[0], asks[1:]
+                if polls:
+                    part, vals = vals[:len(polls)], vals[len(polls):]
+                    self.evals += len(polls)
+                    k = part.index(max(part))
+                    if part[k] > self.best:
+                        (self.d, self.r), self.best, asks = polls[k], part[k], []
+                        continue
+            # no poll at h, or none improves
+            self.h *= 0.5
+        self.end = (self.d, self.r, self.best, self.evals < REFINE_MAX_EVALS)
 
 
-def _compass(d0, r0, step, project, tol):
-    """Derivative-free maximization by comparisons only (scale-equivariant).
+def _compass(evaluate, runs):
+    """Derivative-free maximization by comparisons only (scale-equivariant)
+    of all runs, in rounds: one ``evaluate(ds, rs)`` call per round for
+    the asks of every live run.
 
-    A generator driven by :func:`_lockstep`: it yields the balls it needs
-    evaluated and is sent their values.  The four edge moves (d +- h,
-    r +- h) go out in one request, each projected to the nearest feasible
-    ball; each moves one edge of the ball and holds the other.  At the
-    constraint the two moves that hold the edge at s slide along the
-    boundary family, the move that pushes it past s projects back and is
-    not polled, and the last moves inward.  The compass moves to the best
-    improving poll and keeps the step, or halves the step when none
-    improves.  Returns (d, r, value, converged).
-
-    Each request also asks for the moves at half the step, the next request
-    if this one fails to improve.  The answers are replayed in the
-    sequential order and REFINE_MAX_EVALS counts only the sequential
-    evaluations, so no path, value or flag moves.
+    A run polls the edge moves (d +- h, r +- h), each projected to the
+    nearest feasible ball: at the constraint the two moves that hold the
+    edge at s slide along the boundary family, and a move that projects
+    back is not polled.  It moves to the best improving poll and keeps the
+    step, or halves the step when none improves.  Asking for the polls at
+    h/2 with those at h saves a round at every halving and changes no path:
+    REFINE_MAX_EVALS counts the polls read.  Runs at any radius and stop
+    step share a round, since the fixed rule's value of a ball does not
+    depend on its batch.
     """
-    d, r = project(d0, r0)
-    h = step
-    fresh = _polls(d, r, h, project) if h > tol else []
-    best, *vals = yield [(d, r)] + fresh
-    # the look-ahead: the poll state, its polls and their values
-    ahead = (d, r, h), fresh, vals
-    evals = 1
-    while evals < REFINE_MAX_EVALS:
-        if h <= tol:
-            return d, r, best, True
-        if ahead[0] == (d, r, h):
-            _, fresh, vals = ahead
-        else:
-            fresh = _polls(d, r, h, project)
-            if fresh:
-                after = _polls(d, r, 0.5 * h, project) if 0.5 * h > tol else []
-                vals = yield fresh + after
-                ahead = (d, r, 0.5 * h), after, vals[len(fresh):]
-        k = None
-        if fresh:
-            evals += len(fresh)
-            vals = vals[:len(fresh)]
-            k = vals.index(max(vals))
-        if k is None or vals[k] <= best:
-            h *= 0.5
-            continue
-        (d, r), best = fresh[k], vals[k]
-    return d, r, best, False
-
-
-def _merge(runs):
-    """Run generators together: each round yields one request, the balls
-    that every live run asks for, and sends each run its share of the
-    values.  Returns the runs' results and the number of balls asked for."""
-    results = [None] * len(runs)
-    asks = {}
-    for i, run in enumerate(runs):
-        try:
-            asks[i] = next(run)
-        except StopIteration as done:
-            results[i] = done.value
-    balls = 0
-    while asks:
-        request = [b for ask in asks.values() for b in ask]
-        balls += len(request)
-        vals = yield request
+    live = runs
+    while live:
+        ds, rs = zip(*[ball for run in live for polls in run.asks for ball in polls])
+        vals = evaluate(np.array(ds), np.array(rs)).tolist()
         pos = 0
-        pending = {}
-        for i, ask in asks.items():
-            part = vals[pos:pos + len(ask)]
-            pos += len(ask)
-            try:
-                pending[i] = runs[i].send(part)
-            except StopIteration as done:
-                results[i] = done.value
-        asks = pending
-    return results, balls
-
-
-def _lockstep(evaluate, runs):
-    """Drive runs together (:func:`_merge`): one evaluate call per round.
-    Returns the runs' results."""
-    merged = _merge(runs)
-    try:
-        request = next(merged)
-        while True:
-            ds, rs = zip(*request)
-            request = merged.send(evaluate(np.array(ds), np.array(rs)).tolist())
-    except StopIteration as done:
-        return done.value[0]
+        for run in live:
+            count = sum(map(len, run.asks))
+            run.read(vals[pos:pos + count])
+            pos += count
+        live = [run for run in live if run.end is None]
 
 
 def _dedupe_candidates(cands, limit, rel=0.05):
     """Keep the top candidates that differ by more than rel in (d, r)."""
     kept = []
     for val, d, r in cands:
-        close = False
-        for _, dk, rk in kept:
-            scale = max(r, rk)
-            if abs(d - dk) <= rel * scale and abs(r - rk) <= rel * scale:
-                close = True
-                break
-        if not close:
+        if all(max(abs(d - dk), abs(r - rk)) > rel * max(r, rk) for _, dk, rk in kept):
             kept.append((val, d, r))
             if len(kept) >= limit:
                 break
@@ -449,69 +421,65 @@ def search(profile: RadialProfile, s: float, params: AmbientParams,
     the smallest center distance.  The returned value is the compass's:
     :func:`objective` of the returned ball, bit for bit.
     """
-    res = _lockstep(_evaluator(profile, params), [_searching(profile, s, params, warm)])[0]
+    res = _search_points(profile, [s], params, [warm])[0]
     # the compass's value; recomputed only for perfbench's tracer test (ROADMAP.md item 7)
     return replace(res, value=objective(profile, s, res.ball, params))
 
 
-def _evaluator(profile, params):
-    return lambda ds, rs: fixed_rule_objective(profile, ds, rs, params)
+def _search_points(profile: RadialProfile, pts, params: AmbientParams, warms):
+    """The BestBallResults, with the compass's values, at the radii pts,
+    each warm-started from its ball in warms (or None).
 
-
-def _searching(profile: RadialProfile, s: float, params: AmbientParams,
-               warm: AxisBall | None = None):
-    """:func:`search` as a generator driven by :func:`_lockstep`.
-
-    Runs the coarse ranking when started, then yields the fixed-rule
-    requests of both compass stages; returns the BestBallResult with the
-    compass's value.  The fixed rule gives a ball the same value in any
-    batch, so searches driven together return what each returns alone.
+    Ranks each point's coarse balls, then runs one compass pass for the
+    starts of every point down to the hand-off step, dedupes each point's
+    endpoints and runs one compass pass for all survivors to REFINE_TOL.
+    The fixed rule gives a ball the same value in any batch, so each point
+    gets what a search of it alone returns.
     """
-    if not 0.0 <= s < np.inf:
-        raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
-    r_max = s + T
+    coarse, evals = [], []
+    for s, warm in zip(pts, warms):
+        if not 0.0 <= s < np.inf:
+            raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
+        project = lambda d, r, s=s, r_max=s + T: _project(d, r, s, r_min, r_max)
+        ds, rs, grid_step_r = _coarse_balls(s, T)
+        starts, ranked = _coarse_starts(profile, ds, rs, params)
+        if warm is not None:
+            starts.append((None, warm.d, warm.r))
+        starts.append((None, 0.0, _centered_best(profile, s, params)[0]))
+        coarse.append([_Run(d0, r0, grid_step_r * max(r0, r_min), HANDOFF * max(r0, r_min),
+                            project) for _, d0, r0 in starts])
+        evals.append(ranked)
+    evaluate = partial(fixed_rule_objective, profile, params=params)
+    _compass(evaluate, [run for runs in coarse for run in runs])
+    fine = []
+    for runs in coarse:
+        # endpoints of the coarse pass within 1% of each other lie in one basin;
+        # refining more than one of them to REFINE_TOL repeats the same work
+        ends = [(v, d, r) for d, r, v, _ in (run.end for run in runs)]
+        ends.sort(key=lambda c: -c[0])
+        fine.append([_Run(d1, r1, HANDOFF * max(r1, r_min), REFINE_TOL * max(r1, r_min),
+                          runs[0].project)
+                     for _, d1, r1 in _dedupe_candidates(ends, MULTISTARTS, rel=0.01)])
+    _compass(evaluate, [run for runs in fine for run in runs])
+    return [_best_ball(s, [run.end for run in last], ranked + sum(run.balls for run in first + last))
+            for s, ranked, first, last in zip(pts, evals, coarse, fine)]
 
-    def project(d, r):
-        return _project(d, r, s, r_min, r_max)
 
-    ds_all, rs_all, grid_step_r = _coarse_balls(s, T)
-    starts, evals = _coarse_starts(profile, ds_all, rs_all, params)
-    del ds_all, rs_all  # searches driven together would hold them all
-    if warm is not None:
-        starts.append((None, warm.d, warm.r))
-    starts.append((None, 0.0, _centered_best(profile, s, params)[0]))
-
-    # --- refinement: a coarse compass pass per start down to the hand-off
-    # step, dedupe the endpoints, then refine only distinct local optima
-    # from the hand-off step to REFINE_TOL
-    runs = [_compass(d0, r0, grid_step_r * max(r0, r_min), project, HANDOFF * max(r0, r_min))
-            for _, d0, r0 in starts]
-    ends, balls = yield from _merge(runs)
-    evals += balls
-    stage_one = [(v, d, r) for d, r, v, _ in ends]
-    # endpoints of the coarse pass within 1% of each other lie in one basin;
-    # refining more than one of them to REFINE_TOL repeats the same work
-    stage_one.sort(key=lambda c: -c[0])
-    survivors = _dedupe_candidates(stage_one, MULTISTARTS, rel=0.01)
-    runs = [_compass(d1, r1, HANDOFF * max(r1, r_min), project, REFINE_TOL * max(r1, r_min))
-            for _, d1, r1 in survivors]
-    ends, balls = yield from _merge(runs)
-    evals += balls
-    finals = [(v, d, r, ok) for d, r, v, ok in ends]
-
-    best_val = max(f[0] for f in finals)
-    tie = [f for f in finals if f[0] >= best_val - TIE_TOL * abs(best_val)]
-    tie.sort(key=lambda f: (f[2], f[1]))
-    value, d, r, ok = tie[0]
+def _best_ball(s: float, finals, evals: int) -> BestBallResult:
+    """The result of the fine compass ends (d, r, value, converged) at s."""
+    best_val = max(f[2] for f in finals)
+    tie = [f for f in finals if f[2] >= best_val - TIE_TOL * abs(best_val)]
+    tie.sort(key=lambda f: (f[1], f[0]))
+    d, r, value, ok = tie[0]
     ball = AxisBall(d, r)
     contact = classify_contact(ball, s, CONTACT_TOL)
     return BestBallResult(s=s, value=value, ball=ball, contact=contact,
                           region=_region_label(contact, s), objective_evals=evals,
                           converged=bool(ok),
-                          tie_candidates=len(_dedupe_candidates([f[:3] for f in tie], len(tie),
-                                                                rel=TIE_BALL_REL)))
+                          tie_candidates=len(_dedupe_candidates(
+                              [(v, d, r) for d, r, v, _ in tie], len(tie), rel=TIE_BALL_REL)))
 
 
 def _region_label(contact: Contact, s: float) -> str:
@@ -562,16 +530,15 @@ def refined_profile(profile: RadialProfile, grid: GridSpec, base: MaximalProfile
 
     Only the midpoints are searched, each warm-started from its left base
     neighbor's ball; the base results and formula derivatives are reused at
-    the even indices.  The midpoints' searches are independent, so they
-    run in lock-step, one batched evaluation per round, and each returns
-    what a lone :func:`search` returns, value included.
+    the even indices.  The midpoints' searches are independent, so one
+    :func:`_search_points` call runs them together, and each returns what
+    a lone :func:`search` returns, value included.
     """
     fine = grid.refined()
     if not np.array_equal(fine[0::2], base.grid):
         raise ValueError("base sweep is not on the points of this grid")
-    mids = _lockstep(_evaluator(profile, params),
-                     [_searching(profile, float(s), params, warm=left.ball)
-                      for s, left in zip(fine[1::2], base.results[:-1])])
+    mids = _search_points(profile, fine[1::2].tolist(), params,
+                          [left.ball for left in base.results[:-1]])
     results = [None] * len(fine)
     results[0::2] = base.results
     results[1::2] = mids

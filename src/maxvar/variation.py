@@ -92,6 +92,8 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
         l1 = gradient_l1_norm(prof, params)
         return mp, lq, l1, lq / l1
 
+    # a dilation factor that is not positive and finite fails before any search
+    dilated = dilate_profile(profile, dilation_lambda) if include_dilation else None
     mp, lq, l1, ratio = ratio_of(profile, grid)
     refinement_dev = None
     if include_refinement:
@@ -102,7 +104,6 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
     dilation_dev = None
     if include_dilation:
         lam = dilation_lambda
-        dilated = dilate_profile(profile, lam)
         grid_d = GridSpec(grid.lo / lam, grid.hi / lam, grid.count, grid.log)
         _, _, _, ratio_d = ratio_of(dilated, grid_d)
         dilation_dev = abs(ratio_d - ratio) / ratio

@@ -205,6 +205,15 @@ class TestRatio:
         data = json.loads(out.read_text())
         assert data["dilation_deviation"] <= 1e-6
 
+    @pytest.mark.parametrize("lam", ["0", "nan", "inf", "-1"])
+    def test_dilate_factor_not_positive_and_finite_is_a_usage_error(self, tent_json, lam,
+                                                                    capsys):
+        # --dilate 0 once ran the study at 2; nan and inf failed on the knots
+        rc = main(["ratio", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--grid", "0.1:2:10:log", "--dilate", lam])
+        assert rc == 2
+        assert "dilation factor must be positive and finite" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_1d(self, tent_json, capsys):

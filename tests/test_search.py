@@ -3,6 +3,7 @@
 import importlib
 import json
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +42,14 @@ def stored_query(name):
 
 
 def record_compass_ends(monkeypatch):
-    """The list that every compass run of a search appends its
-    (d, r, value, converged) to, as the lock-step driver receives it."""
+    """The list that every compass run of a search appends its end
+    (d, r, value, converged) to, as the compass leaves it."""
     ends = []
     compass = search_module._compass
 
-    def recording(*args):
-        out = yield from compass(*args)
-        ends.append(out)
-        return out
+    def recording(evaluate, runs):
+        compass(evaluate, runs)
+        ends.extend(run.end for run in runs)
 
     monkeypatch.setattr(search_module, "_compass", recording)
     return ends
@@ -142,15 +142,14 @@ class TestSearch:
         # every coarse run stops at the hand-off step and every fine run
         # starts at it, from a coarse run's endpoint
         runs = []
-        compass = search_module._compass
+        started = search_module._Run
 
-        def recording(d0, r0, step, project, tol):
-            run = {"start": (d0, r0), "step": step, "tol": tol}
-            runs.append(run)
-            run["end"] = yield from compass(d0, r0, step, project, tol)
-            return run["end"]
+        def recording(d0, r0, step, tol, project):
+            run = started(d0, r0, step, tol, project)
+            runs.append({"start": (d0, r0), "step": step, "tol": tol, "run": run})
+            return run
 
-        monkeypatch.setattr(search_module, "_compass", recording)
+        monkeypatch.setattr(search_module, "_Run", recording)
         hand_off, fine_tol = search_module.HANDOFF, search_module.REFINE_TOL
         prof = random_profile(np.random.default_rng(7), 12)
         T = prof.support_radius
@@ -165,7 +164,7 @@ class TestSearch:
                 coarse = [run["tol"] == hand_off * x for run, x in zip(runs, scale)]
                 k = coarse.index(False)
                 assert k > 0 and not any(coarse[k:])
-                ends = {run["end"][:2] for run in runs[:k]}
+                ends = {run["run"].end[:2] for run in runs[:k]}
                 for run, x in zip(runs[k:], scale[k:]):
                     assert run["step"] == hand_off * x and run["tol"] == fine_tol * x
                     assert run["start"] in ends
@@ -539,25 +538,28 @@ def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):
 
 
 class TestCompassLookAhead:
-    """The compass asks one request ahead and replays the answers in the
-    sequential order: every endpoint, value and flag is the sequential
-    compass's, in fewer rounds."""
+    """Each round a compass run asks for its polls at h and at h/2 and reads
+    them in the sequential order: every endpoint, value and flag is the
+    sequential compass's, in fewer rounds."""
 
     @staticmethod
     def starts(rng, s, T, count):
-        """Random starts, which the compass projects, every other one on the
-        boundary family r = |d - s| (its inner branch only where r <= s)."""
+        """Random starts (s, d, r), which the compass projects, every other
+        one on the boundary family r = |d - s| (its inner branch only where
+        r <= s)."""
         rs = (s + T) * 10.0 ** rng.uniform(-3.0, 0.0, size=count)
         ds = rng.uniform(0.0, 1.0, size=count) * (s + rs)
         inner = rng.random(count) < 0.5
         ds[::2] = np.where(inner & (rs <= s), s - rs, s + rs)[::2]
-        return list(zip(ds.tolist(), rs.tolist()))
+        return [(s, d, r) for d, r in zip(ds.tolist(), rs.tolist())]
 
     @staticmethod
-    def run_both(prof, s, params, starts, fine):
+    def run_both(prof, params, starts, fine):
+        """Runs from starts (s, d, r) at radius s, each on the coarse pass
+        of search or, where fine is true for it, on the fine pass: all in
+        one _compass call, then each one alone with sequential_compass."""
         T = prof.support_radius
         r_min = search_module.R_MIN_FRAC * T
-        project = lambda d, r: search_module._project(d, r, s, r_min, s + T)
         calls = []
 
         def evaluate(ds, rs):
@@ -569,16 +571,19 @@ class TestCompassLookAhead:
             return evaluate(np.array(ds), np.array(rs)).tolist()
 
         # the coarse and the fine pass of search
-        steps = [(0.1 * r, 1e-4 * r) if not fine else
-                 (1e-3 * r, search_module.REFINE_TOL * r) for _, r in starts]
-        shipped = search_module._lockstep(evaluate, [
-            search_module._compass(d, r, h, project, tol)
-            for (d, r), (h, tol) in zip(starts, steps)])
+        steps = [(1e-3 * r, search_module.REFINE_TOL * r) if on else (0.1 * r, 1e-4 * r)
+                 for (_, _, r), on in zip(starts, np.broadcast_to(fine, len(starts)))]
+        projects = [partial(search_module._project, s=s, r_min=r_min, r_max=s + T)
+                    for s, _, _ in starts]
+        runs = [search_module._Run(d, r, h, tol, project)
+                for (_, d, r), (h, tol), project in zip(starts, steps, projects)]
+        search_module._compass(evaluate, runs)
         rounds = len(calls)
         reference = [sequential_compass(one_by_one, d, r, h, project, tol,
                                         search_module.REFINE_MAX_EVALS)
-                     for (d, r), (h, tol) in zip(starts, steps)]
-        return shipped, [out for out, _ in reference], rounds, [n for _, n in reference]
+                     for (_, d, r), (h, tol), project in zip(starts, steps, projects)]
+        return ([run.end for run in runs], [out for out, _ in reference], rounds,
+                [n for _, n in reference])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_same_endpoints_as_the_sequential_compass(self, n):
@@ -591,7 +596,7 @@ class TestCompassLookAhead:
             for fine in (False, True):
                 starts = self.starts(rng, s, T, 9)
                 shipped, reference, rounds, requests = self.run_both(
-                    prof, s, params, starts, fine)
+                    prof, params, starts, fine)
                 assert shipped == reference
                 # the look-ahead saves rounds: all runs together take fewer
                 # than the longest sequential run
@@ -606,10 +611,24 @@ class TestCompassLookAhead:
         for cap in (2, 5, 6, 7, 9, 12, 17, 30):
             monkeypatch.setattr(search_module, "REFINE_MAX_EVALS", cap)
             starts = self.starts(np.random.default_rng(cap), 0.6 * T, T, 6)
-            shipped, reference, _, _ = self.run_both(prof, 0.6 * T, params2, starts, True)
+            shipped, reference, _, _ = self.run_both(prof, params2, starts, True)
             assert shipped == reference
             stopped += sum(not ok for *_, ok in shipped)
         assert stopped > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_mixed_radii_and_stop_steps_in_one_call(self, n):
+        # as the midpoints of a refined profile: runs at two radii, so two
+        # projections, on both passes of search, share every round
+        rng = np.random.default_rng(2020 + n)
+        prof = random_profile(rng, 12, t_max=float(rng.uniform(0.5, 2.0)))
+        T = prof.support_radius
+        params = AmbientParams(n, 0.5)
+        starts = self.starts(rng, 0.3 * T, T, 8) + self.starts(rng, 1.7 * T, T, 8)
+        fine = np.arange(len(starts)) % 3 == 0
+        shipped, reference, rounds, requests = self.run_both(prof, params, starts, fine)
+        assert shipped == reference
+        assert rounds < max(requests)
 
 
 class TestRegions:
@@ -744,13 +763,13 @@ class TestRefinedProfile:
         grid = GridSpec.standard(tent_profile, 5)
         base = maximal_profile(tent_profile, grid, params2)
         warms = []
-        original = search_module._searching
+        original = search_module._search_points
 
-        def recording(profile, s, params, warm=None):
-            warms.append(warm)
-            return original(profile, s, params, warm=warm)
+        def recording(profile, pts, params, point_warms):
+            warms.extend(point_warms)
+            return original(profile, pts, params, point_warms)
 
-        monkeypatch.setattr(search_module, "_searching", recording)
+        monkeypatch.setattr(search_module, "_search_points", recording)
         refined_profile(tent_profile, grid, base, params2)
         assert warms == [r.ball for r in base.results[:-1]]
 
@@ -767,13 +786,13 @@ class TestRefinedProfile:
     def test_report_searches_three_grids_minus_one(self, params2, tent_profile, monkeypatch):
         count = 5
         calls = []
-        original = search_module._searching
+        original = search_module._search_points
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting(profile, pts, params, warms):
+            calls.extend(pts)
+            return original(profile, pts, params, warms)
 
-        monkeypatch.setattr(search_module, "_searching", counting)
+        monkeypatch.setattr(search_module, "_search_points", counting)
         variation_report(tent_profile, params2, GridSpec.standard(tent_profile, count))
         assert len(calls) == 3 * count - 1
 
