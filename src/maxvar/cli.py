@@ -46,6 +46,8 @@ def _load_profile_file(path: str) -> RadialProfile:
     text = p.read_text()
     if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         data = json.loads(text)
+        if not isinstance(data, dict) or "knots" not in data:
+            raise ProfileError(f"{path}: a JSON profile is an object with a \"knots\" list")
         return load_profile(data["knots"])
     knots, rows = [], 0
     for number, line in enumerate(text.splitlines(), 1):
@@ -174,6 +176,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     choices included, and must read back as itself: {"n": "2"} is refused."""
     if not getattr(args, "config", None):
         return args
+    if not Path(args.config).exists():
+        raise ValueError(f"config file not found: {args.config}")
     data = json.loads(Path(args.config).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"config file {args.config} does not hold a JSON object")
@@ -281,8 +285,45 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if rel <= 1e-5 else EXIT_ASSERTION
 
 
+# a family spec's fields and their JSON types; every field may be left out
+FAMILY_SPEC = {"profiles": dict, "random": dict, "n": int, "betas": list,
+               "grid_count": int, "refine": bool, "dilate": bool}
+_JSON_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number",
+               bool: "true or false"}
+
+
+def _check_json(what: str, value, kind):
+    """Raise ValueError unless value has the JSON type kind (float: any
+    number; true and false are no numbers)."""
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(value, kinds) or (kind is not bool and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {_JSON_NAMES[kind]}, got {json.dumps(value)}")
+
+
+def _load_family_spec(path: str) -> dict:
+    """The family spec at path, each field of FAMILY_SPEC checked, with each
+    profile a knot list, each beta a number and the random count and knots
+    integers."""
+    p = Path(path)
+    if not p.exists():
+        raise ValueError(f"family spec file not found: {path}")
+    spec = json.loads(p.read_text())
+    _check_json("family spec", spec, dict)
+    for key, kind in FAMILY_SPEC.items():
+        if key in spec:
+            _check_json(key, spec[key], kind)
+    for name, knots in spec.get("profiles", {}).items():
+        _check_json(f"profiles.{name}", knots, list)
+    for i, beta in enumerate(spec.get("betas", [])):
+        _check_json(f"betas[{i}]", beta, float)
+    for key in ("count", "knots"):
+        if key in spec.get("random", {}):
+            _check_json(f"random.{key}", spec["random"][key], int)
+    return spec
+
+
 def _cmd_family(args) -> int:
-    spec = json.loads(Path(args.spec).read_text())
+    spec = _load_family_spec(args.spec)
     members = {name: load_profile(knots)
                for name, knots in spec.get("profiles", {}).items()}
     rnd = spec.get("random", {})

@@ -21,9 +21,11 @@ projected to the nearest feasible ball, so a move that holds the edge at
 s slides the ball along the boundary family r = |d - s|, and the compass
 follows that family without a stage of its own.  The compass runs in
 rounds, one fixed-rule call per round for every live run; each round a
-run asks for its polls at h and at h/2, and reads the h/2 polls only
-when no h poll improves.  One function, :func:`_search_points`, serves a
-lone :func:`search` and the midpoints of a refined profile alike.  The
+run asks for its polls at h and at the next steps, h/2 on the coarse pass
+and h/2, h/4 and h/8 on the fine one, and reads the polls at a step only
+when none at the steps before improves.  One function,
+:func:`_search_points`, serves a lone :func:`search` and the midpoints of
+a refined profile alike.  The
 reported value is :func:`objective` of the reported ball, the compass's
 own value bit for bit: the averages have one rule at every n.  All moves
 are comparison-based and the projection is linear in (d, r, s), so
@@ -52,6 +54,10 @@ R_PER_DECADE = 24
 D_PER_ROW = 48
 MULTISTARTS = 8
 HANDOFF = 1e-3  # of the radius: the coarse compass stops at this step, the fine one starts
+# the steps h, h/2, ... a compass round asks for polls at: a fine round holds
+# about one run per point, so there its cost is the call, not the balls
+COARSE_AHEAD = 2
+FINE_AHEAD = 4
 REFINE_TOL = 1e-7
 TIE_TOL = 1e-9
 TIE_BALL_REL = 1e-6  # tied balls closer than this in (d, r) count once
@@ -71,7 +77,9 @@ class BestBallResult:
     objective_evals counts every ball whose objective the search evaluated:
     the coarse balls it ranked (not those whose bound falls below the last
     pooled ball the dedupe reads) and every ball its compass asked for, the
-    unread polls at h/2 included; the closed-form centered start evaluates none.
+    unread look-ahead polls included (at h/2 on the coarse pass, at h/2,
+    h/4 and h/8 on the fine one); the closed-form centered start evaluates
+    none.
     tie_candidates counts the distinct balls tied with the best value.
     """
 
@@ -146,11 +154,6 @@ def objective(profile: RadialProfile, s: float, ball: AxisBall, params: AmbientP
     return float((np.array([ball.r]) ** params.beta * ball_average(profile, ball, params))[0])
 
 
-# the edge moves: in the edge coordinates a = d - r and b = d + r, where the
-# constraint |d - s| <= r is the box a <= s <= b, each moves one edge by 2h
-_DIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
-
-
 def _project(d, r, s, r_min, r_max):
     """Project (d, r) to the nearest feasible ball at evaluation radius s.
 
@@ -158,13 +161,13 @@ def _project(d, r, s, r_min, r_max):
     |d - s| - r along the constraint's normal (d toward s, r up), which
     lands it on the boundary family r = |d - s|; then d >= 0 and
     r_min <= r <= r_max are clamped.  The result is feasible whenever
-    d <= s + r_max.
+    d <= s + r_max.  It projects the starts; :func:`_edge_polls` projects
+    the polls by the same arithmetic.
     """
     gap = abs(d - s) - r
     if gap > 0.0:
         d += 0.5 * gap if d < s else -0.5 * gap
         r += 0.5 * gap
-    # max and min, spelled out: a search projects about a thousand balls
     d = 0.0 if d < 0.0 else d
     gap = abs(d - s)
     r = gap if gap > r else r
@@ -172,53 +175,86 @@ def _project(d, r, s, r_min, r_max):
     return d, r_max if r_max < r else r
 
 
+def _edge_polls(d, r, h, tol, ahead, s, r_min, r_max):
+    """The edge moves (d +- h, r +- h) of (d, r) at the steps h, h/2, ...
+    above tol, at most ``ahead`` of them, each projected as :func:`_project`
+    projects it, without those that project back to (d, r): their centers,
+    their radii and the number at each step.  In the edge coordinates
+    a = d - r and b = d + r, where the constraint |d - s| <= r is the box
+    a <= s <= b, each move shifts one edge by 2h.  The projection is written
+    out: a search polls about a thousand balls."""
+    ds, rs, sizes = [], [], []
+    while h > tol and len(sizes) < ahead:
+        count = len(ds)
+        out, back, up, down = d + h, d - h, r + h, r - h
+        for d1, r1 in ((out, up), (back, down), (out, down), (back, up)):
+            gap = abs(d1 - s) - r1
+            if gap > 0.0:
+                d1 += 0.5 * gap if d1 < s else -0.5 * gap
+                r1 += 0.5 * gap
+            if d1 < 0.0:
+                d1 = 0.0
+            gap = abs(d1 - s)
+            if gap > r1:
+                r1 = gap
+            if r_min > r1:
+                r1 = r_min
+            if r_max < r1:
+                r1 = r_max
+            if d1 != d or r1 != r:
+                ds.append(d1)
+                rs.append(r1)
+        sizes.append(len(ds) - count)
+        h *= 0.5
+    return ds, rs, sizes
+
+
 class _Run:
     """One compass run from (d0, r0) at step ``step``, down to the stop step
-    ``tol``: its ball (d, r), step h, projection, best value, sequential
-    evals, balls asked for, the poll lists its next round asks for, and
-    its end (d, r, value, converged) once it stops."""
+    ``tol``, in the box (s, r_min, r_max) of :func:`_project`, asking each
+    round for its polls at ``ahead`` steps h, h/2, ...: its ball (d, r),
+    step h, best value, sequential evals, balls asked for, the polls its
+    next round asks for (:func:`_edge_polls`), and its end (d, r, value,
+    converged) once it stops."""
 
-    __slots__ = ("d", "r", "h", "tol", "project", "best", "evals", "balls", "asks", "end")
+    __slots__ = ("d", "r", "h", "tol", "box", "ahead", "best", "evals", "balls",
+                 "ds", "rs", "sizes", "end")
 
-    def __init__(self, d0, r0, step, tol, project):
-        self.d, self.r = project(d0, r0)
-        self.h, self.tol, self.project = step, tol, project
+    def __init__(self, d0, r0, step, tol, box, ahead):
+        self.d, self.r = _project(d0, r0, *box)
+        self.h, self.tol, self.box, self.ahead = step, tol, box, ahead
         self.best, self.evals, self.balls, self.end = None, 0, 0, None
-        # the first round asks for the start and its polls at h
-        self.asks = [[(self.d, self.r)], self._polls(step) if step > tol else []]
-
-    def _polls(self, h):
-        """The edge moves of (d, r) at step h that do not project back to it."""
-        d, r = self.d, self.r
-        polls = [self.project(d + vd * h, r + vr * h) for vd, vr in _DIRS]
-        return [cand for cand in polls if cand != (d, r)]
+        ds, rs, self.sizes = _edge_polls(self.d, self.r, step, tol, ahead, *box)
+        # the first round asks for the start too
+        self.ds, self.rs = [self.d] + ds, [self.r] + rs
 
     def read(self, vals):
         """Read the values of the round's asks in sequential order, the polls
-        at h and then, only if none improves, those at h/2; then ask for
-        the next round's polls or end the run."""
+        at h and then, only while none improves, those at the next steps;
+        then ask for the next round's polls or end the run."""
         self.balls += len(vals)
-        asks = self.asks
+        at = 0
         if self.best is None:
-            self.best, self.evals = vals[0], 1
-            asks, vals = asks[1:], vals[1:]
-        while self.evals < REFINE_MAX_EVALS and self.h > self.tol:
-            if not asks:
-                fresh = self._polls(self.h)
-                if fresh:
-                    half = 0.5 * self.h
-                    self.asks = [fresh, self._polls(half) if half > self.tol else []]
-                    return
-            else:
-                polls, asks = asks[0], asks[1:]
-                if polls:
-                    part, vals = vals[:len(polls)], vals[len(polls):]
-                    self.evals += len(polls)
-                    k = part.index(max(part))
-                    if part[k] > self.best:
-                        (self.d, self.r), self.best, asks = polls[k], part[k], []
-                        continue
+            self.best, self.evals, at = vals[0], 1, 1
+        for size in self.sizes:
+            if self.evals >= REFINE_MAX_EVALS or self.h <= self.tol:
+                break
+            if size:
+                part = vals[at:at + size]
+                self.evals += size
+                top = max(part)
+                if top > self.best:
+                    at += part.index(top)
+                    self.d, self.r, self.best = self.ds[at], self.rs[at], top
+                    break
+                at += size
             # no poll at h, or none improves
+            self.h *= 0.5
+        while self.evals < REFINE_MAX_EVALS and self.h > self.tol:
+            self.ds, self.rs, self.sizes = _edge_polls(self.d, self.r, self.h, self.tol,
+                                                       self.ahead, *self.box)
+            if self.sizes[0]:
+                return
             self.h *= 0.5
         self.end = (self.d, self.r, self.best, self.evals < REFINE_MAX_EVALS)
 
@@ -233,20 +269,23 @@ def _compass(evaluate, runs):
     edge at s slide along the boundary family, and a move that projects
     back is not polled.  It moves to the best improving poll and keeps the
     step, or halves the step when none improves.  Asking for the polls at
-    h/2 with those at h saves a round at every halving and changes no path:
-    REFINE_MAX_EVALS counts the polls read.  Runs at any radius and stop
-    step share a round, since the fixed rule's value of a ball does not
-    depend on its batch.
+    the next steps h/2, ... with those at h saves a round at every halving
+    and changes no path: REFINE_MAX_EVALS counts the polls read.  Runs at
+    any radius and stop step share a round, since the fixed rule's value of
+    a ball does not depend on its batch.
     """
     live = runs
     while live:
-        ds, rs = zip(*[ball for run in live for polls in run.asks for ball in polls])
-        vals = evaluate(np.array(ds), np.array(rs)).tolist()
-        pos = 0
+        ds, rs, ends = [], [], []
         for run in live:
-            count = sum(map(len, run.asks))
-            run.read(vals[pos:pos + count])
-            pos += count
+            ds += run.ds
+            rs += run.rs
+            ends.append(len(ds))
+        vals = evaluate(np.array(ds), np.array(rs)).tolist()
+        start = 0
+        for run, end in zip(live, ends):
+            run.read(vals[start:end])
+            start = end
         live = [run for run in live if run.end is None]
 
 
@@ -254,7 +293,10 @@ def _dedupe_candidates(cands, limit, rel=0.05):
     """Keep the top candidates that differ by more than rel in (d, r)."""
     kept = []
     for val, d, r in cands:
-        if all(max(abs(d - dk), abs(r - rk)) > rel * max(r, rk) for _, dk, rk in kept):
+        for _, dk, rk in kept:
+            if not max(abs(d - dk), abs(r - rk)) > rel * max(r, rk):
+                break
+        else:
             kept.append((val, d, r))
             if len(kept) >= limit:
                 break
@@ -386,7 +428,7 @@ def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
         batch = by_bound[ranked:end]
         values[batch] = batch_objective(profile, ds[batch], rs[batch], params)
         ranked += len(batch)
-        starts, stop = _pooled_starts(values, ds, rs)
+        starts, stop = _pooled_starts(values, np.sort(by_bound[:ranked]), ds, rs)
         # stop falls when a new ball shadows kept starts; end never does
         end = max(ranked, int(reach.searchsorted(-stop, side="right")))
         if ranked < 4 * POOL_SIZE:
@@ -394,11 +436,15 @@ def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
     return starts, ranked
 
 
-def _pooled_starts(values, ds, rs):
-    """The deduplicated starts of the balls' values and the value of the
-    last pooled ball that the dedupe reads."""
-    # a stable sort keeps exact ties in grid order, whichever balls were skipped
-    order = np.argsort(-values, kind="stable")[:POOL_SIZE]
+def _pooled_starts(values, ranked, ds, rs):
+    """The deduplicated starts of the balls' values, of which those of the
+    ranked balls (their grid indices, increasing) are read, and the value
+    of the last pooled ball that the dedupe reads."""
+    # a stable sort keeps exact ties in grid order, whichever balls were skipped;
+    # the pool holds positive values only, and the unranked balls read 0
+    order = ranked[np.argsort(-values[ranked], kind="stable")[:POOL_SIZE]]
+    if not values[order[0]] > 0.0:
+        order = np.argmax(values)[None]  # the first ball of the best value, ranked or not
     vals = values[order]
     top_val = float(vals[0])
     # the values fall along order, so the pool is a prefix: the balls within
@@ -442,14 +488,14 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams, warms):
     for s, warm in zip(pts, warms):
         if not 0.0 <= s < np.inf:
             raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
-        project = lambda d, r, s=s, r_max=s + T: _project(d, r, s, r_min, r_max)
         ds, rs, grid_step_r = _coarse_balls(s, T)
         starts, ranked = _coarse_starts(profile, ds, rs, params)
         if warm is not None:
             starts.append((None, warm.d, warm.r))
         starts.append((None, 0.0, _centered_best(profile, s, params)[0]))
+        box = (s, r_min, s + T)
         coarse.append([_Run(d0, r0, grid_step_r * max(r0, r_min), HANDOFF * max(r0, r_min),
-                            project) for _, d0, r0 in starts])
+                            box, COARSE_AHEAD) for _, d0, r0 in starts])
         evals.append(ranked)
     evaluate = partial(fixed_rule_objective, profile, params=params)
     _compass(evaluate, [run for runs in coarse for run in runs])
@@ -460,7 +506,7 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams, warms):
         ends = [(v, d, r) for d, r, v, _ in (run.end for run in runs)]
         ends.sort(key=lambda c: -c[0])
         fine.append([_Run(d1, r1, HANDOFF * max(r1, r_min), REFINE_TOL * max(r1, r_min),
-                          runs[0].project)
+                          runs[0].box, FINE_AHEAD)
                      for _, d1, r1 in _dedupe_candidates(ends, MULTISTARTS, rel=0.01)])
     _compass(evaluate, [run for runs in fine for run in runs])
     return [_best_ball(s, [run.end for run in last], ranked + sum(run.balls for run in first + last))

@@ -51,6 +51,10 @@ class UnconvergedSweepError(RuntimeError):
         super().__init__(f"unconverged sweep points at s = {list(radii)}")
         self.radii = list(radii)
 
+    def __reduce__(self):
+        # the default rebuilds from the message, which it takes for the radii
+        return type(self), (self.radii,)
+
 
 def combined_derivative(mp: MaximalProfile) -> np.ndarray:
     """|m'| channel for the norm: finite differences, with the larger

@@ -51,6 +51,16 @@ class TestEval:
                    str(tmp_path / "nope.json"), "--s", "0.5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("data", [[[0, 1], [1, 0]], {"knot": [[0, 1], [1, 0]]}])
+    def test_json_profile_without_a_knots_field(self, tmp_path, capsys, data):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data))
+        rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", str(path), "--s", "0.5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("maxvar: error:") and '"knots" list' in captured.err
+
     @pytest.mark.parametrize("s", ["inf", "nan", "-1"])
     def test_bad_radius_rejected_before_output(self, tent_json, capsys, s):
         rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", tent_json,
@@ -255,8 +265,43 @@ class TestFamily:
         assert a.read_bytes() == b.read_bytes()
         assert "max_ratio" in a.read_text()
 
+    def test_missing_spec_file_is_an_input_error(self, tmp_path, capsys):
+        rc = main(["family", "--spec", str(tmp_path / "nope.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("maxvar: error:") and "nope.json" in captured.err
+
+    @pytest.mark.parametrize("spec, field", [
+        ([1, 2], "family spec"),
+        ({"betas": 0.5}, "betas"),
+        ({"betas": [0.5, True]}, "betas[1]"),
+        ({"profiles": {"tent": 5}}, "profiles.tent"),
+        ({"profiles": [[0, 1], [1, 0]]}, "profiles"),
+        ({"n": "2"}, "n"),
+        ({"grid_count": 8.5}, "grid_count"),
+        ({"random": {"count": 2, "knots": "6"}}, "random.knots"),
+        ({"refine": 1}, "refine"),
+    ])
+    def test_malformed_spec_is_an_input_error(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["family", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"maxvar: error: {field} must be")
+
 
 class TestConfigFile:
+    def test_missing_config_file(self, tent_json, tmp_path, capsys):
+        rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--s", "0.5", "--config", str(tmp_path / "nope.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("maxvar: error: config file not found")
+
     def test_explicit_flags_win(self, tent_json, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"s": "0.5", "beta": 0.25}))

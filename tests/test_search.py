@@ -144,8 +144,8 @@ class TestSearch:
         runs = []
         started = search_module._Run
 
-        def recording(d0, r0, step, tol, project):
-            run = started(d0, r0, step, tol, project)
+        def recording(d0, r0, step, tol, box, ahead):
+            run = started(d0, r0, step, tol, box, ahead)
             runs.append({"start": (d0, r0), "step": step, "tol": tol, "run": run})
             return run
 
@@ -397,6 +397,47 @@ class TestProjection:
                 assert d1 - d == pytest.approx(-side * gap / 2, rel=1e-9)
                 assert r1 - r == pytest.approx(gap / 2, rel=1e-9)
 
+    def test_edge_polls_are_the_projected_edge_moves(self):
+        # the compass's written-out projection is _project's, bit for bit:
+        # at each step above the stop step, the polls are the projected edge
+        # moves that do not project back, in the order of the moves
+        rng = np.random.default_rng(33)
+        moves = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+        seen = set()
+        for _ in range(400):
+            s = float(rng.choice([0.0, 1e-3, 0.3, 0.7, 2.5]))
+            r_min, r_max = 1e-4, s + 1.0
+            kind = ("centered", "smallest", "largest", "family", "inside")[rng.integers(5)]
+            r = float(np.exp(rng.uniform(np.log(r_min), np.log(r_max))))
+            if kind == "centered":
+                d = 0.0
+            elif kind == "smallest":
+                r = r_min
+                d = float(rng.uniform(max(0.0, s - r), s + r))
+            elif kind == "largest":
+                r = r_max
+                d = float(rng.uniform(0.0, s + r))
+            elif kind == "family":  # either branch of r = |d - s|
+                d = s + r if r > s or rng.random() < 0.5 else s - r
+            else:
+                d = float(rng.uniform(max(0.0, s - r), s + r))
+            d, r = search_module._project(d, r, s, r_min, r_max)
+            h = r * 10.0 ** float(rng.uniform(-8.0, 0.5))
+            tol = h * 0.5 ** float(rng.uniform(-0.5, 4.5))
+            ahead = int(rng.integers(1, 6))
+            ds, rs, sizes = search_module._edge_polls(d, r, h, tol, ahead, s, r_min, r_max)
+            steps = [h * 0.5**k for k in range(ahead) if h * 0.5**k > tol]
+            expected = [[ball for ball in (search_module._project(d + vd * step, r + vr * step,
+                                                                  s, r_min, r_max)
+                                           for vd, vr in moves) if ball != (d, r)]
+                        for step in steps]
+            assert sizes == [len(polls) for polls in expected]
+            assert list(zip(ds, rs)) == [ball for polls in expected for ball in polls]
+            seen.update((kind, ("steps", len(steps)), ("dropped", min(sizes, default=4) < 4)))
+        assert seen >= {"centered", "smallest", "largest", "family", "inside",
+                        ("steps", 0), ("steps", 1), ("steps", 5),
+                        ("dropped", True), ("dropped", False)}
+
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_steps_from_the_family_slide_both_ways(self, side):
         s, r, h = self.S, 0.3, 1e-3
@@ -511,6 +552,41 @@ class TestCoarsePruning:
             fewer += ranked < old_ranked
         assert skipped > 0 and fewer > 0
 
+    def test_pool_sorts_only_the_ranked_balls(self):
+        # the pool of the ranked balls alone is the pool of every ball, the
+        # unranked ones reading 0: the pool keeps positive values only, and
+        # with no positive ranked value it is the first ball of the best value
+        pool_size, fraction = search_module.POOL_SIZE, search_module.POOL_FRACTION
+
+        def full_sort(values, ds, rs):
+            order = np.argsort(-values, kind="stable")[:pool_size]
+            vals = values[order]
+            cut = max(1, int(np.count_nonzero((vals >= fraction * vals[0]) & (vals > 0.0))))
+            pool = list(zip(vals[:cut].tolist(), ds[order[:cut]].tolist(),
+                            rs[order[:cut]].tolist()))
+            starts = search_module._dedupe_candidates(pool, search_module.MULTISTARTS)
+            if len(starts) == search_module.MULTISTARTS:
+                return starts, starts[-1][0]
+            return starts, pool[-1][0] if len(pool) == pool_size else fraction * vals[0]
+
+        rng = np.random.default_rng(41)
+        cases = set()
+        for _ in range(300):
+            size = int(rng.integers(1, 600))
+            ds, rs = rng.uniform(0.0, 2.0, size), rng.uniform(0.01, 1.0, size)
+            # few distinct values, so exact ties are common; some all zero
+            levels = rng.choice([0.0, 0.0, 0.3, 0.5, 0.9, 1.0], size)
+            values = np.where(rng.random(size) < rng.random(), levels, 0.0)
+            if rng.random() < 0.3:  # coarse grids repeat balls at d = 0
+                ds[rng.random(size) < 0.5] = 0.0
+            ranked = np.sort(rng.permutation(size)[:int(rng.integers(1, size + 1))])
+            values_all = np.zeros(size)
+            values_all[ranked] = values[ranked]
+            got = search_module._pooled_starts(values_all, ranked, ds, rs)
+            assert got == full_sort(values_all, ds, rs)
+            cases.add(bool(values_all.max() > 0.0))
+        assert cases == {True, False}
+
 
 def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):
     """The compass one request at a time, without look-ahead: the reference
@@ -538,7 +614,8 @@ def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):
 
 
 class TestCompassLookAhead:
-    """Each round a compass run asks for its polls at h and at h/2 and reads
+    """Each round a compass run asks for its polls at h and at the next
+    steps (h/2 on the coarse pass, h/2 to h/8 on the fine one) and reads
     them in the sequential order: every endpoint, value and flag is the
     sequential compass's, in fewer rounds."""
 
@@ -571,17 +648,18 @@ class TestCompassLookAhead:
             return evaluate(np.array(ds), np.array(rs)).tolist()
 
         # the coarse and the fine pass of search
-        steps = [(1e-3 * r, search_module.REFINE_TOL * r) if on else (0.1 * r, 1e-4 * r)
+        steps = [(1e-3 * r, search_module.REFINE_TOL * r, search_module.FINE_AHEAD) if on
+                 else (0.1 * r, 1e-4 * r, search_module.COARSE_AHEAD)
                  for (_, _, r), on in zip(starts, np.broadcast_to(fine, len(starts)))]
         projects = [partial(search_module._project, s=s, r_min=r_min, r_max=s + T)
                     for s, _, _ in starts]
-        runs = [search_module._Run(d, r, h, tol, project)
-                for (_, d, r), (h, tol), project in zip(starts, steps, projects)]
+        runs = [search_module._Run(d, r, h, tol, (s, r_min, s + T), ahead)
+                for (s, d, r), (h, tol, ahead) in zip(starts, steps)]
         search_module._compass(evaluate, runs)
         rounds = len(calls)
         reference = [sequential_compass(one_by_one, d, r, h, project, tol,
                                         search_module.REFINE_MAX_EVALS)
-                     for (_, d, r), (h, tol), project in zip(starts, steps, projects)]
+                     for (_, d, r), (h, tol, _), project in zip(starts, steps, projects)]
         return ([run.end for run in runs], [out for out, _ in reference], rounds,
                 [n for _, n in reference])
 

@@ -1,5 +1,7 @@
 """Lq norm assembly, scalar and dilation invariance, family sweeps."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,13 @@ class TestLqNorm:
         with pytest.raises(UnconvergedSweepError) as exc:
             lq_norm_derivative(mp, AmbientParams(2, 0.5))
         assert exc.value.radii == [2.0]
+
+    def test_unconverged_error_survives_pickling(self):
+        error = UnconvergedSweepError([0.5, 1.0])
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is UnconvergedSweepError
+        assert copy.radii == [0.5, 1.0]
+        assert str(copy) == str(error) == "unconverged sweep points at s = [0.5, 1.0]"
 
 
 @pytest.fixture(scope="module")
