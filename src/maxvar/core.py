@@ -74,8 +74,6 @@ class RadialProfile:
     max_value: float = field(init=False)
     # [0, *slopes, 0], indexed by searchsorted(knots_t, t, side="right")
     _slope_table: np.ndarray = field(init=False, repr=False)
-    # row k holds the maxima of knots_v over runs of 2^k knots (see max_on)
-    _max_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.knots_t, dtype=float)
@@ -92,14 +90,8 @@ class RadialProfile:
             raise ProfileError("profile is identically zero")
         slopes = np.diff(v) / np.diff(t)
         table = np.concatenate(([0.0], slopes, [0.0]))
-        idx = np.arange(len(v))
-        runs = [v]
-        while 2 ** len(runs) <= len(v):
-            prev = runs[-1]
-            runs.append(np.maximum(prev, prev[np.minimum(idx + 2 ** (len(runs) - 1),
-                                                        len(v) - 1)]))
         for name, val in (("knots_t", t), ("knots_v", v), ("slopes", slopes),
-                          ("_slope_table", table), ("_max_table", np.array(runs))):
+                          ("_slope_table", table)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
         object.__setattr__(self, "support_radius", float(t[-1]))
@@ -113,25 +105,6 @@ class RadialProfile:
         """F'(t) as the right-continuous piecewise-constant slope; zero for
         t < 0 and t >= T."""
         return self._slope_table[np.searchsorted(self.knots_t, t, side="right")]
-
-    def max_on(self, lo, hi):
-        """Maximum of F over each interval [lo, hi] (vectorized, lo <= hi).
-
-        F is linear between knots, so the maximum is at an end or at a knot
-        inside; the knots' maximum comes from the profile's sparse table of
-        maxima over runs of 2^k knots, two lookups per interval.
-        """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        v = self.knots_v
-        table = self._max_table
-        i0 = np.searchsorted(self.knots_t, lo, side="right")
-        i1 = np.searchsorted(self.knots_t, hi, side="left")
-        count = np.maximum(i1 - i0, 1)
-        k = np.frexp(count)[1] - 1
-        inner = np.maximum(table[k, np.minimum(i0, len(v) - 1)], table[k, i1 - 2**k])
-        ends = np.maximum(self.value(lo), self.value(hi))
-        return np.where(i1 > i0, np.maximum(ends, inner), ends)
 
     def knot_list(self):
         return [(float(a), float(b)) for a, b in zip(self.knots_t, self.knots_v)]

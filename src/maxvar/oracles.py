@@ -46,13 +46,15 @@ def oracle_1d_maximal(profile: RadialProfile, x: float, beta: float,
     """
     if not (0.0 < beta < 1.0):
         raise ValueError("the 1D oracle needs beta in (0, 1)")
+    if resolution < 2:
+        raise ValueError(f"the 1D oracle needs a resolution of 2 or more, got {resolution}")
     T = profile.support_radius
     reach = abs(x) + T
     integral = _even_antiderivative(profile)
 
-    def best_on(a_lo, a_hi, b_lo, b_hi):
-        a = np.linspace(a_lo, a_hi, resolution)
-        b = np.linspace(b_lo, b_hi, resolution)
+    def best_on(a_lo, a_hi, b_lo, b_hi, points):
+        a = np.linspace(a_lo, a_hi, points)
+        b = np.linspace(b_lo, b_hi, points)
         ia = integral(a)
         ib = integral(b)
         width = b[None, :] - a[:, None]
@@ -61,29 +63,17 @@ def oracle_1d_maximal(profile: RadialProfile, x: float, beta: float,
             vals = (0.5 * width) ** beta * mass / width
         vals[width <= 0.0] = -np.inf
         k = int(np.argmax(vals))
-        i, j = divmod(k, resolution)
+        i, j = divmod(k, points)
         return float(vals[i, j]), float(a[i]), float(b[j])
 
-    val, a_best, b_best = best_on(-reach, x, x, reach)
+    val, a_best, b_best = best_on(-reach, x, x, reach, resolution)
     ha = (x + reach) / (resolution - 1)
     hb = (reach - x) / (resolution - 1)
     for _ in range(40):
-        a_lo, a_hi = max(-reach, a_best - ha), min(x, a_best + ha)
-        b_lo, b_hi = max(x, b_best - hb), min(reach, b_best + hb)
-        local = 65
-        a = np.linspace(a_lo, a_hi, local)
-        b = np.linspace(b_lo, b_hi, local)
-        ia = integral(a)
-        ib = integral(b)
-        width = b[None, :] - a[:, None]
-        mass = ib[None, :] - ia[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (0.5 * width) ** beta * mass / width
-        vals[width <= 0.0] = -np.inf
-        k = int(np.argmax(vals))
-        i, j = divmod(k, local)
-        if vals[i, j] > val:
-            val, a_best, b_best = float(vals[i, j]), float(a[i]), float(b[j])
+        local = best_on(max(-reach, a_best - ha), min(x, a_best + ha),
+                        max(x, b_best - hb), min(reach, b_best + hb), 65)
+        if local[0] > val:
+            val, a_best, b_best = local
         ha *= 0.25
         hb *= 0.25
         if max(ha, hb) < 1e-14 * max(1.0, reach):
@@ -123,6 +113,8 @@ def oracle_mc_ball_average(profile: RadialProfile, ball: AxisBall, params: Ambie
 def oracle_dense_average_2d(profile: RadialProfile, ball: AxisBall,
                             resolution: int = 2000) -> float:
     """Midpoint polar quadrature of the disc average in the plane."""
+    if resolution < 1:
+        raise ValueError(f"the dense 2D oracle needs a resolution of 1 or more, got {resolution}")
     d, r = ball.d, ball.r
     rho = (np.arange(resolution) + 0.5) * (r / resolution)
     psi = (np.arange(resolution) + 0.5) * (2.0 * np.pi / resolution)

@@ -5,11 +5,10 @@ The objective r^beta * (ball average) is maximized over axis balls
 symmetry about the evaluation axis and the mirror-domination argument
 justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row,
-the rows ending on the boundary family r = |d - s|), ranked by the batch
-objective (the fixed rule's panels, with fewer nodes per cap panel at
-even n) with the balls that cannot seed a start skipped by a bound (the
-bounding step of branch and bound), plus the best centered ball, which
-the radial reduction solves in closed form (:func:`_centered_best`);
+the rows ending on the boundary family r = |d - s|), every ball ranked
+in one call of the batch objective (the fixed rule's panels, with fewer
+nodes per cap panel at even n), plus the best centered ball, which the
+radial reduction solves in closed form (:func:`_centered_best`);
 compass refinement of the top-K deduplicated starts down to the hand-off
 step (HANDOFF of the radius), at which the compass of the distinct
 endpoints starts, and on to REFINE_TOL.  The compass polls the edge
@@ -43,15 +42,15 @@ import numpy as np
 
 from .averages import (_gauss, ball_average, batch_objective, fixed_rule_objective,
                        gradient_axial_component)
-from .core import AmbientParams, RadialProfile, l1_norm
+from .core import AmbientParams, RadialProfile
 from .geometry import AxisBall, Contact, InfeasibleBallError, classify_contact
 
 REGION_LABELS = ("zero_derivative", "E1", "E2", "E3", "unclassified")
 
 
 # coarse grid, multistart refinement and tie-breaking
-R_PER_DECADE = 24
-D_PER_ROW = 48
+R_PER_DECADE = 12
+D_PER_ROW = 24
 MULTISTARTS = 8
 HANDOFF = 1e-3  # of the radius: the coarse compass stops at this step, the fine one starts
 # the steps h, h/2, ... a compass round asks for polls at: a fine round holds
@@ -66,7 +65,6 @@ CONTACT_TOL = 1e-6
 REFINE_MAX_EVALS = 4000
 POOL_FRACTION = 0.5  # coarse balls within this fraction of the best one seed starts
 POOL_SIZE = 16 * MULTISTARTS  # and at most this many of them
-BOUND_SLACK = 1.01  # the ranked value exceeds _objective_bound by rounding only
 JUMP_REL = 0.10  # a best-ball move larger than this between grid neighbors flags a corner
 
 
@@ -75,8 +73,7 @@ class BestBallResult:
     """Search outcome at one evaluation radius.
 
     objective_evals counts every ball whose objective the search evaluated:
-    the coarse balls it ranked (not those whose bound falls below the last
-    pooled ball the dedupe reads) and every ball its compass asked for, the
+    every ball of the coarse grid and every ball its compass asked for, the
     unread look-ahead polls included (at h/2 on the coarse pass, at h/2,
     h/4 and h/8 on the fine one); the closed-form centered start evaluates
     none.
@@ -303,15 +300,6 @@ def _dedupe_candidates(cands, limit, rel=0.05):
     return kept
 
 
-def _objective_bound(profile: RadialProfile, ds, rs, params: AmbientParams):
-    """Upper bound r^beta * min(max F over the ball, ||f||_1 / |B|) on the
-    objective of each ball (d, r)."""
-    lo = np.maximum(0.0, ds - rs)
-    hi = np.maximum(np.minimum(ds + rs, profile.support_radius), lo)
-    mass = l1_norm(profile, params) / (params.omega_n * rs**params.n)
-    return rs**params.beta * np.minimum(profile.max_on(lo, hi), mass)
-
-
 def _centered_best(profile: RadialProfile, s: float, params: AmbientParams):
     """The best centered ball B(0, r) over max(s, R_MIN_FRAC T) <= r <= s + T:
     its radius and its objective n r^(beta - n) I(r), I(r) the integral of
@@ -402,61 +390,21 @@ def _coarse_balls(s: float, T: float):
 
 
 def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
-    """Rank the coarse balls (ds, rs) by the batch objective and
-    return the starts of the refinement and the number of balls ranked.
+    """Rank the coarse balls (ds, rs) by the batch objective and return the
+    starts of the refinement: the top POOL_SIZE balls within POOL_FRACTION
+    of the best, deduplicated to MULTISTARTS starts.
 
-    The top POOL_SIZE balls within POOL_FRACTION of the best form the pool,
-    deduplicated to MULTISTARTS starts.  Balls are ranked in decreasing
-    order of their bound (:func:`_objective_bound`): the first 2 * POOL_SIZE,
-    then every one whose bound times BOUND_SLACK reaches the value of the
-    last pooled ball that the dedupe reads among those ranked so far.  A
-    ball left out (value 0) is below every ball the dedupe read, so it
-    cannot change the starts: they are those of the unpruned ranking.
-
-    That value is at least the pool's threshold, max(POOL_SIZE-th value,
-    POOL_FRACTION * best), which only rises as balls are ranked.  No batch
-    passes 4 * POOL_SIZE balls before the value is read there, so the
-    ranking stops no later than ranking by the threshold from the first
-    4 * POOL_SIZE would.
+    A stable sort keeps exact ties in grid order, so the first start is the
+    first ball of the best value; when no value is positive, it is the only
+    start.
     """
-    bound = _objective_bound(profile, ds, rs, params)
-    by_bound = np.argsort(-bound, kind="stable")
-    reach = -BOUND_SLACK * bound[by_bound]  # increasing
-    values = np.zeros(len(ds))
-    ranked, end = 0, 2 * POOL_SIZE
-    while ranked < end:
-        batch = by_bound[ranked:end]
-        values[batch] = batch_objective(profile, ds[batch], rs[batch], params)
-        ranked += len(batch)
-        starts, stop = _pooled_starts(values, np.sort(by_bound[:ranked]), ds, rs)
-        # stop falls when a new ball shadows kept starts; end never does
-        end = max(ranked, int(reach.searchsorted(-stop, side="right")))
-        if ranked < 4 * POOL_SIZE:
-            end = min(end, 4 * POOL_SIZE)
-    return starts, ranked
-
-
-def _pooled_starts(values, ranked, ds, rs):
-    """The deduplicated starts of the balls' values, of which those of the
-    ranked balls (their grid indices, increasing) are read, and the value
-    of the last pooled ball that the dedupe reads."""
-    # a stable sort keeps exact ties in grid order, whichever balls were skipped;
-    # the pool holds positive values only, and the unranked balls read 0
-    order = ranked[np.argsort(-values[ranked], kind="stable")[:POOL_SIZE]]
-    if not values[order[0]] > 0.0:
-        order = np.argmax(values)[None]  # the first ball of the best value, ranked or not
+    values = batch_objective(profile, ds, rs, params)
+    order = np.argsort(-values, kind="stable")[:POOL_SIZE]
     vals = values[order]
-    top_val = float(vals[0])
-    # the values fall along order, so the pool is a prefix: the balls within
-    # POOL_FRACTION of the best with a positive value, else the best alone
-    cut = max(1, int(np.count_nonzero((vals >= POOL_FRACTION * top_val) & (vals > 0.0))))
+    # the values fall along order, so the pool is a prefix
+    cut = max(1, int(np.count_nonzero((vals >= POOL_FRACTION * vals[0]) & (vals > 0.0))))
     pool = list(zip(vals[:cut].tolist(), ds[order[:cut]].tolist(), rs[order[:cut]].tolist()))
-    starts = _dedupe_candidates(pool, MULTISTARTS)
-    if len(starts) == MULTISTARTS:
-        return starts, starts[-1][0]
-    if len(pool) == POOL_SIZE:
-        return starts, pool[-1][0]
-    return starts, POOL_FRACTION * top_val
+    return _dedupe_candidates(pool, MULTISTARTS)
 
 
 def search(profile: RadialProfile, s: float, params: AmbientParams,
@@ -489,14 +437,14 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams, warms):
         if not 0.0 <= s < np.inf:
             raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
         ds, rs, grid_step_r = _coarse_balls(s, T)
-        starts, ranked = _coarse_starts(profile, ds, rs, params)
+        starts = _coarse_starts(profile, ds, rs, params)
         if warm is not None:
             starts.append((None, warm.d, warm.r))
         starts.append((None, 0.0, _centered_best(profile, s, params)[0]))
         box = (s, r_min, s + T)
         coarse.append([_Run(d0, r0, grid_step_r * max(r0, r_min), HANDOFF * max(r0, r_min),
                             box, COARSE_AHEAD) for _, d0, r0 in starts])
-        evals.append(ranked)
+        evals.append(len(ds))
     evaluate = partial(fixed_rule_objective, profile, params=params)
     _compass(evaluate, [run for runs in coarse for run in runs])
     fine = []

@@ -249,6 +249,16 @@ class TestOracleCommand:
                    "--resolution", "800"])
         assert rc == 0
 
+    @pytest.mark.parametrize("mode, n, resolution", [("1d", 1, 1), ("1d", 1, 0),
+                                                     ("dense2d", 2, 0)])
+    def test_degenerate_resolution_is_a_usage_error(self, tent_json, capsys,
+                                                    mode, n, resolution):
+        rc = main(["oracle", "--n", str(n), "--beta", "0.5", "--profile", tent_json,
+                   "--mode", mode, "--resolution", str(resolution)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("maxvar: error:") and f"got {resolution}" in err
+
 
 class TestFamily:
     def test_family_deterministic(self, tmp_path):

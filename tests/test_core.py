@@ -108,25 +108,6 @@ class TestLoadProfile:
         assert np.array_equal(p.knots_v, q.knots_v)
 
 
-class TestMaxOn:
-    @pytest.mark.parametrize("knots", [2, 3, 8, 9, 200])
-    def test_against_brute_force(self, knots):
-        rng = np.random.default_rng(knots)
-        t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, knots - 1))))
-        v = rng.uniform(0.0, 1.0, knots)
-        v[-1] = 0.0
-        prof = load_profile(list(zip(t, v)))
-        T = prof.support_radius
-        lo = np.maximum(rng.uniform(-0.2, 1.2, 500) * T, 0.0)
-        hi = lo + rng.uniform(0.0, 1.0, 500) * T * rng.choice([0.0, 1e-3, 1.0], 500)
-        lo[:20] = prof.knots_t[rng.integers(0, len(prof.knots_t), 20)]
-        hi[:20] = lo[:20]
-        expected = [np.max(prof.value(np.concatenate(
-            ([a, b], prof.knots_t[(prof.knots_t > a) & (prof.knots_t < b)]))))
-            for a, b in zip(lo, hi)]
-        assert np.array_equal(prof.max_on(lo, hi), expected)
-
-
 class TestSlope:
     @pytest.mark.parametrize("knots", [2, 15])
     def test_piecewise_definition(self, knots):

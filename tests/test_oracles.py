@@ -43,6 +43,15 @@ class TestOracle1D:
         with pytest.raises(ValueError):
             oracle_1d_maximal(tent_profile, 0.0, 1.5)
 
+    @pytest.mark.parametrize("resolution", [-3, 0, 1])
+    def test_rejects_resolution_below_two(self, tent_profile, resolution):
+        with pytest.raises(ValueError, match=f"got {resolution}$"):
+            oracle_1d_maximal(tent_profile, 0.6, 0.5, resolution=resolution)
+
+    def test_two_points_is_the_least_resolution(self, tent_profile):
+        val = oracle_1d_maximal(tent_profile, 0.6, 0.5, resolution=2)
+        assert rel_err(val, oracle_1d_maximal(tent_profile, 0.6, 0.5, resolution=500)) <= 1e-6
+
 
 class TestOracleMC:
     def test_constant_profile_zero_stderr(self, params2):
@@ -93,6 +102,11 @@ class TestOracleDense2D:
             dense = oracle_dense_average_2d(prof, ball, resolution=2000)
             det = ball_average(prof, ball, params2, Q)
             assert rel_err(dense, det, prof.max_value) <= 1e-6
+
+    @pytest.mark.parametrize("resolution", [-1, 0])
+    def test_rejects_resolution_below_one(self, tent_profile, resolution):
+        with pytest.raises(ValueError, match=f"got {resolution}$"):
+            oracle_dense_average_2d(tent_profile, AxisBall(0.3, 0.5), resolution=resolution)
 
     def test_agreement_with_monte_carlo(self, params2, tent_profile):
         ball = AxisBall(0.4, 0.7)

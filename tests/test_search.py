@@ -500,92 +500,51 @@ class TestCoarseGrid:
         assert np.all(np.abs(ds - s) - rs <= 1e-15 * (s + rs))
 
 
-def pool_threshold_ranked(prof, ds, rs, params):
-    """The number of coarse balls that the pool-threshold rule ranks: the
-    first 4 * POOL_SIZE in decreasing order of the bound, then every one
-    whose slackened bound reaches max(POOL_SIZE-th value, POOL_FRACTION *
-    best) among those ranked so far."""
-    pool_size = search_module.POOL_SIZE
-    bound = search_module._objective_bound(prof, ds, rs, params)
-    by_bound = np.argsort(-bound, kind="stable")
-    reach = -search_module.BOUND_SLACK * bound[by_bound]
-    values = np.zeros(len(ds))
-    ranked, end = 0, 4 * pool_size
-    while ranked < end:
-        batch = by_bound[ranked:end]
-        values[batch] = batch_objective(prof, ds[batch], rs[batch], params)
-        ranked += len(batch)
-        top = np.partition(values, -pool_size)[-pool_size:]
-        threshold = max(top[0], search_module.POOL_FRACTION * top.max())
-        end = max(ranked, int(reach.searchsorted(-threshold, side="right")))
-    return ranked
+class TestCoarseStarts:
+    """Every coarse ball is ranked; the starts are the best ball, the first
+    of an exact tie in grid order, then distinct balls within POOL_FRACTION
+    of it."""
 
-
-class TestCoarsePruning:
-    """The bound skips only coarse balls that cannot change the starts."""
+    @staticmethod
+    def check_starts(starts, values, ds, rs):
+        best = values.max()
+        first = int(np.flatnonzero(values == best)[0])
+        assert starts[0] == (values[first], ds[first], rs[first])
+        assert 1 <= len(starts) <= search_module.MULTISTARTS
+        for i, (val, d, r) in enumerate(starts):
+            assert val >= search_module.POOL_FRACTION * best
+            for _, dk, rk in starts[:i]:
+                assert max(abs(d - dk), abs(r - rk)) > 0.05 * max(r, rk)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_pruning_keeps_the_starts(self, n, monkeypatch):
+    def test_starts_of_random_grids(self, n, monkeypatch):
         rng = np.random.default_rng(1000 + n)
-        keep_all = lambda profile, ds, rs, params: np.full(len(ds), np.inf)
-        skipped = fewer = 0
+        tied = 0
         for i, knots in enumerate((4, 12, 40, 200, 20, 100)):
             prof = random_profile(rng, knots, t_max=float(rng.uniform(0.5, 2.0)))
             T = prof.support_radius
             params = AmbientParams(n, (0.2, 0.5, 0.8)[i % 3])
             s = T * float(np.exp(rng.uniform(np.log(1e-2), np.log(64.0))))
             ds, rs, _ = search_module._coarse_balls(s, T)
-            bound = search_module._objective_bound(prof, ds, rs, params)
-            assert np.all(batch_objective(prof, ds, rs, params)
-                          <= search_module.BOUND_SLACK * bound)
-            starts, ranked = search_module._coarse_starts(prof, ds, rs, params)
-            with monkeypatch.context() as m:
-                m.setattr(search_module, "_objective_bound", keep_all)
-                full_starts, full_ranked = search_module._coarse_starts(prof, ds, rs, params)
-            assert starts == full_starts
-            assert full_ranked == len(ds)
-            skipped += len(ds) - ranked
-            # the stop at the last pooled ball the dedupe reads never ranks
-            # more than the pool's threshold would
-            old_ranked = pool_threshold_ranked(prof, ds, rs, params)
-            assert ranked <= old_ranked
-            fewer += ranked < old_ranked
-        assert skipped > 0 and fewer > 0
-
-    def test_pool_sorts_only_the_ranked_balls(self):
-        # the pool of the ranked balls alone is the pool of every ball, the
-        # unranked ones reading 0: the pool keeps positive values only, and
-        # with no positive ranked value it is the first ball of the best value
-        pool_size, fraction = search_module.POOL_SIZE, search_module.POOL_FRACTION
-
-        def full_sort(values, ds, rs):
-            order = np.argsort(-values, kind="stable")[:pool_size]
-            vals = values[order]
-            cut = max(1, int(np.count_nonzero((vals >= fraction * vals[0]) & (vals > 0.0))))
-            pool = list(zip(vals[:cut].tolist(), ds[order[:cut]].tolist(),
-                            rs[order[:cut]].tolist()))
-            starts = search_module._dedupe_candidates(pool, search_module.MULTISTARTS)
-            if len(starts) == search_module.MULTISTARTS:
-                return starts, starts[-1][0]
-            return starts, pool[-1][0] if len(pool) == pool_size else fraction * vals[0]
-
-        rng = np.random.default_rng(41)
-        cases = set()
-        for _ in range(300):
-            size = int(rng.integers(1, 600))
-            ds, rs = rng.uniform(0.0, 2.0, size), rng.uniform(0.01, 1.0, size)
-            # few distinct values, so exact ties are common; some all zero
-            levels = rng.choice([0.0, 0.0, 0.3, 0.5, 0.9, 1.0], size)
-            values = np.where(rng.random(size) < rng.random(), levels, 0.0)
-            if rng.random() < 0.3:  # coarse grids repeat balls at d = 0
-                ds[rng.random(size) < 0.5] = 0.0
-            ranked = np.sort(rng.permutation(size)[:int(rng.integers(1, size + 1))])
-            values_all = np.zeros(size)
-            values_all[ranked] = values[ranked]
-            got = search_module._pooled_starts(values_all, ranked, ds, rs)
-            assert got == full_sort(values_all, ds, rs)
-            cases.add(bool(values_all.max() > 0.0))
-        assert cases == {True, False}
+            values = batch_objective(prof, ds, rs, params)
+            self.check_starts(search_module._coarse_starts(prof, ds, rs, params), values, ds, rs)
+            # rounded values tie exactly across distinct balls; values that fall
+            # along the grid put balls below POOL_FRACTION among the top ones; no
+            # value is positive in the all-zero grid, whose first ball is then
+            # the only start
+            falling = 0.8 ** np.arange(len(ds))
+            for values in (np.round(values, 2), falling, np.zeros(len(ds))):
+                with monkeypatch.context() as m:
+                    m.setattr(search_module, "batch_objective", lambda *args: values)
+                    starts = search_module._coarse_starts(prof, ds, rs, params)
+                self.check_starts(starts, values, ds, rs)
+                tied += np.count_nonzero(values == values.max()) > 1
+                if values is falling:
+                    pool = falling >= search_module.POOL_FRACTION
+                    assert starts == search_module._dedupe_candidates(
+                        list(zip(falling[pool], ds[pool], rs[pool])), search_module.MULTISTARTS)
+            assert starts == [(0.0, ds[0], rs[0])]
+        assert tied > 6
 
 
 def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):

@@ -91,6 +91,13 @@ class TestVariationReport:
     def test_dilation_invariance(self, small_report):
         assert small_report.dilation_deviation <= 1e-2
 
+    def test_dilation_of_the_tent_at_n2_beta02_is_exact(self):
+        # dilation by 2 dilates every search path, so the ratio repeats to rounding
+        prof = tent()
+        rep = variation_report(prof, AmbientParams(2, 0.2), GridSpec.standard(prof, 40),
+                               include_refinement=False)
+        assert rep.dilation_deviation <= 1e-12
+
     def test_histogram_partitions_grid(self, small_report):
         assert sum(small_report.region_histogram.values()) == 24
 
