@@ -259,30 +259,30 @@ def _cmd_ratio(args) -> int:
 def _cmd_oracle(args) -> int:
     params = AmbientParams(args.n, args.beta)
     profile = _load_profile_file(args.profile)
-    print("\n".join(_header_lines("oracle", args, ("mode", "n", "beta", "seed"))))
+    # every check and computation runs before the header is printed
+    need = {"1d": 1, "dense2d": 2}.get(args.mode)
+    if need is not None and args.n != need:
+        raise ValueError(f"oracle mode {args.mode} requires --n {need}")
     if args.mode == "1d":
-        if args.n != 1:
-            raise ValueError("oracle mode 1d requires --n 1")
         oracle = oracle_1d_maximal(profile, args.x, args.beta, args.resolution)
         fast = search(profile, abs(args.x), params).value
         rel = abs(oracle - fast) / max(oracle, 1e-300)
-        print(f"oracle={_fmt(oracle)} search={_fmt(fast)} rel_diff={_fmt(rel)}")
-        return EXIT_OK if rel <= 1e-3 else EXIT_ASSERTION
-    ball = AxisBall(args.d, args.r)
-    det = ball_average(profile, ball, params)
+        line, ok = f"oracle={_fmt(oracle)} search={_fmt(fast)} rel_diff={_fmt(rel)}", rel <= 1e-3
+    else:
+        ball = AxisBall(args.d, args.r)
+        det = ball_average(profile, ball, params)
     if args.mode == "mc":
         mean, stderr = oracle_mc_ball_average(profile, ball, params,
                                               args.samples, args.seed)
         z = abs(det - mean) / max(stderr, 1e-300)
-        print(f"mc_mean={_fmt(mean)} stderr={_fmt(stderr)} "
-              f"ball_average={_fmt(det)} z={_fmt(z)}")
-        return EXIT_OK if z <= 3.0 else EXIT_ASSERTION
-    if args.n != 2:
-        raise ValueError("oracle mode dense2d requires --n 2")
-    dense = oracle_dense_average_2d(profile, ball, args.resolution)
-    rel = abs(dense - det) / max(abs(dense), abs(det), 1e-300)
-    print(f"dense={_fmt(dense)} ball_average={_fmt(det)} rel_diff={_fmt(rel)}")
-    return EXIT_OK if rel <= 1e-5 else EXIT_ASSERTION
+        line, ok = (f"mc_mean={_fmt(mean)} stderr={_fmt(stderr)} "
+                    f"ball_average={_fmt(det)} z={_fmt(z)}"), z <= 3.0
+    elif args.mode == "dense2d":
+        dense = oracle_dense_average_2d(profile, ball, args.resolution)
+        rel = abs(dense - det) / max(abs(dense), abs(det), 1e-300)
+        line, ok = f"dense={_fmt(dense)} ball_average={_fmt(det)} rel_diff={_fmt(rel)}", rel <= 1e-5
+    print("\n".join(_header_lines("oracle", args, ("mode", "n", "beta", "seed")) + [line]))
+    return EXIT_OK if ok else EXIT_ASSERTION
 
 
 # a family spec's fields and their JSON types; every field may be left out
@@ -303,7 +303,7 @@ def _check_json(what: str, value, kind):
 def _load_family_spec(path: str) -> dict:
     """The family spec at path, each field of FAMILY_SPEC checked, with each
     profile a knot list, each beta a number and the random count and knots
-    integers."""
+    integers; it must select a profile and a beta."""
     p = Path(path)
     if not p.exists():
         raise ValueError(f"family spec file not found: {path}")
@@ -319,6 +319,13 @@ def _load_family_spec(path: str) -> dict:
     for key in ("count", "knots"):
         if key in spec.get("random", {}):
             _check_json(f"random.{key}", spec["random"][key], int)
+    count = spec.get("random", {}).get("count", 0)
+    if count < 0:
+        raise ValueError(f"random.count must be 0 or more, got {count}")
+    if not (spec.get("profiles") or count):
+        raise ValueError("family spec selects no profile: give profiles or a positive random.count")
+    if not spec.get("betas", [0.5]):
+        raise ValueError("family spec selects no beta: betas is empty")
     return spec
 
 

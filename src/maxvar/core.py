@@ -106,9 +106,6 @@ class RadialProfile:
         t < 0 and t >= T."""
         return self._slope_table[np.searchsorted(self.knots_t, t, side="right")]
 
-    def knot_list(self):
-        return [(float(a), float(b)) for a, b in zip(self.knots_t, self.knots_v)]
-
 
 def load_profile(knot_list) -> RadialProfile:
     """Validate and normalize a knot list into a :class:`RadialProfile`.

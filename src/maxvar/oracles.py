@@ -48,6 +48,8 @@ def oracle_1d_maximal(profile: RadialProfile, x: float, beta: float,
         raise ValueError("the 1D oracle needs beta in (0, 1)")
     if resolution < 2:
         raise ValueError(f"the 1D oracle needs a resolution of 2 or more, got {resolution}")
+    if not np.isfinite(x):
+        raise ValueError(f"the 1D oracle needs a finite x, got {x}")
     T = profile.support_radius
     reach = abs(x) + T
     integral = _even_antiderivative(profile)

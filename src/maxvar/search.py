@@ -22,9 +22,9 @@ follows that family without a stage of its own.  The compass runs in
 rounds, one fixed-rule call per round for every live run; each round a
 run asks for its polls at h and at the next steps, h/2 on the coarse pass
 and h/2, h/4 and h/8 on the fine one, and reads the polls at a step only
-when none at the steps before improves.  One function,
-:func:`_search_points`, serves a lone :func:`search` and the midpoints of
-a refined profile alike.  The
+when none at the steps before improves.  No point's result reaches another
+point's search: one function, :func:`_search_points`, serves a lone
+:func:`search` and the midpoints of a refined profile alike.  The
 reported value is :func:`objective` of the reported ball, the compass's
 own value bit for bit: the averages have one rule at every n.  All moves
 are comparison-based and the projection is linear in (d, r, s), so
@@ -407,22 +407,20 @@ def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
     return _dedupe_candidates(pool, MULTISTARTS)
 
 
-def search(profile: RadialProfile, s: float, params: AmbientParams,
-           warm: AxisBall | None = None) -> BestBallResult:
+def search(profile: RadialProfile, s: float, params: AmbientParams) -> BestBallResult:
     """Globally maximize the objective over feasible axis balls at radius s.
 
     Among maxima within the tie tolerance the smallest radius wins, then
     the smallest center distance.  The returned value is the compass's:
     :func:`objective` of the returned ball, bit for bit.
     """
-    res = _search_points(profile, [s], params, [warm])[0]
+    res = _search_points(profile, [s], params)[0]
     # the compass's value; recomputed only for perfbench's tracer test (ROADMAP.md item 7)
     return replace(res, value=objective(profile, s, res.ball, params))
 
 
-def _search_points(profile: RadialProfile, pts, params: AmbientParams, warms):
-    """The BestBallResults, with the compass's values, at the radii pts,
-    each warm-started from its ball in warms (or None).
+def _search_points(profile: RadialProfile, pts, params: AmbientParams):
+    """The BestBallResults, with the compass's values, at the radii pts.
 
     Ranks each point's coarse balls, then runs one compass pass for the
     starts of every point down to the hand-off step, dedupes each point's
@@ -433,13 +431,11 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams, warms):
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
     coarse, evals = [], []
-    for s, warm in zip(pts, warms):
+    for s in pts:
         if not 0.0 <= s < np.inf:
             raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
         ds, rs, grid_step_r = _coarse_balls(s, T)
         starts = _coarse_starts(profile, ds, rs, params)
-        if warm is not None:
-            starts.append((None, warm.d, warm.r))
         starts.append((None, 0.0, _centered_best(profile, s, params)[0]))
         box = (s, r_min, s + T)
         coarse.append([_Run(d0, r0, grid_step_r * max(r0, r_min), HANDOFF * max(r0, r_min),
@@ -501,20 +497,12 @@ def _assemble(profile, pts, results, formula) -> MaximalProfile:
 
 
 def maximal_profile(profile: RadialProfile, grid, params: AmbientParams) -> MaximalProfile:
-    """Sweep the grid in order, warm-starting each point from the previous
-    point's ball.
-
-    Warm starts only add refinement candidates; the global coarse stage
-    always runs.  The sweep is serial, so its output depends only on the
-    profile, the grid and the parameters.
-    """
+    """Search every point of the grid on its own: a point's result is
+    :func:`search` of its radius, whatever the other points are."""
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, dtype=float)
     if np.any(pts <= 0.0):
         raise ValueError("maximal-profile grids must be strictly positive")
-    results = []
-    for s in pts:
-        results.append(search(profile, float(s), params,
-                              warm=results[-1].ball if results else None))
+    results = [search(profile, float(s), params) for s in pts]
     return _assemble(profile, pts, results, _formula_channel(profile, results, params))
 
 
@@ -522,17 +510,15 @@ def refined_profile(profile: RadialProfile, grid: GridSpec, base: MaximalProfile
                     params: AmbientParams) -> MaximalProfile:
     """The maximal profile on ``grid.refined()``, given the sweep of ``grid``.
 
-    Only the midpoints are searched, each warm-started from its left base
-    neighbor's ball; the base results and formula derivatives are reused at
-    the even indices.  The midpoints' searches are independent, so one
-    :func:`_search_points` call runs them together, and each returns what
-    a lone :func:`search` returns, value included.
+    Only the midpoints are searched; the base results and formula
+    derivatives are reused at the even indices.  One :func:`_search_points`
+    call runs the midpoints together, and each returns what a lone
+    :func:`search` returns, value included.
     """
     fine = grid.refined()
     if not np.array_equal(fine[0::2], base.grid):
         raise ValueError("base sweep is not on the points of this grid")
-    mids = _search_points(profile, fine[1::2].tolist(), params,
-                          [left.ball for left in base.results[:-1]])
+    mids = _search_points(profile, fine[1::2].tolist(), params)
     results = [None] * len(fine)
     results[0::2] = base.results
     results[1::2] = mids

@@ -259,6 +259,23 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err.startswith("maxvar: error:") and f"got {resolution}" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "1d", "--n", "2"],
+        ["--mode", "dense2d", "--n", "3"],
+        ["--mode", "mc", "--n", "2", "--samples", "0"],
+        ["--mode", "mc", "--n", "1"],
+        ["--mode", "1d", "--n", "1", "--resolution", "1"],
+        ["--mode", "1d", "--n", "1", "--x", "inf"],
+    ], ids=["1d_n2", "dense2d_n3", "mc_no_samples", "mc_n1", "1d_resolution1", "1d_x_inf"])
+    def test_usage_error_prints_nothing_to_stdout(self, tent_json, capsys, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["oracle", "--beta", "0.5", "--profile", tent_json] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("maxvar: error:") and captured.err.count("\n") == 1
+
 
 class TestFamily:
     def test_family_deterministic(self, tmp_path):
@@ -301,6 +318,23 @@ class TestFamily:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith(f"maxvar: error: {field} must be")
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"profiles": {}}, "selects no profile"),
+        ({}, "selects no profile"),
+        ({"random": {"count": 0, "knots": 5}}, "selects no profile"),
+        ({"random": {"count": -2}}, "random.count must be 0 or more, got -2"),
+        ({"profiles": {"tent": [[0, 1], [1, 0]]}, "betas": []}, "selects no beta"),
+    ], ids=["empty_profiles", "empty_spec", "no_random_count", "negative_random_count",
+            "empty_betas"])
+    def test_spec_that_selects_nothing_is_an_input_error(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["family", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("maxvar: error:") and message in captured.err
 
 
 class TestConfigFile:

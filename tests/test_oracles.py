@@ -48,6 +48,11 @@ class TestOracle1D:
         with pytest.raises(ValueError, match=f"got {resolution}$"):
             oracle_1d_maximal(tent_profile, 0.6, 0.5, resolution=resolution)
 
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_x(self, tent_profile, x):
+        with pytest.raises(ValueError, match=f"finite x, got {x}$"):
+            oracle_1d_maximal(tent_profile, x, 0.5)
+
     def test_two_points_is_the_least_resolution(self, tent_profile):
         val = oracle_1d_maximal(tent_profile, 0.6, 0.5, resolution=2)
         assert rel_err(val, oracle_1d_maximal(tent_profile, 0.6, 0.5, resolution=500)) <= 1e-6

@@ -156,10 +156,9 @@ class TestSearch:
         r_min = search_module.R_MIN_FRAC * T
         for n in (1, 2, 3):
             params = AmbientParams(n, 0.5)
-            warm = None
             for s in (0.05 * T, 0.7 * T, 3.0 * T):
                 runs.clear()
-                warm = search(prof, s, params, warm=warm).ball
+                search(prof, s, params)
                 scale = [max(run["start"][1], r_min) for run in runs]
                 coarse = [run["tol"] == hand_off * x for run, x in zip(runs, scale)]
                 k = coarse.index(False)
@@ -772,15 +771,15 @@ class TestSweepEquivariance:
         for a, b in zip(mp1.results, mp2.results):
             assert b.ball.r == pytest.approx(a.ball.r / lam, rel=1e-9)
 
-    def test_warm_start_advisory(self, params2, tent_profile):
-        # a sweep warm-starts each point from its left neighbor's ball; the
-        # global coarse stage still runs, so the value is the cold one
-        grid = GridSpec.standard(tent_profile, 10)
-        mp = maximal_profile(tent_profile, grid, params2)
-        for s, left in zip(mp.grid[1:], mp.results[:-1]):
-            warm = search(tent_profile, float(s), params2, warm=left.ball)
-            cold = search(tent_profile, float(s), params2)
-            assert warm.value == pytest.approx(cold.value, rel=1e-8)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_rows_are_lone_searches(self, n):
+        # a sweep row depends only on its radius: every field of it is what a
+        # lone search of that radius returns
+        params = AmbientParams(n, 0.5)
+        prof = random_profile(np.random.default_rng(90 + n), 4 + 6 * n)
+        grid = GridSpec.standard(prof, 8)
+        mp = maximal_profile(prof, grid, params)
+        assert mp.results == [search(prof, float(s), params) for s in grid.points()]
 
 
 class TestRefinedProfile:
@@ -796,20 +795,6 @@ class TestRefinedProfile:
             assert res.s == fine.grid[i]
             assert fine.values[i] == res.value
 
-    def test_midpoints_warm_start_from_left_neighbor(self, params2, tent_profile, monkeypatch):
-        grid = GridSpec.standard(tent_profile, 5)
-        base = maximal_profile(tent_profile, grid, params2)
-        warms = []
-        original = search_module._search_points
-
-        def recording(profile, pts, params, point_warms):
-            warms.extend(point_warms)
-            return original(profile, pts, params, point_warms)
-
-        monkeypatch.setattr(search_module, "_search_points", recording)
-        refined_profile(tent_profile, grid, base, params2)
-        assert warms == [r.ball for r in base.results[:-1]]
-
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_lockstep_midpoints_equal_lone_warm_searches(self, n):
         params = AmbientParams(n, 0.5)
@@ -817,17 +802,25 @@ class TestRefinedProfile:
         grid = GridSpec.standard(prof, 8)
         base = maximal_profile(prof, grid, params)
         fine = refined_profile(prof, grid, base, params)
-        for s, left, res in zip(fine.grid[1::2], base.results[:-1], fine.results[1::2]):
-            assert res == search(prof, float(s), params, warm=left.ball)
+        for s, res in zip(fine.grid[1::2], fine.results[1::2]):
+            assert res == search(prof, float(s), params)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_equals_the_sweep_of_the_refined_grid(self, n):
+        params = AmbientParams(n, 0.5)
+        prof = random_profile(np.random.default_rng(80 + n), 4 + 6 * n)
+        grid = GridSpec.standard(prof, 5)
+        fine = refined_profile(prof, grid, maximal_profile(prof, grid, params), params)
+        assert fine.results == maximal_profile(prof, grid.refined(), params).results
 
     def test_report_searches_three_grids_minus_one(self, params2, tent_profile, monkeypatch):
         count = 5
         calls = []
         original = search_module._search_points
 
-        def counting(profile, pts, params, warms):
+        def counting(profile, pts, params):
             calls.extend(pts)
-            return original(profile, pts, params, warms)
+            return original(profile, pts, params)
 
         monkeypatch.setattr(search_module, "_search_points", counting)
         variation_report(tent_profile, params2, GridSpec.standard(tent_profile, count))
