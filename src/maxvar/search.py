@@ -24,7 +24,8 @@ run asks for its polls at h and at the next steps, h/2 on the coarse pass
 and h/2, h/4 and h/8 on the fine one, and reads the polls at a step only
 when none at the steps before improves.  No point's result reaches another
 point's search: one function, :func:`_search_points`, serves a lone
-:func:`search` and the midpoints of a refined profile alike.  The
+:func:`search` and a lock-step sweep (:func:`_sweep`) of many points
+alike, and a ratio report searches each of its profiles in one call.  The
 reported value is :func:`objective` of the reported ball, the compass's
 own value bit for bit: the averages have one rule at every n.  All moves
 are comparison-based and the projection is linear in (d, r, s), so
@@ -426,7 +427,9 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
     starts of every point down to the hand-off step, dedupes each point's
     endpoints and runs one compass pass for all survivors to REFINE_TOL.
     The fixed rule gives a ball the same value in any batch, so each point
-    gets what a search of it alone returns.
+    gets what a search of it alone returns, while a round's fixed-rule call
+    serves every point: the 40-point tent report at n = 2 makes 140 calls
+    in its two lock-step sweeps, where lone searches made 1,504.
     """
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
@@ -506,26 +509,12 @@ def maximal_profile(profile: RadialProfile, grid, params: AmbientParams) -> Maxi
     return _assemble(profile, pts, results, _formula_channel(profile, results, params))
 
 
-def refined_profile(profile: RadialProfile, grid: GridSpec, base: MaximalProfile,
-                    params: AmbientParams) -> MaximalProfile:
-    """The maximal profile on ``grid.refined()``, given the sweep of ``grid``.
-
-    Only the midpoints are searched; the base results and formula
-    derivatives are reused at the even indices.  One :func:`_search_points`
-    call runs the midpoints together, and each returns what a lone
-    :func:`search` returns, value included.
-    """
-    fine = grid.refined()
-    if not np.array_equal(fine[0::2], base.grid):
-        raise ValueError("base sweep is not on the points of this grid")
-    mids = _search_points(profile, fine[1::2].tolist(), params)
-    results = [None] * len(fine)
-    results[0::2] = base.results
-    results[1::2] = mids
-    formula = np.empty(len(fine))
-    formula[0::2] = base.deriv_formula
-    formula[1::2] = _formula_channel(profile, mids, params)
-    return _assemble(profile, fine, results, formula)
+def _sweep(profile: RadialProfile, pts: np.ndarray, params: AmbientParams) -> MaximalProfile:
+    """The maximal profile on the radii pts, lock-step: one
+    :func:`_search_points` call for every point, each row what a lone
+    :func:`search` of its radius returns, value included."""
+    results = _search_points(profile, pts.tolist(), params)
+    return _assemble(profile, pts, results, _formula_channel(profile, results, params))
 
 
 def derivative_by_formula(profile: RadialProfile, result: BestBallResult,

@@ -14,8 +14,7 @@ import numpy as np
 
 from .core import AmbientParams, RadialProfile, gradient_l1_norm, l1_norm
 from .families import dilate_profile
-from .search import (REGION_LABELS, GridSpec, MaximalProfile, maximal_profile,
-                     refined_profile)
+from .search import REGION_LABELS, GridSpec, MaximalProfile, _assemble, _sweep
 
 
 @dataclass(frozen=True)
@@ -88,28 +87,34 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
                      include_refinement: bool = True,
                      include_dilation: bool = True,
                      dilation_lambda: float = 2.0) -> VariationReport:
-    """Full pipeline: sweep, derivatives, norms, ratio, stability studies."""
+    """Full pipeline: sweep, derivatives, norms, ratio, stability studies.
 
-    def ratio_of(prof, g):
-        mp = maximal_profile(prof, g, params)
-        lq = lq_norm_derivative(mp, params)
-        l1 = gradient_l1_norm(prof, params)
-        return mp, lq, l1, lq / l1
-
+    Each profile's points are searched lock-step in one call: the original
+    profile's on the refined grid when the refinement study runs (the base
+    sweep is its even slice, on the base grid's stencils), the dilated
+    profile's on its grid.  Every row is what a lone search returns.
+    """
     # a dilation factor that is not positive and finite fails before any search
     dilated = dilate_profile(profile, dilation_lambda) if include_dilation else None
-    mp, lq, l1, ratio = ratio_of(profile, grid)
+    if include_refinement:
+        fine = _sweep(profile, grid.refined(), params)
+        mp = _assemble(profile, grid.points(), fine.results[0::2], fine.deriv_formula[0::2])
+    else:
+        mp = _sweep(profile, grid.points(), params)
+    # the base norm comes first: its unconverged radii are the ones reported
+    lq = lq_norm_derivative(mp, params)
+    l1 = gradient_l1_norm(profile, params)
+    ratio = lq / l1
     refinement_dev = None
     if include_refinement:
-        # the refined grid holds the base points: only its midpoints are searched
-        fine = refined_profile(profile, grid, mp, params)
         ratio_fine = lq_norm_derivative(fine, params) / l1
         refinement_dev = abs(ratio_fine - ratio) / ratio
     dilation_dev = None
     if include_dilation:
         lam = dilation_lambda
         grid_d = GridSpec(grid.lo / lam, grid.hi / lam, grid.count, grid.log)
-        _, _, _, ratio_d = ratio_of(dilated, grid_d)
+        mp_d = _sweep(dilated, grid_d.points(), params)
+        ratio_d = lq_norm_derivative(mp_d, params) / gradient_l1_norm(dilated, params)
         dilation_dev = abs(ratio_d - ratio) / ratio
 
     T = profile.support_radius

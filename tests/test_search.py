@@ -19,10 +19,11 @@ from maxvar.oracles import oracle_1d_maximal
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
 from maxvar.search import (CONTACT_TOL, TIE_TOL, GridSpec, MaximalProfile,
                            derivative_by_fd, derivative_by_formula,
-                           maximal_profile, objective, refined_profile, search)
+                           maximal_profile, objective, search)
 from maxvar.variation import variation_report
 
 search_module = importlib.import_module("maxvar.search")
+variation_module = importlib.import_module("maxvar.variation")
 
 from conftest import rel_err
 
@@ -654,7 +655,7 @@ class TestCompassLookAhead:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_mixed_radii_and_stop_steps_in_one_call(self, n):
-        # as the midpoints of a refined profile: runs at two radii, so two
+        # as the points of a lock-step sweep: runs at two radii, so two
         # projections, on both passes of search, share every round
         rng = np.random.default_rng(2020 + n)
         prof = random_profile(rng, 12, t_max=float(rng.uniform(0.5, 2.0)))
@@ -783,35 +784,53 @@ class TestSweepEquivariance:
 
 
 class TestRefinedProfile:
-    def test_reuses_base_results(self, params2, tent_profile):
+    """The lock-step sweep a ratio report runs on the refined grid."""
+
+    def test_reuses_base_results(self, params2, tent_profile, monkeypatch):
+        # the report's base sweep is the even slice of its refined sweep,
+        # assembled on the base grid, whose stencils its differences use
         grid = GridSpec.standard(tent_profile, 6)
-        base = maximal_profile(tent_profile, grid, params2)
-        fine = refined_profile(tent_profile, grid, base, params2)
+        sweeps, slices = [], []
+        sweep, assemble = variation_module._sweep, variation_module._assemble
+
+        def recording_sweep(profile, pts, params):
+            sweeps.append(sweep(profile, pts, params))
+            return sweeps[-1]
+
+        def recording_assemble(profile, pts, results, formula):
+            slices.append(assemble(profile, pts, results, formula))
+            return slices[-1]
+
+        monkeypatch.setattr(variation_module, "_sweep", recording_sweep)
+        monkeypatch.setattr(variation_module, "_assemble", recording_assemble)
+        variation_report(tent_profile, params2, grid, include_dilation=False)
+        (fine,), (base,) = sweeps, slices
         assert np.array_equal(fine.grid, grid.refined())
-        assert all(a is b for a, b in zip(fine.results[0::2], base.results))
-        assert np.array_equal(fine.deriv_formula[0::2], base.deriv_formula)
-        for i in range(1, len(fine.grid), 2):
-            res = fine.results[i]
-            assert res.s == fine.grid[i]
-            assert fine.values[i] == res.value
+        assert np.array_equal(base.grid, grid.points())
+        assert all(a is b for a, b in zip(base.results, fine.results[0::2]))
+        assert np.array_equal(base.deriv_formula, fine.deriv_formula[0::2])
+        assert np.array_equal(base.values, fine.values[0::2])
+        assert np.array_equal(base.deriv_fd, maximal_profile(tent_profile, grid, params2).deriv_fd)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_lockstep_midpoints_equal_lone_warm_searches(self, n):
+    def test_lockstep_rows_equal_lone_searches(self, n):
         params = AmbientParams(n, 0.5)
         prof = random_profile(np.random.default_rng(70 + n), 12)
-        grid = GridSpec.standard(prof, 8)
-        base = maximal_profile(prof, grid, params)
-        fine = refined_profile(prof, grid, base, params)
-        for s, res in zip(fine.grid[1::2], fine.results[1::2]):
-            assert res == search(prof, float(s), params)
+        pts = GridSpec.standard(prof, 8).refined()
+        fine = search_module._sweep(prof, pts, params)
+        assert fine.results == [search(prof, float(s), params) for s in pts]
+        assert np.array_equal(fine.values, [res.value for res in fine.results])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_equals_the_sweep_of_the_refined_grid(self, n):
         params = AmbientParams(n, 0.5)
         prof = random_profile(np.random.default_rng(80 + n), 4 + 6 * n)
-        grid = GridSpec.standard(prof, 5)
-        fine = refined_profile(prof, grid, maximal_profile(prof, grid, params), params)
-        assert fine.results == maximal_profile(prof, grid.refined(), params).results
+        pts = GridSpec.standard(prof, 5).refined()
+        fine = search_module._sweep(prof, pts, params)
+        lone = maximal_profile(prof, pts, params)
+        assert fine.results == lone.results
+        for channel in ("values", "deriv_fd", "deriv_formula", "corner_flags"):
+            assert np.array_equal(getattr(fine, channel), getattr(lone, channel))
 
     def test_report_searches_three_grids_minus_one(self, params2, tent_profile, monkeypatch):
         count = 5
@@ -825,11 +844,6 @@ class TestRefinedProfile:
         monkeypatch.setattr(search_module, "_search_points", counting)
         variation_report(tent_profile, params2, GridSpec.standard(tent_profile, count))
         assert len(calls) == 3 * count - 1
-
-    def test_rejects_foreign_base(self, params2, tent_profile):
-        base = maximal_profile(tent_profile, GridSpec.standard(tent_profile, 4), params2)
-        with pytest.raises(ValueError):
-            refined_profile(tent_profile, GridSpec.standard(tent_profile, 5), base, params2)
 
 
 class TestGridSpec:

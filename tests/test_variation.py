@@ -1,17 +1,20 @@
 """Lq norm assembly, scalar and dilation invariance, family sweeps."""
 
+import importlib
 import pickle
 
 import numpy as np
 import pytest
 
-from maxvar.core import AmbientParams
-from maxvar.families import scale_profile, standard_family, tent
+from maxvar.core import AmbientParams, gradient_l1_norm
+from maxvar.families import dilate_profile, random_profile, scale_profile, standard_family, tent
 from maxvar.geometry import AxisBall
-from maxvar.search import GridSpec, MaximalProfile
+from maxvar.search import GridSpec, MaximalProfile, maximal_profile
 from maxvar.variation import (UnconvergedSweepError, VariationReport,
                               combined_derivative, family_sweep,
-                              lq_norm_derivative, variation_report)
+                              lq_norm_derivative, region_histogram, variation_report)
+
+search_module = importlib.import_module("maxvar.search")
 
 from conftest import rel_err
 
@@ -112,6 +115,74 @@ class TestVariationReport:
         import json
         data = json.loads(small_report.to_json())
         assert data["n"] == 2 and data["ratio"] == small_report.ratio
+
+
+def lone_report(profile, params, grid, refine, dilate, lam=2.0):
+    """The fields of variation_report, recomputed from lone maximal_profile
+    sweeps of the base, refined and dilated grids."""
+    base = maximal_profile(profile, grid, params)
+    l1 = gradient_l1_norm(profile, params)
+    ratio = lq_norm_derivative(base, params) / l1
+    fields = {"ratio": ratio, "refinement_deviation": None, "dilation_deviation": None,
+              "region_histogram": region_histogram(base),
+              "corner_count": int(np.count_nonzero(base.corner_flags)),
+              "info": {"grid_points": len(base.grid),
+                       "ties": max(r.tie_candidates for r in base.results)}}
+    if refine:
+        fine = maximal_profile(profile, grid.refined(), params)
+        fields["refinement_deviation"] = abs(lq_norm_derivative(fine, params) / l1 - ratio) / ratio
+    if dilate:
+        dilated = dilate_profile(profile, lam)
+        grid_d = GridSpec(grid.lo / lam, grid.hi / lam, grid.count, grid.log)
+        ratio_d = lq_norm_derivative(maximal_profile(dilated, grid_d, params), params) \
+            / gradient_l1_norm(dilated, params)
+        fields["dilation_deviation"] = abs(ratio_d - ratio) / ratio
+    return fields
+
+
+class TestLockStepReport:
+    """A report searches each profile in one lock-step call; its fields are
+    those of lone sweeps, bit for bit."""
+
+    STUDIES = [(False, False), (True, False), (False, True), (True, True)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["tent", "random12"])
+    def test_equals_lone_sweeps(self, kind, n):
+        prof = tent() if kind == "tent" else random_profile(np.random.default_rng(40 + n), 12)
+        params = AmbientParams(n, 0.5)
+        grid = GridSpec.standard(prof, 8)
+        full = lone_report(prof, params, grid, True, True)
+        for refine, dilate in self.STUDIES:
+            rep = variation_report(prof, params, grid, refine, dilate)
+            expected = dict(full,
+                            refinement_deviation=full["refinement_deviation"] if refine else None,
+                            dilation_deviation=full["dilation_deviation"] if dilate else None)
+            assert {k: getattr(rep, k) for k in expected} == expected, (refine, dilate)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("dilate", [False, True])
+    def test_one_search_call_per_profile(self, refine, dilate, monkeypatch):
+        calls = []
+        original = search_module._search_points
+
+        def counting(profile, pts, params):
+            calls.append(len(pts))
+            return original(profile, pts, params)
+
+        monkeypatch.setattr(search_module, "_search_points", counting)
+        prof = tent()
+        variation_report(prof, AmbientParams(2, 0.5), GridSpec.standard(prof, 5), refine, dilate)
+        assert calls == [9 if refine else 5] + ([5] if dilate else [])
+
+    def test_unconverged_report_lists_the_base_radii(self, monkeypatch):
+        # the base norm is taken before the refined one
+        monkeypatch.setattr(search_module, "REFINE_MAX_EVALS", 5)
+        prof = tent()
+        grid = GridSpec.standard(prof, 5)
+        with pytest.raises(UnconvergedSweepError) as err:
+            variation_report(prof, AmbientParams(2, 0.5), grid)
+        assert err.value.radii == grid.points().tolist()
 
 
 class TestFamilySweep:
