@@ -91,16 +91,25 @@ class BestBallResult:
     tie_candidates: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaximalProfile:
-    """m(s) on a grid with per-point results and both derivative channels."""
+    """m(s) on a grid: the per-point results, both derivative channels and
+    the corner flags, built whole by :func:`_build_profile`.
+
+    deriv_fd is :func:`derivative_by_fd` of the values and deriv_formula is
+    :func:`derivative_by_formula` of each result.  corner_flags marks both
+    points of every neighbor pair across which m may lose its second
+    derivative, where the finite difference is a biased estimate: the best
+    ball jumps by more than JUMP_REL, the contact kind changes, or a profile
+    knot lies strictly between the two points' s, d + r or d - r.
+    """
 
     grid: np.ndarray
     values: np.ndarray
     results: list
-    deriv_fd: np.ndarray | None = None
-    deriv_formula: np.ndarray | None = None
-    corner_flags: np.ndarray | None = None
+    deriv_fd: np.ndarray
+    deriv_formula: np.ndarray
+    corner_flags: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -488,33 +497,48 @@ def _region_label(contact: Contact, s: float) -> str:
     return "E3"
 
 
-def _formula_channel(profile, results, params) -> np.ndarray:
-    return np.array([derivative_by_formula(profile, r, params) for r in results])
-
-
-def _assemble(profile, pts, results, formula) -> MaximalProfile:
-    mp = MaximalProfile(grid=pts, values=np.array([r.value for r in results]),
-                        results=results, deriv_formula=formula)
-    derivative_by_fd(mp, profile)
-    return mp
+def _build_profile(profile: RadialProfile, pts, results, params: AmbientParams) -> MaximalProfile:
+    """The MaximalProfile of the results at the radii pts, every field at
+    once: each sweep ends here."""
+    values = np.array([res.value for res in results])
+    d = np.array([res.ball.d for res in results])
+    r = np.array([res.ball.r for res in results])
+    kinds = np.array([res.contact.kind for res in results])
+    edges = np.array([[res.s for res in results], d + r, d - r])
+    lo = np.minimum(edges[:, :-1], edges[:, 1:])
+    hi = np.maximum(edges[:, :-1], edges[:, 1:])
+    knots = profile.knots_t
+    # more knots lie below hi than at or below lo: one lies strictly between
+    pairs = ((np.maximum(abs(np.diff(d)), abs(np.diff(r))) / np.maximum(r[:-1], r[1:]) > JUMP_REL)
+             | (kinds[1:] != kinds[:-1])
+             | (knots.searchsorted(hi, "left") > knots.searchsorted(lo, "right")).any(0))
+    flags = np.zeros(len(results), dtype=bool)
+    flags[:-1] |= pairs
+    flags[1:] |= pairs
+    return MaximalProfile(grid=pts, values=values, results=results,
+                          deriv_fd=derivative_by_fd(pts, values),
+                          deriv_formula=np.array([derivative_by_formula(profile, res, params)
+                                                  for res in results]),
+                          corner_flags=flags)
 
 
 def maximal_profile(profile: RadialProfile, grid, params: AmbientParams) -> MaximalProfile:
     """Search every point of the grid on its own: a point's result is
-    :func:`search` of its radius, whatever the other points are."""
+    :func:`search` of its radius, whatever the other points are.  An array
+    grid must hold 3 or more finite, positive, strictly increasing radii."""
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, dtype=float)
-    if np.any(pts <= 0.0):
-        raise ValueError("maximal-profile grids must be strictly positive")
-    results = [search(profile, float(s), params) for s in pts]
-    return _assemble(profile, pts, results, _formula_channel(profile, results, params))
+    if pts.ndim != 1 or len(pts) < 3 or not np.all(np.isfinite(pts)) \
+            or pts[0] <= 0.0 or np.any(np.diff(pts) <= 0.0):
+        raise ValueError("maximal-profile grids need 3 or more finite, strictly positive "
+                         "and strictly increasing radii")
+    return _build_profile(profile, pts, [search(profile, float(s), params) for s in pts], params)
 
 
 def _sweep(profile: RadialProfile, pts: np.ndarray, params: AmbientParams) -> MaximalProfile:
     """The maximal profile on the radii pts, lock-step: one
     :func:`_search_points` call for every point, each row what a lone
     :func:`search` of its radius returns, value included."""
-    results = _search_points(profile, pts.tolist(), params)
-    return _assemble(profile, pts, results, _formula_channel(profile, results, params))
+    return _build_profile(profile, pts, _search_points(profile, pts.tolist(), params), params)
 
 
 def derivative_by_formula(profile: RadialProfile, result: BestBallResult,
@@ -530,18 +554,12 @@ def derivative_by_formula(profile: RadialProfile, result: BestBallResult,
     return ball.r ** params.beta * gradient_axial_component(profile, ball, params)
 
 
-def derivative_by_fd(mp: MaximalProfile, profile: RadialProfile | None = None) -> np.ndarray:
-    """Central differences on the grid plus corner-suspect flags.
-
-    A point is flagged when the best ball jumps by more than JUMP_REL
-    between neighbors or the contact kind changes there (a genuine corner
-    of m), and, when the profile is supplied, when s or an edge of the
-    best ball crosses a profile knot inside the stencil: m loses second
-    derivatives at those structural events, which makes the finite
-    difference a biased estimate there.
-    """
-    s = mp.grid
-    m = mp.values
+def derivative_by_fd(grid, values) -> np.ndarray:
+    """m'(s) by finite differences of the values m on the grid s: the
+    three-point central stencil inside and second-order one-sided stencils
+    at the ends, all exact for quadratics on any increasing grid."""
+    s = np.asarray(grid, dtype=float)
+    m = np.asarray(values, dtype=float)
     if len(s) < 3:
         raise ValueError("need at least 3 grid points for finite differences")
     d = np.empty_like(m)
@@ -549,34 +567,10 @@ def derivative_by_fd(mp: MaximalProfile, profile: RadialProfile | None = None) -
     hp = s[2:] - s[1:-1]
     d[1:-1] = (hm**2 * m[2:] - hp**2 * m[:-2] + (hp**2 - hm**2) * m[1:-1]) \
         / (hm * hp * (hm + hp))
-    # second-order one-sided stencils at the ends
     h1, h2 = s[1] - s[0], s[2] - s[1]
     d[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)) * m[0]
             + (h1 + h2) / (h1 * h2) * m[1] - h1 / (h2 * (h1 + h2)) * m[2])
     g1, g2 = s[-1] - s[-2], s[-2] - s[-3]
     d[-1] = ((2 * g1 + g2) / (g1 * (g1 + g2)) * m[-1]
              - (g1 + g2) / (g1 * g2) * m[-2] + g1 / (g2 * (g1 + g2)) * m[-3])
-
-    flags = np.zeros(len(s), dtype=bool)
-    knots = profile.knots_t if profile is not None else None
-    for i in range(len(s) - 1):
-        a, b = mp.results[i], mp.results[i + 1]
-        scale = max(a.ball.r, b.ball.r)
-        jump = max(abs(a.ball.d - b.ball.d), abs(a.ball.r - b.ball.r)) / scale
-        if jump > JUMP_REL or a.contact.kind != b.contact.kind:
-            flags[i] = flags[i + 1] = True
-        elif knots is not None and _crosses_knot(a, b, knots):
-            flags[i] = flags[i + 1] = True
-    mp.deriv_fd = d
-    mp.corner_flags = flags
     return d
-
-
-def _crosses_knot(a: BestBallResult, b: BestBallResult, knots) -> bool:
-    """True when s or a best-ball edge passes a profile knot between a and b."""
-    for fn in (lambda x: x.s, lambda x: x.ball.d + x.ball.r, lambda x: x.ball.d - x.ball.r):
-        va, vb = fn(a), fn(b)
-        lo, hi = (va, vb) if va <= vb else (vb, va)
-        if np.any((knots > lo) & (knots < hi)):
-            return True
-    return False

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import AmbientParams, RadialProfile, gradient_l1_norm, l1_norm
 from .families import dilate_profile
-from .search import REGION_LABELS, GridSpec, MaximalProfile, _assemble, _sweep
+from .search import REGION_LABELS, GridSpec, MaximalProfile, _build_profile, _sweep
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class VariationReport:
     corner_count: int
     refinement_deviation: float | None = None
     dilation_deviation: float | None = None
-    exponent_residual: float = 0.0
     tail_bound: float = 0.0
     info: dict = field(default_factory=dict)
 
@@ -98,7 +97,7 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
     dilated = dilate_profile(profile, dilation_lambda) if include_dilation else None
     if include_refinement:
         fine = _sweep(profile, grid.refined(), params)
-        mp = _assemble(profile, grid.points(), fine.results[0::2], fine.deriv_formula[0::2])
+        mp = _build_profile(profile, grid.points(), fine.results[0::2], params)
     else:
         mp = _sweep(profile, grid.points(), params)
     # the base norm comes first: its unconverged radii are the ones reported
@@ -121,13 +120,12 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
     s_max = float(np.max(np.asarray(mp.grid)))
     tail = (s_max + T) ** (params.beta - params.n) * l1_norm(profile, params) \
         / params.omega_n
-    exponent_residual = abs(params.q * params.beta - params.n * (params.q - 1.0))
     return VariationReport(
         n=params.n, beta=params.beta, q=params.q, lq_norm_dm=lq, l1_norm_df=l1,
         ratio=ratio, grid=grid.label(), region_histogram=region_histogram(mp),
         corner_count=int(np.count_nonzero(mp.corner_flags)),
         refinement_deviation=refinement_dev, dilation_deviation=dilation_dev,
-        exponent_residual=exponent_residual, tail_bound=tail,
+        tail_bound=tail,
         info={"grid_points": len(mp.grid),
               "ties": max(r.tie_candidates for r in mp.results)})
 

@@ -14,10 +14,10 @@ from scipy.optimize import minimize_scalar
 from maxvar.averages import ball_average, batch_objective, fixed_rule_objective
 from maxvar.core import AmbientParams, l1_norm, load_profile
 from maxvar.families import dilate_profile, random_profile, scale_profile, tent, two_bump
-from maxvar.geometry import AxisBall, InfeasibleBallError
+from maxvar.geometry import AxisBall, InfeasibleBallError, classify_contact
 from maxvar.oracles import oracle_1d_maximal
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
-from maxvar.search import (CONTACT_TOL, TIE_TOL, GridSpec, MaximalProfile,
+from maxvar.search import (CONTACT_TOL, JUMP_REL, TIE_TOL, BestBallResult, GridSpec,
                            derivative_by_fd, derivative_by_formula,
                            maximal_profile, objective, search)
 from maxvar.variation import variation_report
@@ -28,6 +28,25 @@ variation_module = importlib.import_module("maxvar.variation")
 from conftest import rel_err
 
 QUERIES = json.loads((Path(__file__).parent / "data" / "search_queries.json").read_text())["cases"]
+
+
+def pairwise_corner_flags(results, knots):
+    """The corner flags by the rule applied pair by pair: a ball jump above
+    JUMP_REL, a change of contact kind, or a knot strictly between the two
+    points' s, d + r or d - r flags both points."""
+    flags = np.zeros(len(results), dtype=bool)
+    for i in range(len(results) - 1):
+        a, b = results[i], results[i + 1]
+        scale = max(a.ball.r, b.ball.r)
+        jump = max(abs(a.ball.d - b.ball.d), abs(a.ball.r - b.ball.r)) / scale
+        crosses = False
+        for fn in (lambda x: x.s, lambda x: x.ball.d + x.ball.r, lambda x: x.ball.d - x.ball.r):
+            va, vb = fn(a), fn(b)
+            lo, hi = (va, vb) if va <= vb else (vb, va)
+            crosses = crosses or bool(np.any((knots > lo) & (knots < hi)))
+        if jump > JUMP_REL or a.contact.kind != b.contact.kind or crosses:
+            flags[i] = flags[i + 1] = True
+    return flags
 
 
 def chi_profile():
@@ -709,31 +728,25 @@ class TestDerivatives:
                     assert np.sign(m_prime) == np.sign(res.ball.d - res.s)
 
     def test_fd_linear_exact(self):
-        mp = MaximalProfile(grid=np.array([1.0, 2.0, 4.0]),
-                            values=np.array([2.0, 4.0, 8.0]), results=[])
-        mp.deriv_formula = np.zeros(3)
-
-        class Stub:
-            def __init__(self):
-                self.ball = AxisBall(1.0, 1.0)
-                self.contact = type("C", (), {"kind": "interior"})()
-                self.s = 1.0
-        mp.results = [Stub(), Stub(), Stub()]
-        d = derivative_by_fd(mp)
-        assert np.allclose(d, 2.0, atol=1e-12)
+        assert np.allclose(derivative_by_fd([1.0, 2.0, 4.0], [2.0, 4.0, 8.0]), 2.0, atol=1e-12)
 
     def test_fd_constant_zero(self):
-        mp = MaximalProfile(grid=np.array([1.0, 2.0, 3.0]),
-                            values=np.array([5.0, 5.0, 5.0]), results=[])
-        mp.deriv_formula = np.zeros(3)
+        assert np.allclose(derivative_by_fd([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]), 0.0, atol=1e-15)
 
-        class Stub:
-            def __init__(self):
-                self.ball = AxisBall(1.0, 1.0)
-                self.contact = type("C", (), {"kind": "interior"})()
-                self.s = 1.0
-        mp.results = [Stub(), Stub(), Stub()]
-        assert np.allclose(derivative_by_fd(mp), 0.0, atol=1e-15)
+    def test_fd_quadratic_exact_on_a_geometric_grid(self):
+        # every stencil, the one-sided ends included, is exact for quadratics;
+        # what is left is the rounding of m divided by the smallest step
+        s = np.geomspace(0.05, 8.0, 24)
+        m = 1.3 - 0.7 * s + 0.25 * s**2
+        grid, values = s.copy(), m.copy()
+        d = derivative_by_fd(grid, values)
+        assert np.array_equal(grid, s) and np.array_equal(values, m)
+        tol = 64 * np.finfo(float).eps * np.max(np.abs(m)) / np.min(np.diff(s))
+        assert np.max(np.abs(d - (-0.7 + 0.5 * s))) <= tol
+
+    def test_fd_needs_three_points(self):
+        with pytest.raises(ValueError):
+            derivative_by_fd([1.0, 2.0], [1.0, 2.0])
 
     def test_corner_flags_at_ball_jumps(self, params2):
         prof = load_profile([(0, 1), (1, 0), (2, 0), (2.5, 0.8), (3, 0)])
@@ -746,6 +759,43 @@ class TestDerivatives:
                 jumps.extend([i, i + 1])
         assert jumps, "two-bump sweep should switch best-ball basins"
         assert all(mp.corner_flags[j] for j in jumps)
+
+    def test_corner_flags_at_knot_crossings_alone(self, params2):
+        # s passes the knots 1 and 2 of the two-bump while the best ball and
+        # its contact kind stay put: only the knot test flags these pairs
+        prof = two_bump()
+        mp = maximal_profile(prof, GridSpec.standard(prof, 24), params2)
+        crossings = []
+        for i, (a, b) in enumerate(zip(mp.results, mp.results[1:])):
+            jump = max(abs(a.ball.d - b.ball.d), abs(a.ball.r - b.ball.r)) / max(a.ball.r, b.ball.r)
+            lo, hi = min(a.s, b.s), max(a.s, b.s)
+            if jump <= JUMP_REL and a.contact.kind == b.contact.kind \
+                    and np.any((prof.knots_t > lo) & (prof.knots_t < hi)):
+                crossings.append(i)
+        assert len(crossings) >= 2
+        assert all(mp.corner_flags[i] and mp.corner_flags[i + 1] for i in crossings)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_corner_flags_equal_the_pairwise_rule(self, n):
+        params = AmbientParams(n, 0.5)
+        prof = random_profile(np.random.default_rng(110 + n), 12)
+        mp = maximal_profile(prof, GridSpec.standard(prof, 24), params)
+        assert np.array_equal(mp.corner_flags, pairwise_corner_flags(mp.results, prof.knots_t))
+
+    def test_corner_flags_need_a_knot_strictly_between(self, params2):
+        # one interior ball for every point, so only s can cross a knot; the
+        # first pair ends on the knots 0.5 and 1, the last holds the knot 2
+        prof = load_profile([(0, 1), (0.5, 0.6), (1, 0.2), (2, 0.1), (3, 0)])
+        ball = AxisBall(1.5, 1.5)
+        pts = np.array([0.5, 1.0, 1.25, 1.5, 2.5])
+        results = [BestBallResult(s=float(s), value=1.0, ball=ball,
+                                  contact=classify_contact(ball, float(s), CONTACT_TOL),
+                                  region="zero_derivative", objective_evals=0, converged=True)
+                   for s in pts]
+        mp = search_module._build_profile(prof, pts, results, params2)
+        assert mp.corner_flags.tolist() == [False, False, False, True, True]
+        assert np.array_equal(mp.corner_flags, pairwise_corner_flags(results, prof.knots_t))
+        assert np.array_equal(mp.deriv_formula, np.zeros(5))
 
 
 class TestSweepEquivariance:
@@ -788,21 +838,21 @@ class TestRefinedProfile:
 
     def test_reuses_base_results(self, params2, tent_profile, monkeypatch):
         # the report's base sweep is the even slice of its refined sweep,
-        # assembled on the base grid, whose stencils its differences use
+        # built on the base grid, whose stencils its differences use
         grid = GridSpec.standard(tent_profile, 6)
         sweeps, slices = [], []
-        sweep, assemble = variation_module._sweep, variation_module._assemble
+        sweep, build = variation_module._sweep, variation_module._build_profile
 
         def recording_sweep(profile, pts, params):
             sweeps.append(sweep(profile, pts, params))
             return sweeps[-1]
 
-        def recording_assemble(profile, pts, results, formula):
-            slices.append(assemble(profile, pts, results, formula))
+        def recording_build(profile, pts, results, params):
+            slices.append(build(profile, pts, results, params))
             return slices[-1]
 
         monkeypatch.setattr(variation_module, "_sweep", recording_sweep)
-        monkeypatch.setattr(variation_module, "_assemble", recording_assemble)
+        monkeypatch.setattr(variation_module, "_build_profile", recording_build)
         variation_report(tent_profile, params2, grid, include_dilation=False)
         (fine,), (base,) = sweeps, slices
         assert np.array_equal(fine.grid, grid.refined())
@@ -810,7 +860,9 @@ class TestRefinedProfile:
         assert all(a is b for a, b in zip(base.results, fine.results[0::2]))
         assert np.array_equal(base.deriv_formula, fine.deriv_formula[0::2])
         assert np.array_equal(base.values, fine.values[0::2])
-        assert np.array_equal(base.deriv_fd, maximal_profile(tent_profile, grid, params2).deriv_fd)
+        lone = maximal_profile(tent_profile, grid, params2)
+        assert np.array_equal(base.deriv_fd, lone.deriv_fd)
+        assert np.array_equal(base.corner_flags, lone.corner_flags)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_lockstep_rows_equal_lone_searches(self, n):
@@ -864,3 +916,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="0.1:1:3.5:log"):
             GridSpec(0.1, 1.0, 3.5)
         assert len(GridSpec(0.1, 1.0, np.int64(5)).points()) == 5
+
+    @pytest.mark.parametrize("pts", [[0.2, 0.2, 0.9], [0.2, 0.5], [0.2, np.nan, 0.9],
+                                     [0.2, 0.5, np.inf], [0.9, 0.5, 0.2], [0.0, 0.5, 0.9],
+                                     [[0.2, 0.5, 0.9]]])
+    def test_array_grid_checked_before_any_search(self, pts, params2, tent_profile, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search_module, "search", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="grids need 3 or more"):
+            maximal_profile(tent_profile, pts, params2)
+        assert calls == []
