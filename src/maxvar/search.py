@@ -6,9 +6,9 @@ symmetry about the evaluation axis and the mirror-domination argument
 justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row,
 the rows ending on the boundary family r = |d - s|), every ball ranked
-in one call of the batch objective (the fixed rule's panels, with fewer
-nodes per cap panel at even n), plus the best centered ball, which the
-radial reduction solves in closed form (:func:`_centered_best`);
+in one call of the fixed rule, the compass's own evaluator, plus the best
+centered ball, which the radial reduction solves in closed form
+(:func:`_centered_best`);
 compass refinement of the top-K deduplicated starts down to the hand-off
 step (HANDOFF of the radius), at which the compass of the distinct
 endpoints starts, and on to REFINE_TOL.  The compass polls the edge
@@ -28,9 +28,12 @@ point's search: one function, :func:`_search_points`, serves a lone
 alike, and a ratio report searches each of its profiles in one call.  The
 reported value is :func:`objective` of the reported ball, the compass's
 own value bit for bit: the averages have one rule at every n.  All moves
-are comparison-based and the projection is linear in (d, r, s), so
-scaling the profile by a positive constant repeats the search path and
-dilating it dilates the path.
+are comparison-based and the projection is linear in (d, r, s), and the
+coarse grid and the centered start are built in units of T, so scaling
+the profile by a positive constant repeats the search path and dilating
+it by a power of two dilates the path.  That rests on comparisons that
+the per-ball rounding of r^beta does not flip; nothing guards against a
+flip, which would move a dilated point to another compass path.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .averages import (_gauss, ball_average, batch_objective, fixed_rule_objective,
-                       gradient_axial_component)
+from .averages import _gauss, ball_average, fixed_rule_objective, gradient_axial_component
 from .core import AmbientParams, RadialProfile
 from .geometry import AxisBall, Contact, InfeasibleBallError, classify_contact
 
@@ -50,8 +52,8 @@ REGION_LABELS = ("zero_derivative", "E1", "E2", "E3", "unclassified")
 
 
 # coarse grid, multistart refinement and tie-breaking
-R_PER_DECADE = 12
-D_PER_ROW = 24
+R_PER_DECADE = 6
+D_PER_ROW = 14
 MULTISTARTS = 8
 HANDOFF = 1e-3  # of the radius: the coarse compass stops at this step, the fine one starts
 # the steps h, h/2, ... a compass round asks for polls at: a fine round holds
@@ -384,23 +386,23 @@ def _coarse_balls(s: float, T: float):
     Each row runs from max(0, s - r) to min(s, T) + r, so it starts at the
     inner boundary ball (s - r, r) where r <= s and ends at the outer one
     (s + r, r) where s <= T: the boundary family r = |d - s| needs no
-    balls of its own."""
-    r_min = R_MIN_FRAC * T
-    r_max = s + T
+    balls of its own.  The grid is built in units of T and scaled at the
+    end, so dilating (s, T) by a power of two dilates every ball exactly."""
+    x = s / T
     # rows whose balls cannot reach the support (r <= (s - T)/2) carry zero objective
-    r_low = max(r_min, 0.5 * (s - T))
-    decades = math.log10(r_max / max(r_low, 1e-300))
+    r_low = max(R_MIN_FRAC, 0.5 * (x - 1.0))
+    decades = math.log10((x + 1.0) / r_low)
     n_r = max(2, int(math.ceil(R_PER_DECADE * decades)) + 1)
-    rs_rows = np.geomspace(r_low, r_max, n_r)
-    lo_d = np.maximum(0.0, s - rs_rows)
-    hi_d = np.minimum(s, T) + rs_rows
+    rs_rows = np.geomspace(r_low, x + 1.0, n_r)
+    lo_d = np.maximum(0.0, x - rs_rows)
+    hi_d = min(x, 1.0) + rs_rows
     frac = np.linspace(0.0, 1.0, D_PER_ROW)
     ds = (lo_d[:, None] + np.maximum(hi_d - lo_d, 0.0)[:, None] * frac[None, :]).ravel()
-    return ds, np.repeat(rs_rows, D_PER_ROW), rs_rows[1] / rs_rows[0] - 1.0
+    return ds * T, np.repeat(rs_rows * T, D_PER_ROW), rs_rows[1] / rs_rows[0] - 1.0
 
 
 def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
-    """Rank the coarse balls (ds, rs) by the batch objective and return the
+    """Rank the coarse balls (ds, rs) by the fixed rule and return the
     starts of the refinement: the top POOL_SIZE balls within POOL_FRACTION
     of the best, deduplicated to MULTISTARTS starts.
 
@@ -408,7 +410,7 @@ def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
     first ball of the best value; when no value is positive, it is the only
     start.
     """
-    values = batch_objective(profile, ds, rs, params)
+    values = fixed_rule_objective(profile, ds, rs, params)
     order = np.argsort(-values, kind="stable")[:POOL_SIZE]
     vals = values[order]
     # the values fall along order, so the pool is a prefix
@@ -437,8 +439,8 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
     endpoints and runs one compass pass for all survivors to REFINE_TOL.
     The fixed rule gives a ball the same value in any batch, so each point
     gets what a search of it alone returns, while a round's fixed-rule call
-    serves every point: the 40-point tent report at n = 2 makes 140 calls
-    in its two lock-step sweeps, where lone searches made 1,504.
+    serves every point: the 40-point tent report at n = 2 makes 153 compass
+    calls in its two lock-step sweeps, where lone searches make 2,459.
     """
     T = profile.support_radius
     r_min = R_MIN_FRAC * T

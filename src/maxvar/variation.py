@@ -91,7 +91,8 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
     Each profile's points are searched lock-step in one call: the original
     profile's on the refined grid when the refinement study runs (the base
     sweep is its even slice, on the base grid's stencils), the dilated
-    profile's on its grid.  Every row is what a lone search returns.
+    profile's on the base grid's points divided by the dilation factor.
+    Every row is what a lone search returns.
     """
     # a dilation factor that is not positive and finite fails before any search
     dilated = dilate_profile(profile, dilation_lambda) if include_dilation else None
@@ -110,9 +111,7 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
         refinement_dev = abs(ratio_fine - ratio) / ratio
     dilation_dev = None
     if include_dilation:
-        lam = dilation_lambda
-        grid_d = GridSpec(grid.lo / lam, grid.hi / lam, grid.count, grid.log)
-        mp_d = _sweep(dilated, grid_d.points(), params)
+        mp_d = _sweep(dilated, grid.points() / dilation_lambda, params)
         ratio_d = lq_norm_derivative(mp_d, params) / gradient_l1_norm(dilated, params)
         dilation_dev = abs(ratio_d - ratio) / ratio
 

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from maxvar.averages import ball_average, batch_objective, fixed_rule_objective
+from maxvar.averages import ball_average, fixed_rule_objective
 from maxvar.core import AmbientParams, l1_norm, load_profile
 from maxvar.families import dilate_profile, random_profile, scale_profile, tent, two_bump
 from maxvar.geometry import AxisBall, InfeasibleBallError, classify_contact
@@ -244,6 +244,15 @@ class TestSearch:
         prof, s, params, better = stored_query("point_queries_1_1_23")
         res = search(prof, s, params)
         assert res.value >= objective(prof, s, better, params) * (1.0 - 1e-9)
+
+    def test_random_profile_basin_found(self):
+        # n = 1, 10 knots: the 12 x 24 grid's starts stopped at (0.912, 1.507),
+        # 1.1% below the 1D oracle, whose best interval is about (0.273, 2.147)
+        rng = np.random.default_rng(2024)
+        prof = random_profile(rng, int(rng.integers(4, 30)))
+        s = GridSpec.standard(prof, 24).refined()[33]
+        res = search(prof, s, AmbientParams(1, 0.2))
+        assert rel_err(res.value, oracle_1d_maximal(prof, s, 0.2)) <= 1e-9
 
     def test_point_queries_1_3_38_best_ball_found(self):
         # the best ball is centered, so the centered start finds it; coarse
@@ -518,6 +527,18 @@ class TestCoarseGrid:
         # every coarse ball is feasible, up to rounding on the scale of s + r
         assert np.all(np.abs(ds - s) - rs <= 1e-15 * (s + rs))
 
+    def test_halved_grid_is_half_the_grid(self):
+        # the grid is built in units of T: halving s and T halves every ball
+        # exactly and keeps the row step
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            T = float(rng.uniform(0.1, 10.0))
+            s = T * 10.0 ** float(rng.uniform(-3.0, 2.0))
+            ds, rs, step = search_module._coarse_balls(s, T)
+            half = search_module._coarse_balls(s / 2, T / 2)
+            assert np.array_equal(half[0], ds / 2) and np.array_equal(half[1], rs / 2)
+            assert half[2] == step
+
 
 class TestCoarseStarts:
     """Every coarse ball is ranked; the starts are the best ball, the first
@@ -545,7 +566,7 @@ class TestCoarseStarts:
             params = AmbientParams(n, (0.2, 0.5, 0.8)[i % 3])
             s = T * float(np.exp(rng.uniform(np.log(1e-2), np.log(64.0))))
             ds, rs, _ = search_module._coarse_balls(s, T)
-            values = batch_objective(prof, ds, rs, params)
+            values = fixed_rule_objective(prof, ds, rs, params)
             self.check_starts(search_module._coarse_starts(prof, ds, rs, params), values, ds, rs)
             # rounded values tie exactly across distinct balls; values that fall
             # along the grid put balls below POOL_FRACTION among the top ones; no
@@ -554,7 +575,7 @@ class TestCoarseStarts:
             falling = 0.8 ** np.arange(len(ds))
             for values in (np.round(values, 2), falling, np.zeros(len(ds))):
                 with monkeypatch.context() as m:
-                    m.setattr(search_module, "batch_objective", lambda *args: values)
+                    m.setattr(search_module, "fixed_rule_objective", lambda *args: values)
                     starts = search_module._coarse_starts(prof, ds, rs, params)
                 self.check_starts(starts, values, ds, rs)
                 tied += np.count_nonzero(values == values.max()) > 1

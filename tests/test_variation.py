@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from maxvar.core import AmbientParams, gradient_l1_norm
-from maxvar.families import dilate_profile, random_profile, scale_profile, standard_family, tent
+from maxvar.families import (annular_bump, dilate_profile, random_profile, scale_profile,
+                             standard_family, tent, two_bump)
 from maxvar.geometry import AxisBall
 from maxvar.search import GridSpec, MaximalProfile, maximal_profile
 from maxvar.variation import (UnconvergedSweepError, VariationReport,
@@ -97,6 +98,15 @@ class TestVariationReport:
                                include_refinement=False)
         assert rep.dilation_deviation <= 1e-12
 
+    def test_dilation_of_the_trio_is_exact(self):
+        for prof in (tent(), annular_bump(), two_bump()):
+            grid = GridSpec.standard(prof, 16)
+            for n in (1, 2, 3):
+                for beta in (0.2, 0.5):
+                    rep = variation_report(prof, AmbientParams(n, beta), grid,
+                                           include_refinement=False)
+                    assert rep.dilation_deviation <= 1e-12, (prof.knots_t, n, beta)
+
     def test_histogram_partitions_grid(self, small_report):
         assert sum(small_report.region_histogram.values()) == 24
 
@@ -129,9 +139,8 @@ def lone_report(profile, params, grid, refine, dilate, lam=2.0):
         fields["refinement_deviation"] = abs(lq_norm_derivative(fine, params) / l1 - ratio) / ratio
     if dilate:
         dilated = dilate_profile(profile, lam)
-        grid_d = GridSpec(grid.lo / lam, grid.hi / lam, grid.count, grid.log)
-        ratio_d = lq_norm_derivative(maximal_profile(dilated, grid_d, params), params) \
-            / gradient_l1_norm(dilated, params)
+        ratio_d = lq_norm_derivative(maximal_profile(dilated, grid.points() / lam, params),
+                                     params) / gradient_l1_norm(dilated, params)
         fields["dilation_deviation"] = abs(ratio_d - ratio) / ratio
     return fields
 
