@@ -25,7 +25,9 @@ and h/2, h/4 and h/8 on the fine one, and reads the polls at a step only
 when none at the steps before improves.  No point's result reaches another
 point's search: one function, :func:`_search_points`, serves a lone
 :func:`search` and a lock-step sweep (:func:`_sweep`) of many points
-alike, and a ratio report searches each of its profiles in one call.  The
+alike, and a ratio report searches each of its profiles in one call, or,
+on two or more CPUs, in one call per process, the odd-indexed radii in a
+forked child.  The
 reported value is :func:`objective` of the reported ball, the compass's
 own value bit for bit: the averages have one rule at every n.  All moves
 are comparison-based and the projection is linear in (d, r, s), and the
@@ -39,6 +41,9 @@ flip, which would move a dilated point to another compass path.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -440,7 +445,8 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
     The fixed rule gives a ball the same value in any batch, so each point
     gets what a search of it alone returns, while a round's fixed-rule call
     serves every point: the 40-point tent report at n = 2 makes 153 compass
-    calls in its two lock-step sweeps, where lone searches make 2,459.
+    calls in its two lock-step sweeps on one CPU, where lone searches make
+    2,459.
     """
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
@@ -537,10 +543,68 @@ def maximal_profile(profile: RadialProfile, grid, params: AmbientParams) -> Maxi
 
 
 def _sweep(profile: RadialProfile, pts: np.ndarray, params: AmbientParams) -> MaximalProfile:
-    """The maximal profile on the radii pts, lock-step: one
-    :func:`_search_points` call for every point, each row what a lone
-    :func:`search` of its radius returns, value included."""
-    return _build_profile(profile, pts, _search_points(profile, pts.tolist(), params), params)
+    """The maximal profile on the radii pts, lock-step: each row what a lone
+    :func:`search` of its radius returns, value included.  On two or more
+    CPUs one forked child searches the odd-indexed radii while this process
+    searches the rest (:func:`_search_forked`), each half in one
+    :func:`_search_points` call; on one CPU a single call searches them
+    all.  No point's result reaches another point's search, so the rows are
+    the same either way."""
+    points = pts.tolist()
+    if len(points) < 2 or not hasattr(os, "fork") or _cpus() < 2:
+        results = _search_points(profile, points, params)
+    else:
+        results = _search_forked(profile, points, params)
+    return _build_profile(profile, pts, results, params)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on (1 where the platform cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _search_forked(profile: RadialProfile, pts, params: AmbientParams):
+    """:func:`_search_points` of pts: a forked child searches pts[1::2] and
+    pickles its results, or the exception it raised, into a pipe; this
+    process searches pts[0::2], then reads the pipe to its end and reaps the
+    child, killing it first when its own half raised.  The child's exception
+    is raised here with its own type."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, _search_points(profile, pts[1::2], params))
+            except BaseException as exc:  # handed to the parent, which raises it
+                outcome = (False, exc)
+            data = pickle.dumps(outcome)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            # no exit handlers and no flush of buffers the parent also holds;
+            # a child that wrote nothing is reported by the parent
+            os._exit(0)
+    os.close(write_end)
+    try:
+        even = _search_points(profile, pts[0::2], params)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        try:
+            with os.fdopen(read_end, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"sweep child ended without a result (wait status {status})")
+    ok, odd = pickle.loads(data)
+    if not ok:
+        raise odd
+    results = [None] * len(pts)
+    results[0::2], results[1::2] = even, odd
+    return results
 
 
 def derivative_by_formula(profile: RadialProfile, result: BestBallResult,

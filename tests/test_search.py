@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import warnings
 from functools import partial
 from pathlib import Path
@@ -12,6 +13,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from maxvar.averages import ball_average, fixed_rule_objective
+from maxvar.cli import main
 from maxvar.core import AmbientParams, l1_norm, load_profile
 from maxvar.families import dilate_profile, random_profile, scale_profile, tent, two_bump
 from maxvar.geometry import AxisBall, InfeasibleBallError, classify_contact
@@ -915,8 +917,122 @@ class TestRefinedProfile:
             return original(profile, pts, params)
 
         monkeypatch.setattr(search_module, "_search_points", counting)
+        # on one CPU every point is searched in this process
+        monkeypatch.setattr(search_module, "_cpus", lambda: 1)
         variation_report(tent_profile, params2, GridSpec.standard(tent_profile, count))
         assert len(calls) == 3 * count - 1
+
+
+def raising_at(radius, original):
+    """_centered_best that raises a ValueError at one radius."""
+    def centered_best(profile, s, params):
+        if s == radius:
+            raise ValueError(f"planted failure at s={s}")
+        return original(profile, s, params)
+    return centered_best
+
+
+class TestTwoProcessSweep:
+    """On two or more CPUs a lock-step sweep searches its odd-indexed radii
+    in one forked child; its rows, channels and reports are those of one
+    process, and no child outlives it."""
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def counting_fork():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["tent", "random12"])
+    def test_rows_channels_and_report_do_not_depend_on_cpus(self, kind, n, forks, monkeypatch):
+        prof = tent() if kind == "tent" else random_profile(np.random.default_rng(60 + n), 12)
+        params = AmbientParams(n, 0.5)
+        grid = GridSpec.standard(prof, 8)
+        out = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(search_module, "_cpus", lambda: cpus)
+            out[cpus] = (search_module._sweep(prof, grid.refined(), params),
+                         variation_report(prof, params, grid).to_json())
+        # one fork per sweep on two CPUs: the refined grid, the report's two
+        assert len(forks) == 3
+        (one, report_one), (two, report_two) = out[1], out[2]
+        assert two.results == one.results
+        for channel in ("grid", "values", "deriv_fd", "deriv_formula", "corner_flags"):
+            assert np.array_equal(getattr(two, channel), getattr(one, channel))
+        assert report_two == report_one
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_error_keeps_its_type(self, params2, tent_profile, monkeypatch):
+        pts = GridSpec.standard(tent_profile, 5).refined()
+        monkeypatch.setattr(search_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(search_module, "_centered_best",
+                            raising_at(float(pts[1]), search_module._centered_best))
+        with pytest.raises(ValueError, match="planted failure"):
+            search_module._sweep(tent_profile, pts, params2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_error_is_a_ratio_input_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "tent.json"
+        path.write_text(json.dumps({"knots": [[0, 1], [1, 0]]}))
+        pts = GridSpec(0.01, 8.0, 5).refined()
+        monkeypatch.setattr(search_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(search_module, "_centered_best",
+                            raising_at(float(pts[3]), search_module._centered_best))
+        rc = main(["ratio", "--n", "2", "--beta", "0.5", "--profile", str(path),
+                   "--grid", "0.01:8:5:log", "--refine"])
+        assert rc == 2
+        assert "planted failure" in capsys.readouterr().err
+
+    def test_parent_error_leaves_no_child(self, params2, tent_profile, forks, monkeypatch):
+        pts = GridSpec.standard(tent_profile, 16).refined()
+        monkeypatch.setattr(search_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(search_module, "_centered_best",
+                            raising_at(float(pts[0]), search_module._centered_best))
+        with pytest.raises(ValueError, match="planted failure"):
+            search_module._sweep(tent_profile, pts, params2)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_that_ends_without_a_result_is_an_error(self, params2, tent_profile,
+                                                          monkeypatch):
+        parent, original = os.getpid(), search_module._search_points
+
+        def dying_in_the_child(profile, pts, params):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(profile, pts, params)
+
+        monkeypatch.setattr(search_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(search_module, "_search_points", dying_in_the_child)
+        with pytest.raises(RuntimeError, match="without a result"):
+            search_module._sweep(tent_profile, GridSpec.standard(tent_profile, 4).points(),
+                                 params2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_lone_searches_and_maximal_profiles_never_fork(self, params2, tent_profile,
+                                                           monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(search_module, "_cpus", lambda: 2)
+        grid = GridSpec.standard(tent_profile, 4)
+        mp = maximal_profile(tent_profile, grid, params2)
+        assert mp.results[1] == search(tent_profile, float(grid.points()[1]), params2)
+        # nor does a sweep on one CPU
+        monkeypatch.setattr(search_module, "_cpus", lambda: 1)
+        assert search_module._sweep(tent_profile, grid.points(), params2).results == mp.results
 
 
 class TestGridSpec:

@@ -176,6 +176,8 @@ class TestLockStepReport:
             return original(profile, pts, params)
 
         monkeypatch.setattr(search_module, "_search_points", counting)
+        # on one CPU every point is searched in this process
+        monkeypatch.setattr(search_module, "_cpus", lambda: 1)
         prof = tent()
         variation_report(prof, AmbientParams(2, 0.5), GridSpec.standard(prof, 5), refine, dilate)
         assert calls == [9 if refine else 5] + ([5] if dilate else [])
