@@ -254,24 +254,25 @@ def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: Am
     return _ball_integral(profile, ball, params, fun, intervals)
 
 
-def fixed_rule_objective(profile: RadialProfile, ds, rs, params: AmbientParams):
-    """Vectorized r^beta * ball-average for arrays of balls: the search's
-    one evaluator, which ranks the coarse grid and runs the compass.
+def fixed_rule_objective(profile: RadialProfile, ds, rs, params: AmbientParams,
+                         unit: float = 1.0):
+    """Vectorized (r / unit)^beta * ball-average for arrays of balls, by
+    default r^beta * ball-average: the search's one evaluator, which ranks
+    the coarse grid and runs the compass in units of T (unit = T).
 
     :func:`_panel_sums` with the rule of :func:`ball_average`, whose value
-    times numpy's r^beta (``search.objective``) it equals bit for bit at
-    every n.  At odd n the rule is exact.  At even n the full-sphere panels
-    are exact too, and the cap panels take n + _CAP_EXTRA nodes in phi:
-    against the quad oracle the relative error stays below 1e-12 at n = 2,
-    for r / T from 1e-4 to 2 and up to 40 knots, near-tangent balls
-    included.
+    times numpy's (r / unit)^beta it equals bit for bit at every n.  At odd
+    n the rule is exact.  At even n the full-sphere panels are exact too,
+    and the cap panels take n + _CAP_EXTRA nodes in phi: against the quad
+    oracle the relative error stays below 1e-12 at n = 2, for r / T from
+    1e-4 to 2 and up to 40 knots, near-tangent balls included.
     """
     ds = np.asarray(ds, dtype=float)
     rs = np.asarray(rs, dtype=float)
     fun = lambda t, d, r: profile.value(t) * cap_area(t, d, r, params)
     sums = _panel_sums(profile, params.n, np.maximum(ds - rs, 0.0),
                        np.minimum(ds + rs, profile.support_radius), ds, rs, fun)
-    return rs**params.beta * (sums / (params.omega_n * rs**params.n))
+    return (rs / unit)**params.beta * (sums / (params.omega_n * rs**params.n))
 
 
 # the name perfbench's warm-up, accuracy record and tracer read

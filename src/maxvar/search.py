@@ -18,7 +18,8 @@ objective, where a ball edge crosses a knot, are coordinate lines, so
 each move shifts one edge and holds the other.  Every compass step is
 projected to the nearest feasible ball, so a move that holds the edge at
 s slides the ball along the boundary family r = |d - s|, and the compass
-follows that family without a stage of its own.  The compass runs in
+follows that family without a stage of its own; a move from a centered
+ball down past r = s lands on B(0, s).  The compass runs in
 rounds, one fixed-rule call per round for every live run; each round a
 run asks for its polls at h and at the next steps, h/2 on the coarse pass
 and h/2, h/4 and h/8 on the fine one, and reads the polls at a step only
@@ -28,14 +29,16 @@ point's search: one function, :func:`_search_points`, serves a lone
 alike, and a ratio report searches each of its profiles in one call, or,
 on two or more CPUs, in one call per process, the odd-indexed radii in a
 forked child.  The
-reported value is :func:`objective` of the reported ball, the compass's
-own value bit for bit: the averages have one rule at every n.  All moves
-are comparison-based and the projection is linear in (d, r, s), and the
-coarse grid and the centered start are built in units of T, so scaling
-the profile by a positive constant repeats the search path and dilating
-it by a power of two dilates the path.  That rests on comparisons that
-the per-ball rounding of r^beta does not flip; nothing guards against a
-flip, which would move a dilated point to another compass path.
+search ranks and compares values in units of T, (r / T)^beta times the
+ball average, and multiplies the reported one by T^beta once: it is
+:func:`objective` of the reported ball, bit for bit, since the averages
+have one rule at every n.  All moves are comparison-based, the projection
+is piecewise linear and positively homogeneous in (d, r, s), and the
+coarse grid and the centered start are built in units of T.  Dilating
+the profile by a power of two leaves every r / T and every average, so
+every compared value, unchanged bit for bit, and every ball of the
+dilated search is the base ball dilated exactly; scaling the profile's
+values by a power of two repeats the path.
 """
 
 from __future__ import annotations
@@ -49,9 +52,10 @@ from functools import partial
 
 import numpy as np
 
-from .averages import _gauss, ball_average, fixed_rule_objective, gradient_axial_component
+from .averages import (_gauss, _panel_sums, ball_average, fixed_rule_objective,
+                       gradient_axial_component)
 from .core import AmbientParams, RadialProfile
-from .geometry import AxisBall, Contact, InfeasibleBallError, classify_contact
+from .geometry import AxisBall, Contact, InfeasibleBallError, cap_first_moment, classify_contact
 
 REGION_LABELS = ("zero_derivative", "E1", "E2", "E3", "unclassified")
 
@@ -161,27 +165,36 @@ class GridSpec:
 def objective(profile: RadialProfile, s: float, ball: AxisBall, params: AmbientParams,
               qcfg=None) -> float:
     """r^beta times the ball average; the ball must contain s (qcfg is
-    ignored).  numpy's power, as in fixed_rule_objective, whose value for
-    the ball this is, bit for bit."""
+    ignored).  The search's value of the ball, bit for bit: numpy's
+    (r / T)^beta times the average, the value fixed_rule_objective gives
+    the ball in units of T, times T^beta."""
     if not ball.contains(s, tol=1e-12 * max(ball.r, s)):
         raise InfeasibleBallError(f"ball (d={ball.d}, r={ball.r}) does not contain s={s}")
-    return float((np.array([ball.r]) ** params.beta * ball_average(profile, ball, params))[0])
+    T = profile.support_radius
+    unit = np.array([ball.r / T]) ** params.beta * ball_average(profile, ball, params)
+    return float(unit[0]) * T ** params.beta
 
 
 def _project(d, r, s, r_min, r_max):
     """Project (d, r) to the nearest feasible ball at evaluation radius s.
 
-    A point outside the constraint |d - s| <= r moves half its gap
-    |d - s| - r along the constraint's normal (d toward s, r up), which
-    lands it on the boundary family r = |d - s|; then d >= 0 and
-    r_min <= r <= r_max are clamped.  The result is feasible whenever
-    d <= s + r_max.  It projects the starts; :func:`_edge_polls` projects
-    the polls by the same arithmetic.
+    The nearest point of {d >= 0, r >= |d - s|}: a point outside the
+    constraint |d - s| <= r moves half its gap |d - s| - r along the
+    constraint's normal (d toward s, r up), which lands it on the boundary
+    family r = |d - s|, unless that step lands at d < 0; such a point, and
+    any other at d < 0, goes to (0, max(r, s)), so the move (-h, r - h)
+    from (0, r), s < r < s + h, lands on B(0, s).  Then
+    r_min <= r <= r_max are clamped.  The map is piecewise linear and
+    positively homogeneous in (d, r, s), and the result is feasible
+    whenever d <= s + r_max.  It projects the starts; :func:`_edge_polls`
+    projects the polls by the same arithmetic.
     """
     gap = abs(d - s) - r
     if gap > 0.0:
-        d += 0.5 * gap if d < s else -0.5 * gap
-        r += 0.5 * gap
+        step = 0.5 * gap if d < s else -0.5 * gap
+        if d + step >= 0.0:
+            d += step
+            r += 0.5 * gap
     d = 0.0 if d < 0.0 else d
     gap = abs(d - s)
     r = gap if gap > r else r
@@ -204,8 +217,10 @@ def _edge_polls(d, r, h, tol, ahead, s, r_min, r_max):
         for d1, r1 in ((out, up), (back, down), (out, down), (back, up)):
             gap = abs(d1 - s) - r1
             if gap > 0.0:
-                d1 += 0.5 * gap if d1 < s else -0.5 * gap
-                r1 += 0.5 * gap
+                step = 0.5 * gap if d1 < s else -0.5 * gap
+                if d1 + step >= 0.0:
+                    d1 += step
+                    r1 += 0.5 * gap
             if d1 < 0.0:
                 d1 = 0.0
             gap = abs(d1 - s)
@@ -317,11 +332,12 @@ def _dedupe_candidates(cands, limit, rel=0.05):
     return kept
 
 
-def _centered_best(profile: RadialProfile, s: float, params: AmbientParams):
-    """The best centered ball B(0, r) over max(s, R_MIN_FRAC T) <= r <= s + T:
-    its radius and its objective n r^(beta - n) I(r), I(r) the integral of
-    F(t) t^(n-1) over [0, r], whose pieces the Gauss rule of the fixed rule's
-    full-sphere panels integrates exactly.  No cap kernel and no search.
+def _centered_best(profile: RadialProfile, pts, params: AmbientParams):
+    """The best centered ball B(0, r) over max(s, R_MIN_FRAC T) <= r <= s + T
+    at each radius s of pts: the arrays of its radii and of its objective
+    n r^(beta - n) I(r), I(r) the integral of F(t) t^(n-1) over [0, r],
+    whose pieces the Gauss rule of the fixed rule's full-sphere panels
+    integrates exactly.  No cap kernel and no search.
 
     The objective's derivative has the sign of P(r) = (beta - n) I(r) +
     r^n F(r), which on the piece F = alpha + g t from the knot t_k is
@@ -331,8 +347,11 @@ def _centered_best(profile: RadialProfile, s: float, params: AmbientParams):
     so P falls only on the pieces with g < 0, past r*: the objective peaks
     at most once per piece, at the root of P on [max(t_k, r*), t_(k+1)] when
     P goes there from + to -.  Safeguarded Newton steps, a bisection
-    wherever a step leaves its bracket, find the roots of all brackets at
-    once.  The maximum is at a root, a knot or an end of the range.  The
+    wherever a step leaves its bracket, find the roots of the brackets of
+    every radius and piece at once.  The maximum is at a root, a knot or an
+    end of the range.  The profile's integrals and coefficients are shared
+    by all radii, and a radius's brackets and candidates take arithmetic by
+    element or by row only, so it gets the same ball in any batch.  The
     work is in units of T, so dilating the profile by a power of two
     dilates the radius exactly.
     """
@@ -341,14 +360,16 @@ def _centered_best(profile: RadialProfile, s: float, params: AmbientParams):
     t = profile.knots_t / T
     v = profile.knots_v
     g = profile.slope(profile.knots_t) * T  # the last piece, past the support, is flat
-    lo, hi = max(s / T, R_MIN_FRAC), s / T + 1.0
+    s_units = np.asarray(pts, dtype=float) / T
+    lo, hi = np.maximum(s_units, R_MIN_FRAC), s_units + 1.0
     x, w = _gauss(n // 2 + 1)
 
     def integral(k, end):
-        """The integral of F t^(n-1) over [t_k, end] on piece k."""
+        """The integral of F t^(n-1) over [t_k, end] on piece k.  Each row sums
+        its own nodes: a BLAS product's order could depend on the other rows."""
         h = end - t[k]
         u = h[:, None] * x
-        return h * (((v[k, None] + g[k, None] * u) * (t[k, None] + u) ** (n - 1)) @ w)
+        return h * ((v[k, None] + g[k, None] * u) * (t[k, None] + u) ** (n - 1) * w).sum(axis=1)
 
     pieces = np.arange(len(t) - 1)
     cumulative = np.concatenate(([0.0], integral(pieces, t[1:]).cumsum()))
@@ -357,10 +378,12 @@ def _centered_best(profile: RadialProfile, s: float, params: AmbientParams):
     A = beta / n * (v[k] - gk * tk)
     B = (beta + 1.0) / (n + 1) * gk
     c = (beta - n) * (cumulative[k] - tk**n * (v[k] / n - gk * tk / (n * (n + 1))))
-    b = np.minimum(t[k + 1], hi)
-    a = np.minimum(np.maximum(np.maximum(tk, -n * A / ((n + 1) * B)), lo), b)
+    # the brackets of every (radius, falling piece), radius by radius
+    b = np.minimum(t[k + 1], hi[:, None])
+    a = np.minimum(np.maximum(np.maximum(tk, -n * A / ((n + 1) * B)), lo[:, None]), b)
     rises = (a < b) & (c + a**n * (A + B * a) > 0.0) & (c + b**n * (A + B * b) < 0.0)
-    c, A, B, a, b = (z[rises] for z in (c, A, B, a, b))
+    piece = rises.nonzero()[1]
+    c, A, B, a, b = c[piece], A[piece], B[piece], a[rises], b[rises]
     nA, nB = n * A, (n + 1) * B
     r = 0.5 * (a + b)
     live = np.ones(len(r), dtype=bool)
@@ -375,13 +398,20 @@ def _centered_best(profile: RadialProfile, s: float, params: AmbientParams):
             nxt = np.where((a < step) & (step < b), step, 0.5 * (a + b))
             live &= (step != r) & (nxt != r)
             r = np.where(live, nxt, r)
-    inside = t[(t > lo) & (t < hi)]
-    cand = np.concatenate(([lo], inside, r, [hi]))
-    j = t.searchsorted(cand, side="right") - 1
+    # a row of candidates per radius: the low end, the knots inside, the
+    # roots and the high end; argmax takes each row's first best one
+    roots = np.empty(rises.shape)
+    roots[rises] = r
+    cand = np.concatenate((lo[:, None], t[None].repeat(len(lo), 0), roots, hi[:, None]), axis=1)
+    ends = np.ones((len(lo), 1), dtype=bool)
+    live = np.concatenate((ends, (t > lo[:, None]) & (t < hi[:, None]), rises, ends), axis=1)
+    at = cand[live]
+    j = t.searchsorted(at, side="right") - 1
+    vals = np.full(cand.shape, -np.inf)
     # past the support F = 0: the integral ends at T, however far s lies
-    vals = n * (cumulative[j] + integral(j, np.minimum(cand, 1.0))) * cand ** (beta - n)
-    best = int(vals.argmax())
-    return float(cand[best] * T), float(vals[best] * T**beta)
+    vals[live] = n * (cumulative[j] + integral(j, np.minimum(at, 1.0))) * at ** (beta - n)
+    rows, best = np.arange(len(lo)), vals.argmax(axis=1)
+    return cand[rows, best] * T, vals[rows, best] * T**beta
 
 
 def _coarse_balls(s: float, T: float):
@@ -407,15 +437,15 @@ def _coarse_balls(s: float, T: float):
 
 
 def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
-    """Rank the coarse balls (ds, rs) by the fixed rule and return the
-    starts of the refinement: the top POOL_SIZE balls within POOL_FRACTION
-    of the best, deduplicated to MULTISTARTS starts.
+    """Rank the coarse balls (ds, rs) by the fixed rule in units of T and
+    return the starts of the refinement: the top POOL_SIZE balls within
+    POOL_FRACTION of the best, deduplicated to MULTISTARTS starts.
 
     A stable sort keeps exact ties in grid order, so the first start is the
     first ball of the best value; when no value is positive, it is the only
     start.
     """
-    values = fixed_rule_objective(profile, ds, rs, params)
+    values = fixed_rule_objective(profile, ds, rs, params, unit=profile.support_radius)
     order = np.argsort(-values, kind="stable")[:POOL_SIZE]
     vals = values[order]
     # the values fall along order, so the pool is a prefix
@@ -428,8 +458,9 @@ def search(profile: RadialProfile, s: float, params: AmbientParams) -> BestBallR
     """Globally maximize the objective over feasible axis balls at radius s.
 
     Among maxima within the tie tolerance the smallest radius wins, then
-    the smallest center distance.  The returned value is the compass's:
-    :func:`objective` of the returned ball, bit for bit.
+    the smallest center distance.  The returned value is the compass's, in
+    units of T, times T^beta: :func:`objective` of the returned ball, bit
+    for bit.
     """
     res = _search_points(profile, [s], params)[0]
     # the compass's value; recomputed only for perfbench's tracer test (ROADMAP.md item 7)
@@ -444,24 +475,26 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
     endpoints and runs one compass pass for all survivors to REFINE_TOL.
     The fixed rule gives a ball the same value in any batch, so each point
     gets what a search of it alone returns, while a round's fixed-rule call
-    serves every point: the 40-point tent report at n = 2 makes 153 compass
+    serves every point: the 40-point tent report at n = 2 makes 60 compass
     calls in its two lock-step sweeps on one CPU, where lone searches make
-    2,459.
+    1,960.  One :func:`_centered_best` call solves the centered starts of
+    all the points.
     """
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
-    coarse, evals = [], []
     for s in pts:
         if not 0.0 <= s < np.inf:
             raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
+    coarse, evals = [], []
+    for s, centered in zip(pts, _centered_best(profile, pts, params)[0].tolist()):
         ds, rs, grid_step_r = _coarse_balls(s, T)
         starts = _coarse_starts(profile, ds, rs, params)
-        starts.append((None, 0.0, _centered_best(profile, s, params)[0]))
+        starts.append((None, 0.0, centered))
         box = (s, r_min, s + T)
         coarse.append([_Run(d0, r0, grid_step_r * max(r0, r_min), HANDOFF * max(r0, r_min),
                             box, COARSE_AHEAD) for _, d0, r0 in starts])
         evals.append(len(ds))
-    evaluate = partial(fixed_rule_objective, profile, params=params)
+    evaluate = partial(fixed_rule_objective, profile, params=params, unit=T)
     _compass(evaluate, [run for runs in coarse for run in runs])
     fine = []
     for runs in coarse:
@@ -473,19 +506,23 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
                           runs[0].box, FINE_AHEAD)
                      for _, d1, r1 in _dedupe_candidates(ends, MULTISTARTS, rel=0.01)])
     _compass(evaluate, [run for runs in fine for run in runs])
-    return [_best_ball(s, [run.end for run in last], ranked + sum(run.balls for run in first + last))
+    scale = T**params.beta
+    return [_best_ball(s, [run.end for run in last],
+                       ranked + sum(run.balls for run in first + last), scale)
             for s, ranked, first, last in zip(pts, evals, coarse, fine)]
 
 
-def _best_ball(s: float, finals, evals: int) -> BestBallResult:
-    """The result of the fine compass ends (d, r, value, converged) at s."""
+def _best_ball(s: float, finals, evals: int, scale: float) -> BestBallResult:
+    """The result of the fine compass ends (d, r, value, converged) at s,
+    whose values are in units of T: the reported value is the best one times
+    scale = T^beta."""
     best_val = max(f[2] for f in finals)
     tie = [f for f in finals if f[2] >= best_val - TIE_TOL * abs(best_val)]
     tie.sort(key=lambda f: (f[1], f[0]))
     d, r, value, ok = tie[0]
     ball = AxisBall(d, r)
     contact = classify_contact(ball, s, CONTACT_TOL)
-    return BestBallResult(s=s, value=value, ball=ball, contact=contact,
+    return BestBallResult(s=s, value=value * scale, ball=ball, contact=contact,
                           region=_region_label(contact, s), objective_evals=evals,
                           converged=bool(ok),
                           tie_candidates=len(_dedupe_candidates(
@@ -505,9 +542,12 @@ def _region_label(contact: Contact, s: float) -> str:
     return "E3"
 
 
-def _build_profile(profile: RadialProfile, pts, results, params: AmbientParams) -> MaximalProfile:
+def _build_profile(profile: RadialProfile, pts, results, params: AmbientParams,
+                   formula=None) -> MaximalProfile:
     """The MaximalProfile of the results at the radii pts, every field at
-    once: each sweep ends here."""
+    once: each sweep ends here.  formula, when given, is the results'
+    derivative_by_formula channel, which :func:`_formula_channel` computes
+    otherwise."""
     values = np.array([res.value for res in results])
     d = np.array([res.ball.d for res in results])
     r = np.array([res.ball.r for res in results])
@@ -525,9 +565,28 @@ def _build_profile(profile: RadialProfile, pts, results, params: AmbientParams) 
     flags[1:] |= pairs
     return MaximalProfile(grid=pts, values=values, results=results,
                           deriv_fd=derivative_by_fd(pts, values),
-                          deriv_formula=np.array([derivative_by_formula(profile, res, params)
-                                                  for res in results]),
+                          deriv_formula=(_formula_channel(profile, results, params)
+                                         if formula is None else formula),
                           corner_flags=flags)
+
+
+def _formula_channel(profile: RadialProfile, results, params: AmbientParams) -> np.ndarray:
+    """:func:`derivative_by_formula` of every result, bit for bit, with the
+    axial gradient averages of the boundary rows in one
+    :func:`_panel_sums` batch: a row's sum does not depend on the others."""
+    out = np.zeros(len(results))
+    rows = [i for i, res in enumerate(results)
+            if res.contact.kind != "interior" and res.ball.d != 0.0]
+    if rows:
+        d = np.array([results[i].ball.d for i in rows])
+        r = np.array([results[i].ball.r for i in rows])
+        fun = lambda t, d, r: profile.slope(t) * cap_first_moment(t, d, r, params)
+        sums = _panel_sums(profile, params.n, np.maximum(d - r, 0.0),
+                           np.minimum(d + r, profile.support_radius), d, r, fun)
+        # the one-row sum of _ball_integral starts at 0.0; the power is Python's
+        out[rows] = [ri ** params.beta * (0.0 + avg) for ri, avg in
+                     zip(r.tolist(), (sums / (params.omega_n * r**params.n)).tolist())]
+    return out
 
 
 def maximal_profile(profile: RadialProfile, grid, params: AmbientParams) -> MaximalProfile:

@@ -90,15 +90,16 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
 
     Each profile's points are searched lock-step in one call: the original
     profile's on the refined grid when the refinement study runs (the base
-    sweep is its even slice, on the base grid's stencils), the dilated
-    profile's on the base grid's points divided by the dilation factor.
-    Every row is what a lone search returns.
+    sweep is its even slice, formula channel included, on the base grid's
+    stencils), the dilated profile's on the base grid's points divided by
+    the dilation factor.  Every row is what a lone search returns.
     """
     # a dilation factor that is not positive and finite fails before any search
     dilated = dilate_profile(profile, dilation_lambda) if include_dilation else None
     if include_refinement:
         fine = _sweep(profile, grid.refined(), params)
-        mp = _build_profile(profile, grid.points(), fine.results[0::2], params)
+        mp = _build_profile(profile, grid.points(), fine.results[0::2], params,
+                            formula=fine.deriv_formula[0::2])
     else:
         mp = _sweep(profile, grid.points(), params)
     # the base norm comes first: its unconverged radii are the ones reported

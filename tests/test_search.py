@@ -15,7 +15,8 @@ from scipy.optimize import minimize_scalar
 from maxvar.averages import ball_average, fixed_rule_objective
 from maxvar.cli import main
 from maxvar.core import AmbientParams, l1_norm, load_profile
-from maxvar.families import dilate_profile, random_profile, scale_profile, tent, two_bump
+from maxvar.families import (annular_bump, dilate_profile, random_profile, scale_profile,
+                             tent, two_bump)
 from maxvar.geometry import AxisBall, InfeasibleBallError, classify_contact
 from maxvar.oracles import oracle_1d_maximal
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
@@ -193,7 +194,8 @@ class TestSearch:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_value_is_the_objective_bit_for_bit(self, n, monkeypatch):
         # one rule at every n: the value the compass got for the ball inside
-        # its batch is the result's, and the public objective's, bit for bit
+        # its batch, in units of T, times T^beta is the result's, and the
+        # public objective's, bit for bit
         finals = record_compass_ends(monkeypatch)
         params = AmbientParams(n, 0.5)
         prof = random_profile(np.random.default_rng(60 + n), 12)
@@ -205,9 +207,26 @@ class TestSearch:
             res = search(prof, s, params)
             compass = [v for d, r, v, _ in finals if (d, r) == (res.ball.d, res.ball.r)]
             batch = fixed_rule_objective(prof, np.append(others[0], res.ball.d),
-                                         np.append(others[1], res.ball.r), params)
-            assert compass and res.value == compass[0] == batch[-1]
-            assert res.value == objective(prof, s, res.ball, params)
+                                         np.append(others[1], res.ball.r), params, unit=T)
+            assert compass and compass[0] == batch[-1]
+            assert res.value == compass[0] * T**params.beta == objective(prof, s, res.ball, params)
+
+    def test_coarse_pass_of_the_warm_up_query_does_not_crawl(self, params2, tent_profile,
+                                                             monkeypatch):
+        # the tent at s = 0.7, n = 2: a centered coarse run once crawled toward
+        # B(0, s) for 58 rounds, halving its gap to it at each one
+        rounds = []
+        compass = search_module._compass
+
+        def counting(evaluate, runs):
+            calls = []
+            compass(lambda ds, rs: calls.append(None) or evaluate(ds, rs), runs)
+            rounds.append(len(calls))
+
+        monkeypatch.setattr(search_module, "_compass", counting)
+        search(tent_profile, 0.7, params2)
+        coarse, _ = rounds
+        assert coarse <= 20
 
     def test_zero_radius_rejected(self, params2, tent_profile):
         with pytest.raises(ValueError):
@@ -286,8 +305,14 @@ class TestSearch:
             prof = many_knot_profile(rng, int(np.exp(rng.uniform(np.log(4), np.log(200)))))
             s = prof.support_radius * 10.0 ** rng.uniform(-2.0, np.log10(64.0))
             params = AmbientParams(n, float(rng.uniform(0.1, 0.9)))
-            _, centered = search_module._centered_best(prof, s, params)
+            _, centered = lone_centered(prof, s, params)
             assert search(prof, s, params).value >= centered * (1.0 - 1e-12)
+
+
+def lone_centered(prof, s, params):
+    """search._centered_best at the one radius s: (radius, value)."""
+    r, value = search_module._centered_best(prof, [s], params)
+    return float(r[0]), float(value[0])
 
 
 def many_knot_profile(rng, knots):
@@ -331,7 +356,7 @@ class TestCenteredBest:
 
     @staticmethod
     def check(prof, s, params):
-        r, value = search_module._centered_best(prof, s, params)
+        r, value = lone_centered(prof, s, params)
         T = prof.support_radius
         assert max(s, search_module.R_MIN_FRAC * T) <= r <= s + T
         assert rel_err(value, objective(prof, s, AxisBall(0.0, r), params)) <= 1e-12
@@ -355,9 +380,20 @@ class TestCenteredBest:
             prof = many_knot_profile(rng, int(rng.integers(4, 60)))
             s = prof.support_radius * 10.0 ** rng.uniform(-2.0, 1.0)
             params = AmbientParams(n, float(rng.uniform(0.1, 0.9)))
-            r, _ = search_module._centered_best(prof, s, params)
-            assert search_module._centered_best(dilate_profile(prof, 2.0), s / 2.0, params)[0] \
-                == r / 2.0
+            r, _ = lone_centered(prof, s, params)
+            assert lone_centered(dilate_profile(prof, 2.0), s / 2.0, params)[0] == r / 2.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_one_call_is_the_lone_solves(self, n):
+        # the radii of one call share the profile's integrals and one Newton
+        # loop; each gets its lone solve, bit for bit
+        rng = np.random.default_rng(4400 + n)
+        for prof in (tent(), two_bump(), chi_profile(), many_knot_profile(rng, 40)):
+            params = AmbientParams(n, float(rng.uniform(0.1, 0.9)))
+            pts = prof.support_radius * np.concatenate(([0.0], np.geomspace(1e-3, 64.0, 60)))
+            rs, values = search_module._centered_best(prof, pts, params)
+            assert list(zip(rs.tolist(), values.tolist())) == \
+                [lone_centered(prof, s, params) for s in pts.tolist()]
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_zero_and_far_radii(self, n):
@@ -377,7 +413,7 @@ class TestCenteredBest:
                                                   (1.2, 0.0)])):
             for s in (0.0, 0.1, 0.7):
                 self.check(prof, s, params)
-        r, value = search_module._centered_best(chi_profile(), 0.5, params)
+        r, value = lone_centered(chi_profile(), 0.5, params)
         assert r == pytest.approx(1.0, abs=1e-8) and value == pytest.approx(1.0, rel=1e-8)
 
     def test_no_runtime_warning(self):
@@ -386,9 +422,9 @@ class TestCenteredBest:
             warnings.simplefilter("error")
             for n in range(1, 11):
                 for prof in (chi_profile(), tent(), two_bump(), many_knot_profile(rng, 200)):
-                    for s_over_T in (0.0, 1e-6, 0.5, 1.0, 100.0, 1e40):
-                        search_module._centered_best(prof, s_over_T * prof.support_radius,
-                                                     AmbientParams(n, 0.5))
+                    s_over_T = np.array([0.0, 1e-6, 0.5, 1.0, 100.0, 1e40])
+                    search_module._centered_best(prof, s_over_T * prof.support_radius,
+                                                 AmbientParams(n, 0.5))
 
 
 class TestProjection:
@@ -426,6 +462,42 @@ class TestProjection:
                 # displaced along the normal (d toward s, r up), half the gap each
                 assert d1 - d == pytest.approx(-side * gap / 2, rel=1e-9)
                 assert r1 - r == pytest.approx(gap / 2, rel=1e-9)
+
+    def test_is_the_nearest_feasible_ball(self):
+        # against a dense sample of the boundary of {d >= 0, r >= |d - s|}:
+        # the ray d = 0, r >= s and both branches of r = |d - s|; no box clamps
+        s = self.S
+        step = 1e-4
+        ray = np.arange(s, 10.0, step)
+        inner = np.arange(0.0, s, step)
+        outer = np.arange(s, 10.0, step)
+        bd = np.concatenate((np.zeros_like(ray), inner, outer))
+        br = np.concatenate((ray, s - inner, outer - s))
+        rng = np.random.default_rng(34)
+        points = rng.uniform((-3.0, 0.0), (s + 2.0, 4.0), size=(300, 2)).tolist()
+        # left of d = 0 below the ray, whose nearest ball is the corner B(0, s)
+        points += [(-0.1, 0.65), (-0.5, 0.3), (-1e-3, s - 1e-3), (-1e-3, s), (-0.4, 1.2)]
+        corners = 0
+        for d, r in points:
+            d1, r1 = search_module._project(d, r, s, 0.0, np.inf)
+            assert d1 >= 0.0 and r1 >= abs(d1 - s)
+            dist = np.hypot(d1 - d, r1 - r)
+            assert dist <= np.hypot(bd - d, br - r).min() + 1e-12, (d, r)
+            corners += (d1, r1) == (0.0, s)
+        assert corners >= 3
+
+    def test_a_centered_run_reaches_the_smallest_centered_ball_in_one_move(self):
+        # from (0, r), s < r < s + h, the move (-h, r - h) projects to B(0, s)
+        # itself; where the objective falls in r that poll is the best one
+        s, h = self.S, 0.05
+        box = (s, self.R_MIN, self.R_MAX)
+        evaluate = lambda ds, rs: -(np.asarray(ds) + np.asarray(rs))
+        for frac in (0.1, 0.5, 0.9):
+            r = s + frac * h
+            assert search_module._project(-h, r - h, *box) == (0.0, s)
+            run = search_module._Run(0.0, r, h, 1e-6, box, 1)
+            run.read(evaluate(run.ds, run.rs).tolist())
+            assert (run.d, run.r) == (0.0, s)
 
     def test_edge_polls_are_the_projected_edge_moves(self):
         # the compass's written-out projection is _project's, bit for bit:
@@ -568,7 +640,7 @@ class TestCoarseStarts:
             params = AmbientParams(n, (0.2, 0.5, 0.8)[i % 3])
             s = T * float(np.exp(rng.uniform(np.log(1e-2), np.log(64.0))))
             ds, rs, _ = search_module._coarse_balls(s, T)
-            values = fixed_rule_objective(prof, ds, rs, params)
+            values = fixed_rule_objective(prof, ds, rs, params, unit=T)
             self.check_starts(search_module._coarse_starts(prof, ds, rs, params), values, ds, rs)
             # rounded values tie exactly across distinct balls; values that fall
             # along the grid put balls below POOL_FRACTION among the top ones; no
@@ -577,7 +649,8 @@ class TestCoarseStarts:
             falling = 0.8 ** np.arange(len(ds))
             for values in (np.round(values, 2), falling, np.zeros(len(ds))):
                 with monkeypatch.context() as m:
-                    m.setattr(search_module, "fixed_rule_objective", lambda *args: values)
+                    m.setattr(search_module, "fixed_rule_objective",
+                              lambda *args, **kwargs: values)
                     starts = search_module._coarse_starts(prof, ds, rs, params)
                 self.check_starts(starts, values, ds, rs)
                 tied += np.count_nonzero(values == values.max()) > 1
@@ -750,6 +823,20 @@ class TestDerivatives:
                 if abs(m_prime) > 1e-6 * mmax:
                     assert np.sign(m_prime) == np.sign(res.ball.d - res.s)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_formula_channel_is_derivative_by_formula_bit_for_bit(self, n):
+        # one batch for a sweep's boundary rows, and zeros at interior ones
+        params = AmbientParams(n, 0.5)
+        kinds = set()
+        for prof in (two_bump(), random_profile(np.random.default_rng(130 + n), 12)):
+            pts = GridSpec.standard(prof, 16).refined().tolist()
+            results = search_module._search_points(prof, pts, params)
+            batch = search_module._formula_channel(prof, results, params)
+            lone = np.array([derivative_by_formula(prof, res, params) for res in results])
+            assert np.array_equal(batch.view(np.int64), lone.view(np.int64))
+            kinds.update(res.contact.kind for res in results)
+        assert "interior" in kinds and len(kinds) > 1
+
     def test_fd_linear_exact(self):
         assert np.allclose(derivative_by_fd([1.0, 2.0, 4.0], [2.0, 4.0, 8.0]), 2.0, atol=1e-12)
 
@@ -846,6 +933,22 @@ class TestSweepEquivariance:
             assert b.ball.r == pytest.approx(a.ball.r / lam, rel=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_dilation_by_a_power_of_two_dilates_every_ball(self, n):
+        # the search ranks and compares values in units of T, which dilating
+        # the profile by a power of two leaves unchanged bit for bit: no
+        # comparison flips, and every ball is the base ball over lambda
+        params = AmbientParams(n, (0.2, 0.5, 0.8)[n % 3])
+        for prof in (tent(), annular_bump(), two_bump(),
+                     random_profile(np.random.default_rng(120 + n), 12)):
+            pts = GridSpec.standard(prof, 12).points().tolist()
+            base = search_module._search_points(prof, pts, params)
+            for lam in (2.0, 0.5):
+                dilated = search_module._search_points(dilate_profile(prof, lam),
+                                                       [s / lam for s in pts], params)
+                assert [(res.ball.d, res.ball.r) for res in dilated] == \
+                    [(res.ball.d / lam, res.ball.r / lam) for res in base]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_rows_are_lone_searches(self, n):
         # a sweep row depends only on its radius: every field of it is what a
         # lone search of that radius returns
@@ -870,8 +973,8 @@ class TestRefinedProfile:
             sweeps.append(sweep(profile, pts, params))
             return sweeps[-1]
 
-        def recording_build(profile, pts, results, params):
-            slices.append(build(profile, pts, results, params))
+        def recording_build(profile, pts, results, params, **formula):
+            slices.append(build(profile, pts, results, params, **formula))
             return slices[-1]
 
         monkeypatch.setattr(variation_module, "_sweep", recording_sweep)
@@ -924,11 +1027,12 @@ class TestRefinedProfile:
 
 
 def raising_at(radius, original):
-    """_centered_best that raises a ValueError at one radius."""
-    def centered_best(profile, s, params):
-        if s == radius:
-            raise ValueError(f"planted failure at s={s}")
-        return original(profile, s, params)
+    """_centered_best that raises a ValueError when its radii hold one radius:
+    in the half of a two-process sweep that searches it."""
+    def centered_best(profile, pts, params):
+        if radius in pts:
+            raise ValueError(f"planted failure at s={radius}")
+        return original(profile, pts, params)
     return centered_best
 
 
