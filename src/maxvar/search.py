@@ -20,12 +20,17 @@ projected to the nearest feasible ball, so a move that holds the edge at
 s slides the ball along the boundary family r = |d - s|, and the compass
 follows that family without a stage of its own; a move from a centered
 ball down past r = s lands on B(0, s).  The compass runs in
-rounds, one fixed-rule call per round for every live run; each round a
-run asks for its polls at h and at the next steps, h/2 on the coarse pass
-and h/2, h/4 and h/8 on the fine one, and reads the polls at a step only
-when none at the steps before improves.  No point's result reaches another
-point's search: one function, :func:`_search_points`, serves a lone
-:func:`search` and a lock-step sweep (:func:`_sweep`) of many points
+rounds, one fixed-rule call per round for every live run.  In a lone
+search each round a run asks for its polls at h and at the next steps,
+h/2 on the coarse pass and h/2, h/4 and h/8 on the fine one, and reads the
+polls at a step only when none at the steps before improves; in a
+lock-step sweep, where one round serves hundreds of runs, it asks for its
+polls at h alone.  A run whose state (ball, step, stop step, look-ahead and
+box) another run of the pass held first stops asking and takes that run's
+end: the starts of a point mostly end in one basin.  No point's result
+reaches another point's search: one function, :func:`_search_points`,
+serves a lone :func:`search` and a lock-step sweep (:func:`_sweep`) of
+many points
 alike, and a ratio report searches each of its profiles in one call, or,
 on two or more CPUs, in one call per process, the odd-indexed radii in a
 forked child.  The
@@ -65,8 +70,8 @@ R_PER_DECADE = 6
 D_PER_ROW = 14
 MULTISTARTS = 8
 HANDOFF = 1e-3  # of the radius: the coarse compass stops at this step, the fine one starts
-# the steps h, h/2, ... a compass round asks for polls at: a fine round holds
-# about one run per point, so there its cost is the call, not the balls
+# the steps h, h/2, ... a compass round of a lone search asks for polls at:
+# its rounds hold a few runs, so their cost is the call, not the balls
 COARSE_AHEAD = 2
 FINE_AHEAD = 4
 REFINE_TOL = 1e-7
@@ -84,11 +89,13 @@ JUMP_REL = 0.10  # a best-ball move larger than this between grid neighbors flag
 class BestBallResult:
     """Search outcome at one evaluation radius.
 
-    objective_evals counts every ball whose objective the search evaluated:
-    every ball of the coarse grid and every ball its compass asked for, the
-    unread look-ahead polls included (at h/2 on the coarse pass, at h/2,
-    h/4 and h/8 on the fine one); the closed-form centered start evaluates
-    none.
+    objective_evals counts the balls the search needed, however it was
+    batched: every ball of the coarse grid, which it ranks, and every ball
+    its compass runs read, the count that REFINE_MAX_EVALS budgets.  A
+    look-ahead poll that no run reads is not counted, and a run that shares
+    another run's path counts the polls that run read after the join; the
+    closed-form centered start reads none.  So a sweep's row and a lone
+    search's agree.
     tie_candidates counts the distinct balls tied with the best value.
     """
 
@@ -242,17 +249,19 @@ class _Run:
     """One compass run from (d0, r0) at step ``step``, down to the stop step
     ``tol``, in the box (s, r_min, r_max) of :func:`_project`, asking each
     round for its polls at ``ahead`` steps h, h/2, ...: its ball (d, r),
-    step h, best value, sequential evals, balls asked for, the polls its
-    next round asks for (:func:`_edge_polls`), and its end (d, r, value,
-    converged) once it stops."""
+    step h, best value, the polls it has read (evals), the polls its next
+    round asks for (:func:`_edge_polls`), and its end (d, r, value,
+    converged) once it stops.  Its future is a function of its state
+    (d, r, h, tol, ahead, box) and, through REFINE_MAX_EVALS, of evals
+    alone: best is the fixed rule's value of (d, r)."""
 
-    __slots__ = ("d", "r", "h", "tol", "box", "ahead", "best", "evals", "balls",
+    __slots__ = ("d", "r", "h", "tol", "box", "ahead", "best", "evals",
                  "ds", "rs", "sizes", "end")
 
     def __init__(self, d0, r0, step, tol, box, ahead):
         self.d, self.r = _project(d0, r0, *box)
         self.h, self.tol, self.box, self.ahead = step, tol, box, ahead
-        self.best, self.evals, self.balls, self.end = None, 0, 0, None
+        self.best, self.evals, self.end = None, 0, None
         ds, rs, self.sizes = _edge_polls(self.d, self.r, step, tol, ahead, *box)
         # the first round asks for the start too
         self.ds, self.rs = [self.d] + ds, [self.r] + rs
@@ -261,7 +270,6 @@ class _Run:
         """Read the values of the round's asks in sequential order, the polls
         at h and then, only while none improves, those at the next steps;
         then ask for the next round's polls or end the run."""
-        self.balls += len(vals)
         at = 0
         if self.best is None:
             self.best, self.evals, at = vals[0], 1, 1
@@ -302,9 +310,33 @@ def _compass(evaluate, runs):
     and changes no path: REFINE_MAX_EVALS counts the polls read.  Runs at
     any radius and stop step share a round, since the fixed rule's value of
     a ball does not depend on its batch.
+
+    Runs that reach one state share one path.  After each round, a live run
+    whose state another run held first, after an earlier read or earlier in
+    the same round, stops asking and follows that leader.  When no run is
+    live, a follower takes its leader's end and counts its own evals at the
+    join plus the polls the leader read after it; where that count would
+    reach REFINE_MAX_EVALS, or the leader stopped on it, the follower
+    resumes from its join state with its own count, and shares no more.
+    Every end and count is the one the run reaches alone.
     """
-    live = runs
-    while live:
+    held = {}  # a state -> the first run to hold it after a read, and its evals there
+    joins = []  # (follower, leader, the leader's evals at the join)
+    live, share = runs, True
+    while live or joins:
+        if not live:
+            share, waiting = False, []
+            for join in joins:
+                run, leader, at = join
+                if leader.end is None:  # itself a follower, not yet ended
+                    waiting.append(join)
+                elif leader.end[3] and run.evals + leader.evals - at < REFINE_MAX_EVALS:
+                    run.evals += leader.evals - at
+                    run.end = leader.end
+                else:
+                    live.append(run)
+            joins = waiting
+            continue
         ds, rs, ends = [], [], []
         for run in live:
             ds += run.ds
@@ -315,7 +347,17 @@ def _compass(evaluate, runs):
         for run, end in zip(live, ends):
             run.read(vals[start:end])
             start = end
-        live = [run for run in live if run.end is None]
+        kept = []
+        for run in live:
+            if run.end is None:
+                if share:
+                    leader, at = held.setdefault(
+                        (run.d, run.r, run.h, run.tol, run.ahead, run.box), (run, run.evals))
+                    if leader is not run:
+                        joins.append((run, leader, at))
+                        continue
+                kept.append(run)
+        live = kept
 
 
 def _dedupe_candidates(cands, limit, rel=0.05):
@@ -475,16 +517,20 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
     endpoints and runs one compass pass for all survivors to REFINE_TOL.
     The fixed rule gives a ball the same value in any batch, so each point
     gets what a search of it alone returns, while a round's fixed-rule call
-    serves every point: the 40-point tent report at n = 2 makes 60 compass
+    serves every point: the 40-point tent report at n = 2 makes 99 compass
     calls in its two lock-step sweeps on one CPU, where lone searches make
-    1,960.  One :func:`_centered_best` call solves the centered starts of
-    all the points.
+    1,918.  Runs ask for look-ahead polls only when pts holds one point.
+    One :func:`_centered_best` call solves the centered starts of all the
+    points.
     """
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
     for s in pts:
         if not 0.0 <= s < np.inf:
             raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
+    # the look-ahead saves a round at each halving, which pays only where a
+    # round serves few runs
+    coarse_ahead, fine_ahead = (COARSE_AHEAD, FINE_AHEAD) if len(pts) == 1 else (1, 1)
     coarse, evals = [], []
     for s, centered in zip(pts, _centered_best(profile, pts, params)[0].tolist()):
         ds, rs, grid_step_r = _coarse_balls(s, T)
@@ -492,7 +538,7 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
         starts.append((None, 0.0, centered))
         box = (s, r_min, s + T)
         coarse.append([_Run(d0, r0, grid_step_r * max(r0, r_min), HANDOFF * max(r0, r_min),
-                            box, COARSE_AHEAD) for _, d0, r0 in starts])
+                            box, coarse_ahead) for _, d0, r0 in starts])
         evals.append(len(ds))
     evaluate = partial(fixed_rule_objective, profile, params=params, unit=T)
     _compass(evaluate, [run for runs in coarse for run in runs])
@@ -503,12 +549,12 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
         ends = [(v, d, r) for d, r, v, _ in (run.end for run in runs)]
         ends.sort(key=lambda c: -c[0])
         fine.append([_Run(d1, r1, HANDOFF * max(r1, r_min), REFINE_TOL * max(r1, r_min),
-                          runs[0].box, FINE_AHEAD)
+                          runs[0].box, fine_ahead)
                      for _, d1, r1 in _dedupe_candidates(ends, MULTISTARTS, rel=0.01)])
     _compass(evaluate, [run for runs in fine for run in runs])
     scale = T**params.beta
     return [_best_ball(s, [run.end for run in last],
-                       ranked + sum(run.balls for run in first + last), scale)
+                       ranked + sum(run.evals for run in first + last), scale)
             for s, ranked, first, last in zip(pts, evals, coarse, fine)]
 
 

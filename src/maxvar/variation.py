@@ -42,6 +42,11 @@ class VariationReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=1)
 
 
+class ZeroRatioError(ArithmeticError):
+    """Raised when a stability study would divide by a zero ratio: the
+    base sweep's m' is zero at every grid point."""
+
+
 class UnconvergedSweepError(RuntimeError):
     """Raised when grid points did not converge; carries their radii."""
 
@@ -65,14 +70,22 @@ def combined_derivative(mp: MaximalProfile) -> np.ndarray:
 
 
 def lq_norm_derivative(mp: MaximalProfile, params: AmbientParams) -> float:
-    """(sigma_n * integral of |m'|^q s^(n-1) ds)^(1/q), trapezoid on the grid."""
+    """(sigma_n * integral of |m'|^q s^(n-1) ds)^(1/q), trapezoid on the grid,
+    taken as M (sigma_n * integral of (|m'| / M)^q s^(n-1) ds)^(1/q) with
+    M = max |m'|: |m'|^q underflows to zero at large q (q = 200 at n = 2,
+    beta = 1.99), (|m'| / M)^q <= 1 cannot overflow, and the norm is zero
+    only where m' is zero on the whole grid."""
     bad = [float(s) for s, res in zip(mp.grid, mp.results) if not res.converged]
     if bad:
         raise UnconvergedSweepError(bad)
     q = params.q
-    integrand = combined_derivative(mp) ** q * mp.grid ** (params.n - 1)
+    deriv = combined_derivative(mp)
+    top = float(deriv.max())
+    if top == 0.0:
+        return 0.0
+    integrand = (deriv / top) ** q * mp.grid ** (params.n - 1)
     total = np.trapezoid(integrand, mp.grid)
-    return float((params.sigma_n * total) ** (1.0 / q))
+    return top * float((params.sigma_n * total) ** (1.0 / q))
 
 
 def region_histogram(mp: MaximalProfile) -> dict:
@@ -106,6 +119,9 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
     lq = lq_norm_derivative(mp, params)
     l1 = gradient_l1_norm(profile, params)
     ratio = lq / l1
+    if ratio == 0.0 and (include_refinement or include_dilation):
+        raise ZeroRatioError(f"the ratio is zero on the grid {grid.label()}: m' vanishes at "
+                             "every point, and a stability study cannot divide by it")
     refinement_dev = None
     if include_refinement:
         ratio_fine = lq_norm_derivative(fine, params) / l1

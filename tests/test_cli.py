@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, byte-level determinism."""
 
+import importlib
 import json
 import warnings
 
@@ -7,6 +8,8 @@ import pytest
 
 from maxvar.cli import build_parser, main
 from maxvar.identities import SUITES
+
+variation_module = importlib.import_module("maxvar.variation")
 
 
 @pytest.fixture()
@@ -212,6 +215,26 @@ class TestRatio:
         assert rc == 0
         data = json.loads(out.read_text())
         assert data["dilation_deviation"] <= 1e-6
+
+    @pytest.mark.parametrize("refine", [[], ["--refine"]])
+    def test_large_q_ratio_is_positive(self, tent_json, tmp_path, refine):
+        # q = 200: |m'|^q once underflowed to a ratio of 0.0, and the
+        # refinement study then divided by it
+        out = tmp_path / "ratio.json"
+        rc = main(["ratio", "--n", "2", "--beta", "1.99", "--profile", tent_json,
+                   "--grid", "0.01:8:16:log", "--out", str(out)] + refine)
+        assert rc == 0
+        data = json.loads(out.read_text())
+        assert 0.0 < data["ratio"] < float("inf")
+
+    def test_zero_ratio_before_a_study_is_a_numerical_error(self, tent_json, monkeypatch,
+                                                            capsys):
+        monkeypatch.setattr(variation_module, "lq_norm_derivative", lambda mp, params: 0.0)
+        rc = main(["ratio", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--grid", "0.1:2:4:log", "--refine"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "zero ratio" in captured.err
 
     @pytest.mark.parametrize("lam", ["0", "nan", "inf", "-1"])
     def test_dilate_factor_not_positive_and_finite_is_a_usage_error(self, tent_json, lam,

@@ -6,13 +6,14 @@ import os
 import warnings
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from maxvar.averages import ball_average, fixed_rule_objective
+from maxvar.averages import fixed_rule_objective
 from maxvar.cli import main
 from maxvar.core import AmbientParams, l1_norm, load_profile
 from maxvar.families import (annular_bump, dilate_profile, random_profile, scale_profile,
@@ -139,18 +140,21 @@ class TestSearch:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_beats_dense_grid_probe(self, params2, tent_profile):
+        # each row of the probe in one fixed-rule call: a ball's value does
+        # not depend on its batch, which every 50th row checks ball by ball
         for s, res_grid in ((0.7, 200), (1.6, 400)):
             res = search(tent_profile, s, params2)
             T = tent_profile.support_radius
             rs = np.geomspace(1e-4 * T, s + T, res_grid)
             best_probe = 0.0
-            for r in rs:
+            for i, r in enumerate(rs.tolist()):
                 ds = np.linspace(max(0.0, s - r), s + r, res_grid)
-                for d in ds:
-                    val = r ** params2.beta * ball_average(
-                        tent_profile, AxisBall(float(d), float(r)), params2,
-                        Q)
-                    best_probe = max(best_probe, val)
+                row = fixed_rule_objective(tent_profile, ds, np.full(res_grid, r), params2)
+                if i % 50 == 0:
+                    lone = [fixed_rule_objective(tent_profile, [d], [r], params2)[0]
+                            for d in ds.tolist()]
+                    assert row.tolist() == lone
+                best_probe = max(best_probe, float(row.max()))
             assert res.value >= best_probe * (1 - 1e-6)
 
     def test_starts_reaching_one_ball_count_one_tie(self, params2, tent_profile, monkeypatch):
@@ -190,6 +194,26 @@ class TestSearch:
                 for run, x in zip(runs[k:], scale[k:]):
                     assert run["step"] == hand_off * x and run["tol"] == fine_tol * x
                     assert run["start"] in ends
+
+    def test_look_ahead_only_in_lone_searches(self, params2, monkeypatch):
+        # a round of a lock-step sweep serves many runs, so a poll that no
+        # run reads is pure cost; a lone search saves a round per halving
+        aheads = []
+        started = search_module._Run
+
+        def recording(d0, r0, step, tol, box, ahead):
+            aheads.append((tol == search_module.HANDOFF * max(r0, box[1]), ahead))
+            return started(d0, r0, step, tol, box, ahead)
+
+        monkeypatch.setattr(search_module, "_Run", recording)
+        prof = random_profile(np.random.default_rng(8), 12)
+        T = prof.support_radius
+        search_module._search_points(prof, [0.05 * T, 0.7 * T, 3.0 * T], params2)
+        assert {ahead for _, ahead in aheads} == {1}
+        aheads.clear()
+        search(prof, 0.7 * T, params2)
+        assert set(aheads) == {(True, search_module.COARSE_AHEAD),
+                               (False, search_module.FINE_AHEAD)}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_value_is_the_objective_bit_for_bit(self, n, monkeypatch):
@@ -666,12 +690,13 @@ def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):
     """The compass one request at a time, without look-ahead: the reference
     for search._compass.  It polls the edge moves (d +- h, r +- h), moves to
     the best improving one at the same step, else halves the step.
-    Returns (d, r, value, converged) and the number of requests."""
+    Returns (d, r, value, converged), the number of balls read and the
+    number of requests."""
     d, r = project(d0, r0)
     best, evals, requests = evaluate([(d, r)])[0], 1, 1
     while evals < max_evals:
         if h <= tol:
-            return (d, r, best, True), requests
+            return (d, r, best, True), evals, requests
         fresh = [(v, project(d + v[0] * h, r + v[1] * h))
                  for v in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
         fresh = [(v, c) for v, c in fresh if c != (d, r)]
@@ -684,13 +709,32 @@ def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):
             h *= 0.5
             continue
         (_, (d, r)), best = fresh[k], vals[k]
-    return (d, r, best, False), requests
+    return (d, r, best, False), evals, requests
+
+
+class RecordingRun(search_module._Run):
+    """A compass run that notes in rounds, at each of its reads, the
+    length of the list calls, to which the evaluator appends at each call."""
+
+    def __init__(self, calls, *args):
+        super().__init__(*args)
+        self.calls, self.rounds = calls, []
+
+    def read(self, vals):
+        self.rounds.append(len(self.calls))
+        super().read(vals)
+
+
+def resumed(run):
+    """Whether a RecordingRun sat out a round and then read again."""
+    return any(b - a > 1 for a, b in zip(run.rounds, run.rounds[1:]))
 
 
 class TestCompassLookAhead:
     """Each round a compass run asks for its polls at h and at the next
     steps (h/2 on the coarse pass, h/2 to h/8 on the fine one) and reads
-    them in the sequential order: every endpoint, value and flag is the
+    them in the sequential order, and runs that reach one state share one
+    path: every endpoint, value, flag and count of balls read is the
     sequential compass's, in fewer rounds."""
 
     @staticmethod
@@ -705,10 +749,25 @@ class TestCompassLookAhead:
         return [(s, d, r) for d, r in zip(ds.tolist(), rs.tolist())]
 
     @staticmethod
-    def run_both(prof, params, starts, fine):
+    def row_starts(prof, s, params):
+        """The starts (s, d, r) of the coarse row of search that holds the
+        best coarse ball: one radius, so one step and one stop step, as the
+        starts that one row gives a point of search."""
+        ds, rs, _ = search_module._coarse_balls(s, prof.support_radius)
+        row = int(np.argmax(fixed_rule_objective(prof, ds, rs, params))) // search_module.D_PER_ROW
+        take = slice(row * search_module.D_PER_ROW, (row + 1) * search_module.D_PER_ROW)
+        return [(s, d, r) for d, r in zip(ds[take].tolist(), rs[take].tolist())]
+
+    @staticmethod
+    def run_both(prof, params, starts, fine, ahead=None):
         """Runs from starts (s, d, r) at radius s, each on the coarse pass
-        of search or, where fine is true for it, on the fine pass: all in
-        one _compass call, then each one alone with sequential_compass."""
+        of search or, where fine is true for it, on the fine pass, asking
+        for the polls at the pass's steps or, when given, at ``ahead``
+        steps: all in one _compass call, then each one alone with
+        sequential_compass.  Returns the shipped and the reference (end,
+        balls read) of every run, the rounds and balls of the call, the
+        requests of each sequential run, and the number of shipped runs
+        that resumed."""
         T = prof.support_radius
         r_min = search_module.R_MIN_FRAC * T
         calls = []
@@ -727,15 +786,18 @@ class TestCompassLookAhead:
                  for (_, _, r), on in zip(starts, np.broadcast_to(fine, len(starts)))]
         projects = [partial(search_module._project, s=s, r_min=r_min, r_max=s + T)
                     for s, _, _ in starts]
-        runs = [search_module._Run(d, r, h, tol, (s, r_min, s + T), ahead)
-                for (s, d, r), (h, tol, ahead) in zip(starts, steps)]
+        runs = [RecordingRun(calls, d, r, h, tol, (s, r_min, s + T), ahead or pass_ahead)
+                for (s, d, r), (h, tol, pass_ahead) in zip(starts, steps)]
         search_module._compass(evaluate, runs)
-        rounds = len(calls)
+        rounds, balls = len(calls), sum(calls)
         reference = [sequential_compass(one_by_one, d, r, h, project, tol,
                                         search_module.REFINE_MAX_EVALS)
                      for (_, d, r), (h, tol, _), project in zip(starts, steps, projects)]
-        return ([run.end for run in runs], [out for out, _ in reference], rounds,
-                [n for _, n in reference])
+        return SimpleNamespace(
+            shipped=[(run.end, run.evals) for run in runs],
+            reference=[(out, evals) for out, evals, _ in reference],
+            rounds=rounds, balls=balls, requests=[n for *_, n in reference],
+            resumed=sum(map(resumed, runs)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_same_endpoints_as_the_sequential_compass(self, n):
@@ -747,12 +809,11 @@ class TestCompassLookAhead:
         for s in (0.05 * T, 0.6 * T, 3.0 * T):
             for fine in (False, True):
                 starts = self.starts(rng, s, T, 9)
-                shipped, reference, rounds, requests = self.run_both(
-                    prof, params, starts, fine)
-                assert shipped == reference
+                out = self.run_both(prof, params, starts, fine)
+                assert out.shipped == out.reference
                 # the look-ahead saves rounds: all runs together take fewer
                 # than the longest sequential run
-                assert rounds < max(requests)
+                assert out.rounds < max(out.requests)
                 checked += len(starts)
         assert checked >= 50
 
@@ -763,9 +824,9 @@ class TestCompassLookAhead:
         for cap in (2, 5, 6, 7, 9, 12, 17, 30):
             monkeypatch.setattr(search_module, "REFINE_MAX_EVALS", cap)
             starts = self.starts(np.random.default_rng(cap), 0.6 * T, T, 6)
-            shipped, reference, _, _ = self.run_both(prof, params2, starts, True)
-            assert shipped == reference
-            stopped += sum(not ok for *_, ok in shipped)
+            out = self.run_both(prof, params2, starts, True)
+            assert out.shipped == out.reference
+            stopped += sum(not end[3] for end, _ in out.shipped)
         assert stopped > 0
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -778,9 +839,78 @@ class TestCompassLookAhead:
         params = AmbientParams(n, 0.5)
         starts = self.starts(rng, 0.3 * T, T, 8) + self.starts(rng, 1.7 * T, T, 8)
         fine = np.arange(len(starts)) % 3 == 0
-        shipped, reference, rounds, requests = self.run_both(prof, params, starts, fine)
-        assert shipped == reference
-        assert rounds < max(requests)
+        out = self.run_both(prof, params, starts, fine)
+        assert out.shipped == out.reference
+        assert out.rounds < max(out.requests)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_runs_that_reach_one_state_share_its_path(self, n):
+        # a run that reaches a state another run held stops asking and takes
+        # its end; without look-ahead every ball asked for is read, so fewer
+        # balls than reads means that runs shared their paths
+        rng = np.random.default_rng(2030 + n)
+        prof = random_profile(rng, 12, t_max=float(rng.uniform(0.5, 2.0)))
+        T = prof.support_radius
+        params = AmbientParams(n, 0.5)
+        starts = [start for x in (0.05, 0.6, 3.0)
+                  for start in self.row_starts(prof, x * T, params)]
+        out = self.run_both(prof, params, starts, False, ahead=1)
+        assert out.shipped == out.reference
+        assert out.balls < sum(evals for _, evals in out.shipped)
+
+    def test_followers_resume_where_the_budget_cuts_the_shared_path(self, params2,
+                                                                    monkeypatch):
+        # a follower whose own count would reach the budget on its leader's
+        # path, or whose leader stopped on it, resumes from its join state;
+        # it reads in a round after the ones it sat out
+        prof = random_profile(np.random.default_rng(2040), 12)
+        T = prof.support_radius
+        starts = [start for x in (0.05, 0.6, 3.0)
+                  for start in self.row_starts(prof, x * T, params2)]
+        total = 0
+        for cap in (10, 20, 40, 60, 80):
+            monkeypatch.setattr(search_module, "REFINE_MAX_EVALS", cap)
+            out = self.run_both(prof, params2, starts, False, ahead=1)
+            assert out.shipped == out.reference
+            total += out.resumed
+        assert total > 0
+
+    @pytest.mark.parametrize("longer_first", [True, False])
+    def test_budget_on_a_shared_path(self, monkeypatch, longer_first):
+        # on f = -|a - 1/2| - |b - 3/2| in the edge coordinates a = d - r and
+        # b = d + r, a run from b = 1.575 at step 0.1 finds no better poll at
+        # 0.1, then moves to b = 1.475 at 0.05, all in its first round; a run
+        # from the same ball at step 0.05 moves there too, reading 4 balls
+        # fewer.  The run listed first leads.  Under every budget the ends and
+        # counts are the sequential compass's: those of a follower that
+        # stops on the budget where its leader does not, and of one that does
+        # not stop where its leader does
+        s, r_min, r_max, tol = 1.0, 1e-4, 2.0, 1e-3
+        d0, r0 = 1.0375, 0.5375
+
+        def evaluate(ds, rs):
+            return -np.abs(ds - rs - 0.5) - np.abs(ds + rs - 1.5)
+
+        def one_by_one(balls):
+            return evaluate(*map(np.array, zip(*balls))).tolist()
+
+        project = partial(search_module._project, s=s, r_min=r_min, r_max=r_max)
+        steps = (0.1, 0.05) if longer_first else (0.05, 0.1)
+        outcomes = set()
+        for cap in range(2, 60):
+            monkeypatch.setattr(search_module, "REFINE_MAX_EVALS", cap)
+            calls = []
+            runs = [RecordingRun(calls, d0, r0, h, tol, (s, r_min, r_max), 2) for h in steps]
+            search_module._compass(lambda ds, rs: calls.append(None) or evaluate(ds, rs), runs)
+            assert [(run.end, run.evals) for run in runs] == \
+                [sequential_compass(one_by_one, d0, r0, h, project, tol, cap)[:2] for h in steps]
+            outcomes.add((runs[1].rounds == [1], resumed(runs[1]),
+                           runs[0].end[3], runs[1].end[3]))
+        # the second run joins after the first round and, under a large
+        # budget, follows to the end; under a budget that the longer run
+        # alone reaches, it resumes and ends otherwise than its leader
+        assert (True, False, True, True) in outcomes
+        assert (False, True, not longer_first, longer_first) in outcomes
 
 
 class TestRegions:

@@ -11,11 +11,12 @@ from maxvar.families import (annular_bump, dilate_profile, random_profile, scale
                              standard_family, tent, two_bump)
 from maxvar.geometry import AxisBall
 from maxvar.search import GridSpec, MaximalProfile, maximal_profile
-from maxvar.variation import (UnconvergedSweepError, VariationReport,
+from maxvar.variation import (UnconvergedSweepError, VariationReport, ZeroRatioError,
                               combined_derivative, family_sweep,
                               lq_norm_derivative, region_histogram, variation_report)
 
 search_module = importlib.import_module("maxvar.search")
+variation_module = importlib.import_module("maxvar.variation")
 
 from conftest import rel_err
 
@@ -52,6 +53,16 @@ class TestLqNorm:
         mp = stub_profile(grid, 1.0 - grid, -np.ones_like(grid))
         val = lq_norm_derivative(mp, AmbientParams(1, 0.5))
         assert val == pytest.approx(np.sqrt(2.0), rel=1e-8)
+
+    def test_large_q_does_not_underflow(self):
+        # m' = -1e-3 on [0, 1] at n = 2, beta = 1.99 (q = 200): |m'|^q is
+        # 1e-600, below the smallest double, and the norm is
+        # 1e-3 (2 pi integral of s ds)^(1/q) = 1e-3 pi^(1/q)
+        params = AmbientParams(2, 1.99)
+        grid = np.linspace(1e-9, 1.0, 300)
+        mp = stub_profile(grid, 1.0 - 1e-3 * grid, np.full_like(grid, -1e-3))
+        val = lq_norm_derivative(mp, params)
+        assert val == pytest.approx(1e-3 * np.pi ** (1.0 / params.q), rel=1e-12)
 
     def test_corner_substitution_takes_larger_magnitude(self):
         mp = stub_profile([1, 2, 3], [1, 2, 3], [1.0, 1.0, 1.0],
@@ -106,6 +117,24 @@ class TestVariationReport:
                     rep = variation_report(prof, AmbientParams(n, beta), grid,
                                            include_refinement=False)
                     assert rep.dilation_deviation <= 1e-12, (prof.knots_t, n, beta)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_large_q_ratio_is_positive_and_finite(self, refine):
+        prof = tent()
+        rep = variation_report(prof, AmbientParams(2, 1.99), GridSpec(0.01, 8.0, 16),
+                               include_refinement=refine, include_dilation=False)
+        assert 0.0 < rep.ratio < np.inf
+        assert (rep.refinement_deviation is not None) == refine
+
+    def test_zero_ratio_fails_before_a_study_divides_by_it(self, monkeypatch):
+        prof = tent()
+        grid = GridSpec.standard(prof, 4)
+        monkeypatch.setattr(variation_module, "lq_norm_derivative", lambda mp, params: 0.0)
+        for refine, dilate in ((True, False), (False, True)):
+            with pytest.raises(ZeroRatioError):
+                variation_report(prof, AmbientParams(2, 0.5), grid, refine, dilate)
+        rep = variation_report(prof, AmbientParams(2, 0.5), grid, False, False)
+        assert rep.ratio == 0.0
 
     def test_histogram_partitions_grid(self, small_report):
         assert sum(small_report.region_histogram.values()) == 24
