@@ -2,9 +2,10 @@
 
 Subcommands: eval, sweep, verify, ratio, oracle, family.  All randomness
 flows from --seed; identical invocations produce byte-identical output.
-Exit codes: 0 success, 1 failed assertions, 2 usage or input errors,
-3 numerical non-convergence, or a zero ratio that a stability study would
-divide by.
+Exit codes: 0 success, 1 failed assertions, 2 usage or input errors
+(a profile too small to search at n included), 3 numerical
+non-convergence, a zero ratio that a stability study would divide by, or
+a ratio that is not finite.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .identities import (SUITES, format_reports, reports_to_json, suite_outcome,
 from .oracles import (oracle_1d_maximal, oracle_dense_average_2d,
                       oracle_mc_ball_average)
 from .search import GridSpec, maximal_profile, search
-from .variation import UnconvergedSweepError, ZeroRatioError, family_sweep, variation_report
+from .variation import (NonFiniteRatioError, UnconvergedSweepError, ZeroRatioError,
+                        family_sweep, variation_report)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -399,6 +401,9 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGED
     except ZeroRatioError as exc:
         print(f"maxvar: zero ratio: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    except NonFiniteRatioError as exc:
+        print(f"maxvar: non-finite ratio: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
 
 

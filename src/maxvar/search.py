@@ -5,8 +5,11 @@ The objective r^beta * (ball average) is maximized over axis balls
 symmetry about the evaluation axis and the mirror-domination argument
 justify the 2D reduction; the covering ball (0, s + T) dominates every
 larger radius.  Strategy: a coarse grid (log in r, linear in d per row,
-the rows ending on the boundary family r = |d - s|), every ball ranked
-in one call of the fixed rule, the compass's own evaluator, plus the best
+the rows ending on the boundary family r = |d - s|), whose rows that can
+reach the start pool are ranked in one call of the fixed rule, the
+compass's own evaluator: a row whose bound (r / T)^beta max F lies below
+POOL_FRACTION of the grid's best centered ball, known in closed form, is
+dropped, which changes no start (:func:`_coarse_cut`); plus the best
 centered ball, which the radial reduction solves in closed form
 (:func:`_centered_best`);
 compass refinement of the top-K deduplicated starts down to the hand-off
@@ -90,8 +93,9 @@ class BestBallResult:
     """Search outcome at one evaluation radius.
 
     objective_evals counts the balls the search needed, however it was
-    batched: every ball of the coarse grid, which it ranks, and every ball
-    its compass runs read, the count that REFINE_MAX_EVALS budgets.  A
+    batched: every coarse ball it ranks, those of the rows that can reach
+    the start pool (:func:`_coarse_cut`), and every ball its compass runs
+    read, the count that REFINE_MAX_EVALS budgets.  A
     look-ahead poll that no run reads is not counted, and a run that shares
     another run's path counts the polls that run read after the join; the
     closed-form centered start reads none.  So a sweep's row and a lone
@@ -374,12 +378,44 @@ def _dedupe_candidates(cands, limit, rel=0.05):
     return kept
 
 
+def _radial_reduction(profile: RadialProfile, params: AmbientParams):
+    """The centered balls B(0, r) in units of T: the profile's knots t,
+    values v and slopes g, the integrals I(t_k) of F t^(n-1) over [0, t_k]
+    at the knots, and the function that gives the objective
+    n r^(beta - n) I(r) of B(0, r) at an array of radii r.  The Gauss rule
+    of the fixed rule's full-sphere panels integrates each piece exactly,
+    and each radius takes arithmetic by element or by row only, so it gets
+    the same value in any batch.
+    """
+    n, beta = params.n, params.beta
+    T = profile.support_radius
+    t = profile.knots_t / T
+    v = profile.knots_v
+    g = profile.slope(profile.knots_t) * T  # the last piece, past the support, is flat
+    x, w = _gauss(n // 2 + 1)
+
+    def integral(k, end):
+        """The integral of F t^(n-1) over [t_k, end] on piece k.  Each row sums
+        its own nodes: a BLAS product's order could depend on the other rows."""
+        h = end - t[k]
+        u = h[:, None] * x
+        return h * ((v[k, None] + g[k, None] * u) * (t[k, None] + u) ** (n - 1) * w).sum(axis=1)
+
+    cumulative = np.concatenate(([0.0], integral(np.arange(len(t) - 1), t[1:]).cumsum()))
+
+    def value(r):
+        j = t.searchsorted(r, side="right") - 1
+        # past the support F = 0: the integral ends at T, however far r lies
+        return n * (cumulative[j] + integral(j, np.minimum(r, 1.0))) * r ** (beta - n)
+
+    return t, v, g, cumulative, value
+
+
 def _centered_best(profile: RadialProfile, pts, params: AmbientParams):
     """The best centered ball B(0, r) over max(s, R_MIN_FRAC T) <= r <= s + T
     at each radius s of pts: the arrays of its radii and of its objective
-    n r^(beta - n) I(r), I(r) the integral of F(t) t^(n-1) over [0, r],
-    whose pieces the Gauss rule of the fixed rule's full-sphere panels
-    integrates exactly.  No cap kernel and no search.
+    n r^(beta - n) I(r), I(r) the integral of F(t) t^(n-1) over [0, r]
+    (:func:`_radial_reduction`).  No cap kernel and no search.
 
     The objective's derivative has the sign of P(r) = (beta - n) I(r) +
     r^n F(r), which on the piece F = alpha + g t from the knot t_k is
@@ -399,23 +435,10 @@ def _centered_best(profile: RadialProfile, pts, params: AmbientParams):
     """
     n, beta = params.n, params.beta
     T = profile.support_radius
-    t = profile.knots_t / T
-    v = profile.knots_v
-    g = profile.slope(profile.knots_t) * T  # the last piece, past the support, is flat
+    t, v, g, cumulative, value = _radial_reduction(profile, params)
     s_units = np.asarray(pts, dtype=float) / T
     lo, hi = np.maximum(s_units, R_MIN_FRAC), s_units + 1.0
-    x, w = _gauss(n // 2 + 1)
-
-    def integral(k, end):
-        """The integral of F t^(n-1) over [t_k, end] on piece k.  Each row sums
-        its own nodes: a BLAS product's order could depend on the other rows."""
-        h = end - t[k]
-        u = h[:, None] * x
-        return h * ((v[k, None] + g[k, None] * u) * (t[k, None] + u) ** (n - 1) * w).sum(axis=1)
-
-    pieces = np.arange(len(t) - 1)
-    cumulative = np.concatenate(([0.0], integral(pieces, t[1:]).cumsum()))
-    k = pieces[g[:-1] < 0.0]
+    k = np.arange(len(t) - 1)[g[:-1] < 0.0]
     tk, gk = t[k], g[k]
     A = beta / n * (v[k] - gk * tk)
     B = (beta + 1.0) / (n + 1) * gk
@@ -447,11 +470,8 @@ def _centered_best(profile: RadialProfile, pts, params: AmbientParams):
     cand = np.concatenate((lo[:, None], t[None].repeat(len(lo), 0), roots, hi[:, None]), axis=1)
     ends = np.ones((len(lo), 1), dtype=bool)
     live = np.concatenate((ends, (t > lo[:, None]) & (t < hi[:, None]), rises, ends), axis=1)
-    at = cand[live]
-    j = t.searchsorted(at, side="right") - 1
     vals = np.full(cand.shape, -np.inf)
-    # past the support F = 0: the integral ends at T, however far s lies
-    vals[live] = n * (cumulative[j] + integral(j, np.minimum(at, 1.0))) * at ** (beta - n)
+    vals[live] = value(cand[live])
     rows, best = np.arange(len(lo)), vals.argmax(axis=1)
     return cand[rows, best] * T, vals[rows, best] * T**beta
 
@@ -476,6 +496,36 @@ def _coarse_balls(s: float, T: float):
     frac = np.linspace(0.0, 1.0, D_PER_ROW)
     ds = (lo_d[:, None] + np.maximum(hi_d - lo_d, 0.0)[:, None] * frac[None, :]).ravel()
     return ds * T, np.repeat(rs_rows * T, D_PER_ROW), rs_rows[1] / rs_rows[0] - 1.0
+
+
+def _coarse_cut(profile: RadialProfile, pts, params: AmbientParams):
+    """Each point's coarse grid (:func:`_coarse_balls`) and the mask of the
+    rows that can reach its start pool, the balls :func:`_coarse_starts`
+    ranks: the bounding step of branch and bound, exact.
+
+    In units of T a ball of radius r is worth at most (r / T)^beta max F, a
+    bound the fixed rule keeps exactly at odd n and within 1e-12 at even n.
+    The grid's centered balls B(0, r), r >= s, the first ball of each of
+    their rows, have closed-form values (:func:`_radial_reduction`), one call
+    for every point; the largest, L, exists, since the top row's first ball
+    is the covering ball B(0, s + T), and it is at most the grid's best
+    value.  A row whose bound lies below POOL_FRACTION L, with TIE_TOL of
+    room for the rounding of both rules, holds neither the best ball nor a
+    pool ball, and the stable sort of the kept balls gives the same starts,
+    bit for bit.  A floor of 0, where the closed form underflows at extreme
+    s, keeps every row, and so would a floor of nan.
+    """
+    T = profile.support_radius
+    grids = [_coarse_balls(s, T) for s in pts]
+    centered = [rs[ds == 0.0] / T for ds, rs, _ in grids]
+    offsets = np.cumsum([0] + [len(c) for c in centered[:-1]])
+    floors = np.maximum.reduceat(_radial_reduction(profile, params)[-1](np.concatenate(centered)),
+                                 offsets)
+    top = profile.max_value * (1.0 + TIE_TOL)
+    # keep unless the bound is below the threshold, so that a nan floor keeps all
+    return [(ds, rs, step,
+             ~((rs / T) ** params.beta * top < POOL_FRACTION * floor * (1.0 - TIE_TOL)))
+            for (ds, rs, step), floor in zip(grids, floors.tolist())]
 
 
 def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
@@ -512,34 +562,43 @@ def search(profile: RadialProfile, s: float, params: AmbientParams) -> BestBallR
 def _search_points(profile: RadialProfile, pts, params: AmbientParams):
     """The BestBallResults, with the compass's values, at the radii pts.
 
-    Ranks each point's coarse balls, then runs one compass pass for the
-    starts of every point down to the hand-off step, dedupes each point's
-    endpoints and runs one compass pass for all survivors to REFINE_TOL.
-    The fixed rule gives a ball the same value in any batch, so each point
-    gets what a search of it alone returns, while a round's fixed-rule call
-    serves every point: the 40-point tent report at n = 2 makes 99 compass
-    calls in its two lock-step sweeps on one CPU, where lone searches make
-    1,918.  Runs ask for look-ahead polls only when pts holds one point.
-    One :func:`_centered_best` call solves the centered starts of all the
-    points.
+    Ranks the coarse balls of each point that can reach its start pool
+    (:func:`_coarse_cut`), then runs one compass pass for the starts of
+    every point down to the hand-off step, dedupes each point's endpoints
+    and runs one compass pass for all survivors to REFINE_TOL.  The fixed
+    rule gives a ball the same value in any batch, so each point gets what a
+    search of it alone returns, while a round's fixed-rule call serves every
+    point: the 40-point tent report at n = 2 makes 99 compass calls in its
+    two lock-step sweeps on one CPU, where lone searches make 1,918.  Runs
+    ask for look-ahead polls only when pts holds one point.  One
+    :func:`_centered_best` call solves the centered starts of all the
+    points, and one closed-form call gives the floors of their cuts.
+
+    A profile whose smallest ball, of radius R_MIN_FRAC T, has a volume
+    r^n below the smallest normal float is refused with a ValueError: its
+    averages would divide by zero.
     """
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
     for s in pts:
         if not 0.0 <= s < np.inf:
             raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
+    if r_min ** params.n < np.finfo(float).tiny:
+        raise ValueError(f"support radius T = {T:g} is too small for n = {params.n}: the "
+                         f"volume of a ball of radius {R_MIN_FRAC:g} T underflows")
     # the look-ahead saves a round at each halving, which pays only where a
     # round serves few runs
     coarse_ahead, fine_ahead = (COARSE_AHEAD, FINE_AHEAD) if len(pts) == 1 else (1, 1)
     coarse, evals = [], []
-    for s, centered in zip(pts, _centered_best(profile, pts, params)[0].tolist()):
-        ds, rs, grid_step_r = _coarse_balls(s, T)
-        starts = _coarse_starts(profile, ds, rs, params)
+    for s, centered, (ds, rs, grid_step_r, keep) in zip(
+            pts, _centered_best(profile, pts, params)[0].tolist(),
+            _coarse_cut(profile, pts, params)):
+        starts = _coarse_starts(profile, ds[keep], rs[keep], params)
         starts.append((None, 0.0, centered))
         box = (s, r_min, s + T)
         coarse.append([_Run(d0, r0, grid_step_r * max(r0, r_min), HANDOFF * max(r0, r_min),
                             box, coarse_ahead) for _, d0, r0 in starts])
-        evals.append(len(ds))
+        evals.append(int(np.count_nonzero(keep)))
     evaluate = partial(fixed_rule_objective, profile, params=params, unit=T)
     _compass(evaluate, [run for runs in coarse for run in runs])
     fine = []

@@ -47,6 +47,12 @@ class ZeroRatioError(ArithmeticError):
     base sweep's m' is zero at every grid point."""
 
 
+class NonFiniteRatioError(ArithmeticError):
+    """Raised when a ratio is not finite: on grids so fine in absolute
+    terms (radii about 1e-190) that the squared steps of the finite
+    differences underflow, m' is nan."""
+
+
 class UnconvergedSweepError(RuntimeError):
     """Raised when grid points did not converge; carries their radii."""
 
@@ -118,18 +124,19 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
     # the base norm comes first: its unconverged radii are the ones reported
     lq = lq_norm_derivative(mp, params)
     l1 = gradient_l1_norm(profile, params)
-    ratio = lq / l1
+    ratio = _finite(lq / l1, grid.label())
     if ratio == 0.0 and (include_refinement or include_dilation):
         raise ZeroRatioError(f"the ratio is zero on the grid {grid.label()}: m' vanishes at "
                              "every point, and a stability study cannot divide by it")
     refinement_dev = None
     if include_refinement:
-        ratio_fine = lq_norm_derivative(fine, params) / l1
+        ratio_fine = _finite(lq_norm_derivative(fine, params) / l1, "refined " + grid.label())
         refinement_dev = abs(ratio_fine - ratio) / ratio
     dilation_dev = None
     if include_dilation:
         mp_d = _sweep(dilated, grid.points() / dilation_lambda, params)
-        ratio_d = lq_norm_derivative(mp_d, params) / gradient_l1_norm(dilated, params)
+        ratio_d = _finite(lq_norm_derivative(mp_d, params) / gradient_l1_norm(dilated, params),
+                          f"{grid.label()} divided by {dilation_lambda:g}")
         dilation_dev = abs(ratio_d - ratio) / ratio
 
     T = profile.support_radius
@@ -144,6 +151,14 @@ def variation_report(profile: RadialProfile, params: AmbientParams, grid: GridSp
         tail_bound=tail,
         info={"grid_points": len(mp.grid),
               "ties": max(r.tie_candidates for r in mp.results)})
+
+
+def _finite(ratio: float, grid: str) -> float:
+    """The ratio on the named grid, or a NonFiniteRatioError."""
+    if not np.isfinite(ratio):
+        raise NonFiniteRatioError(f"the ratio is {ratio} on the grid {grid}: the finite "
+                                  "differences of m are not finite at these radii")
+    return ratio
 
 
 def family_sweep(members: dict, params_list, grid_count: int = 64,

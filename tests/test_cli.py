@@ -4,6 +4,7 @@ import importlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from maxvar.cli import build_parser, main
@@ -80,6 +81,28 @@ class TestEval:
                        "--grid", "0.01:inf:5:log"])
         assert rc == 2
         assert "0.01:inf:5:log" in capsys.readouterr().err
+
+    def test_support_too_small_for_n_is_an_input_error(self, tmp_path, capsys):
+        # a ball of radius 1e-4 T has a volume r^n of 1e-408: every average
+        # divided by zero, and the search ended in an IndexError (exit 1)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"knots": [[0, 1], [1e-200, 0]]}))
+        rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", str(path),
+                   "--s", "3e-201"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "T = 1e-200" in captured.err and "n = 2" in captured.err
+
+    @pytest.mark.parametrize("knots, s", [([[0, 1], [1e-140, 0]], "3e-141,5e-140"),
+                                          ([[0, 1], [1, 0]], "1e-300")])
+    def test_tiny_support_or_radius_is_searched(self, tmp_path, capsys, knots, s):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"knots": knots}))
+        rc = main(["eval", "--n", "2", "--beta", "0.5", "--profile", str(path), "--s", s])
+        assert rc == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == len(s.split(","))
+        assert all(0.0 < float(row.split(",")[1]) < float("inf") for row in rows)
 
     def test_malformed_profile(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -235,6 +258,16 @@ class TestRatio:
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "zero ratio" in captured.err
+
+    def test_non_finite_ratio_is_a_numerical_error(self, tent_json, capsys):
+        # at radii near 1e-195 the squared steps of the finite differences
+        # underflow: the ratio was nan, printed with exit 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rc = main(["ratio", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                       "--grid", "1e-200:1e-190:8:log"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite ratio" in captured.err
 
     @pytest.mark.parametrize("lam", ["0", "nan", "inf", "-1"])
     def test_dilate_factor_not_positive_and_finite_is_a_usage_error(self, tent_json, lam,

@@ -322,6 +322,18 @@ class TestSearch:
         res = search(prof, s, params)
         assert rel_err(res.value, oracle_1d_maximal(prof, s, params.beta)) <= 1e-11
 
+    def test_support_too_small_for_n_is_refused(self):
+        # a ball of radius R_MIN_FRAC T must have a normal volume r^n
+        prof = dilate_profile(tent(), 1e140)
+        T = prof.support_radius
+        for n in (3, 5):
+            with pytest.raises(ValueError, match=f"T = 1e-140 is too small for n = {n}"):
+                search(prof, 0.3 * T, AmbientParams(n, 0.5))
+        params = AmbientParams(2, 0.5)
+        for s in (0.3 * T, 5.0 * T):
+            base = search(tent(), s / T, params).value
+            assert rel_err(search(prof, s, params).value / T**0.5, base) <= 1e-12
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
     def test_never_below_the_centered_maximum(self, n):
         rng = np.random.default_rng(3000 + n)
@@ -418,6 +430,21 @@ class TestCenteredBest:
             rs, values = search_module._centered_best(prof, pts, params)
             assert list(zip(rs.tolist(), values.tolist())) == \
                 [lone_centered(prof, s, params) for s in pts.tolist()]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_closed_form_is_the_fixed_rule(self, n):
+        # the d = 0 ball's value in closed form, at the knots, between them
+        # and past the support, against the fixed rule
+        rng = np.random.default_rng(4500 + n)
+        params = AmbientParams(n, float(rng.uniform(0.1, 0.9)))
+        for knots in (4, 12, 60, 200):
+            prof = many_knot_profile(rng, knots)
+            T = prof.support_radius
+            rs = np.concatenate((T * np.geomspace(search_module.R_MIN_FRAC, 65.0, 40),
+                                 prof.knots_t[1:], [T]))
+            closed = search_module._radial_reduction(prof, params)[-1](rs / T)
+            rule = fixed_rule_objective(prof, np.zeros(len(rs)), rs, params, unit=T)
+            assert np.all(np.abs(closed - rule) <= 1e-12 * rule), knots
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_zero_and_far_radii(self, n):
@@ -684,6 +711,79 @@ class TestCoarseStarts:
                         list(zip(falling[pool], ds[pool], rs[pool])), search_module.MULTISTARTS)
             assert starts == [(0.0, ds[0], rs[0])]
         assert tied > 6
+
+
+def spike_profile():
+    """A tall, narrow spike on a low plateau: r^beta max F bounds most balls
+    loosely, so the cut drops little."""
+    return load_profile([(0, 0.05), (0.5, 0.05), (0.501, 50.0), (0.502, 0.05), (1, 0)])
+
+
+class TestCoarseCut:
+    """The rows whose bound (r / T)^beta max F lies below POOL_FRACTION of
+    the grid's best centered ball cannot reach the start pool: ranking the
+    kept rows alone gives the starts of the whole grid, bit for bit."""
+
+    @staticmethod
+    def check(prof, pts, params):
+        """Each point's starts from its kept rows and from its whole grid;
+        every dropped ball is worth less than POOL_FRACTION of the best.
+        Returns the kept and the whole grid's ball counts."""
+        T = prof.support_radius
+        kept = total = 0
+        for s, (ds, rs, step, keep) in zip(pts, search_module._coarse_cut(prof, pts, params)):
+            whole = search_module._coarse_balls(s, T)
+            assert np.array_equal(ds, whole[0]) and np.array_equal(rs, whole[1])
+            assert step == whole[2]
+            # a row is kept or dropped whole
+            rows = keep.reshape(-1, search_module.D_PER_ROW)
+            assert np.all(rows == rows[:, :1])
+            assert search_module._coarse_starts(prof, ds[keep], rs[keep], params) == \
+                search_module._coarse_starts(prof, ds, rs, params), s / T
+            values = fixed_rule_objective(prof, ds, rs, params, unit=T)
+            assert np.all(values[~keep] < search_module.POOL_FRACTION * values.max()), s / T
+            kept += int(np.count_nonzero(keep))
+            total += len(keep)
+        return kept, total
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_kept_rows_give_the_whole_grid_starts(self, n):
+        rng = np.random.default_rng(5000 + n)
+        dropped = 0
+        for i in range(12):
+            prof = (spike_profile() if i == 0
+                    else many_knot_profile(rng, int(np.exp(rng.uniform(np.log(4), np.log(200))))))
+            params = AmbientParams(n, float(rng.uniform(0.1, 0.9)))
+            pts = prof.support_radius * 10.0 ** rng.uniform(-2.0, np.log10(64.0), size=6)
+            kept, total = self.check(prof, pts.tolist(), params)
+            dropped += total - kept
+        assert dropped > 0
+
+    def test_a_floor_that_underflows_keeps_every_row(self):
+        # n r^(beta - n) I(r) of the grid's centered balls underflows to 0
+        prof, params = scale_profile(tent(), 1e-305), AmbientParams(5, 0.5)
+        s = 1e4 * prof.support_radius
+        ds, rs, _, keep = search_module._coarse_cut(prof, [s], params)[0]
+        assert search_module._radial_reduction(prof, params)[-1](rs[ds == 0.0]).max() == 0.0
+        assert keep.all()
+        self.check(prof, [s], params)
+
+    def test_the_tent_report_ranks_under_half_its_grid(self, monkeypatch):
+        prof, params = tent(), AmbientParams(2, 0.5)
+        counts = []
+        original = search_module._coarse_cut
+
+        def recording(profile, pts, params):
+            out = original(profile, pts, params)
+            counts.extend((int(np.count_nonzero(keep)), len(keep)) for *_, keep in out)
+            return out
+
+        monkeypatch.setattr(search_module, "_coarse_cut", recording)
+        monkeypatch.setattr(search_module, "_cpus", lambda: 1)
+        variation_report(prof, params, GridSpec.standard(prof, 40))
+        kept, total = np.sum(counts, axis=0)
+        # the refined grid and the dilated base grid: 79 + 40 points
+        assert len(counts) == 119 and 2 * kept <= total
 
 
 def sequential_compass(evaluate, d0, r0, h, project, tol, max_evals):

@@ -11,8 +11,8 @@ from maxvar.families import (annular_bump, dilate_profile, random_profile, scale
                              standard_family, tent, two_bump)
 from maxvar.geometry import AxisBall
 from maxvar.search import GridSpec, MaximalProfile, maximal_profile
-from maxvar.variation import (UnconvergedSweepError, VariationReport, ZeroRatioError,
-                              combined_derivative, family_sweep,
+from maxvar.variation import (NonFiniteRatioError, UnconvergedSweepError, VariationReport,
+                              ZeroRatioError, combined_derivative, family_sweep,
                               lq_norm_derivative, region_histogram, variation_report)
 
 search_module = importlib.import_module("maxvar.search")
@@ -135,6 +135,27 @@ class TestVariationReport:
                 variation_report(prof, AmbientParams(2, 0.5), grid, refine, dilate)
         rep = variation_report(prof, AmbientParams(2, 0.5), grid, False, False)
         assert rep.ratio == 0.0
+
+    @pytest.mark.parametrize("refine, dilate", [(False, False), (True, True)])
+    def test_non_finite_ratio_is_an_arithmetic_error(self, refine, dilate):
+        # the finite differences' squared steps underflow at these radii
+        grid = GridSpec(1e-200, 1e-190, 8)
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteRatioError, match="1e-200:1e-190:8:log"):
+            variation_report(tent(), AmbientParams(2, 0.5), grid, refine, dilate)
+        assert issubclass(NonFiniteRatioError, ArithmeticError)
+
+    def test_support_too_small_for_n_is_a_value_error(self):
+        # (1e-4 T)^3 underflows at T = 1e-140; at n = 2 the tent is searched,
+        # but the steps of the standard grid are too small for the finite
+        # differences
+        prof = dilate_profile(tent(), 1e140)
+        grid = GridSpec.standard(prof, 4)
+        with pytest.raises(ValueError, match="T = 1e-140 is too small for n = 3"):
+            variation_report(prof, AmbientParams(3, 0.5), grid, False, False)
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteRatioError):
+            variation_report(prof, AmbientParams(2, 0.5), grid, False, False)
 
     def test_histogram_partitions_grid(self, small_report):
         assert sum(small_report.region_histogram.values()) == 24
