@@ -11,7 +11,8 @@ which t = |d - r| + L sin^2(phi), L = d + r - |d - r|, makes smooth; the
 panels take n + 14 nodes in phi, graded geometrically toward the feature
 that a near-tangent ball puts at phi = 0.  The rule has no tolerance and
 no budget, and a single ball is a batch of one row.  The search ranks its
-coarse grid, runs its compass and reports its values by this one rule.
+coarse grid, runs its compass and reports its values by this one rule;
+the boundary formula's m' of a sweep is one gradient_axial_averages batch.
 """
 
 from __future__ import annotations
@@ -216,17 +217,28 @@ def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams
     return float(total[0]) / sin_power_total(k)
 
 
+def gradient_axial_averages(profile: RadialProfile, ds, rs, params: AmbientParams):
+    """Axial component of the average gradient over each ball B(d_i e, r_i):
+    one :func:`_panel_sums` row [max(0, d - r), min(d + r, T)] per ball, per
+    volume, summed from 0.0 as :func:`_ball_integral` sums (-0.0 reads 0.0)."""
+    ds, rs = np.asarray(ds, dtype=float), np.asarray(rs, dtype=float)
+    fun = lambda t, d, r: profile.slope(t) * cap_first_moment(t, d, r, params)
+    sums = _panel_sums(profile, params.n, np.maximum(ds - rs, 0.0),
+                       np.minimum(ds + rs, profile.support_radius), ds, rs, fun)
+    return 0.0 + sums / (params.omega_n * rs**params.n)
+
+
 def gradient_axial_component(profile: RadialProfile, ball: AxisBall,
                              params: AmbientParams) -> float:
-    """Axial component of the average gradient over the ball.
+    """Axial component of the average gradient over the ball, the one-row
+    :func:`gradient_axial_averages`.
 
     By rotational symmetry this is the only nonzero component of the
     vector average of Df; it vanishes identically when d = 0.
     """
     if ball.d == 0.0:
         return 0.0
-    fun = lambda t, d, r: profile.slope(t) * cap_first_moment(t, d, r, params)
-    return _ball_integral(profile, ball, params, fun)
+    return float(gradient_axial_averages(profile, [ball.d], [ball.r], params)[0])
 
 
 def gradient_radial_moment(profile: RadialProfile, ball: AxisBall,

@@ -73,7 +73,8 @@ def _cap_w(t, d, r):
     gap = t - d
     # a 0-d product is made an array; the masks override degenerate quotients
     w = np.asarray((r - gap) * (r + gap))
-    np.divide(w, np.maximum(2.0 * t * d, 1e-300), out=w)
+    # a divisor of at least w / 2 gives 2 where the quotient would pass it: no overflow
+    np.divide(w, np.maximum(np.maximum(2.0 * t * d, 0.5 * w), 1e-300), out=w)
     np.copyto(w, 0.0, where=np.abs(gap) >= r)
     np.copyto(w, 2.0, where=t + d <= r)
     return np.minimum(w, 2.0)[()]  # rounding may lift the quotient past 2

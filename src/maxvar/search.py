@@ -60,10 +60,9 @@ from functools import partial
 
 import numpy as np
 
-from .averages import (_gauss, _panel_sums, ball_average, fixed_rule_objective,
-                       gradient_axial_component)
+from .averages import _gauss, ball_average, fixed_rule_objective, gradient_axial_averages
 from .core import AmbientParams, RadialProfile
-from .geometry import AxisBall, Contact, InfeasibleBallError, cap_first_moment, classify_contact
+from .geometry import AxisBall, Contact, InfeasibleBallError, classify_contact
 
 REGION_LABELS = ("zero_derivative", "E1", "E2", "E3", "unclassified")
 
@@ -84,7 +83,6 @@ R_MIN_FRAC = 1e-4
 CONTACT_TOL = 1e-6
 REFINE_MAX_EVALS = 4000
 POOL_FRACTION = 0.5  # coarse balls within this fraction of the best one seed starts
-POOL_SIZE = 16 * MULTISTARTS  # and at most this many of them
 JUMP_REL = 0.10  # a best-ball move larger than this between grid neighbors flags a corner
 
 
@@ -530,15 +528,15 @@ def _coarse_cut(profile: RadialProfile, pts, params: AmbientParams):
 
 def _coarse_starts(profile: RadialProfile, ds, rs, params: AmbientParams):
     """Rank the coarse balls (ds, rs) by the fixed rule in units of T and
-    return the starts of the refinement: the top POOL_SIZE balls within
-    POOL_FRACTION of the best, deduplicated to MULTISTARTS starts.
+    return the starts of the refinement: the balls within POOL_FRACTION of
+    the best, by value, deduplicated to the first MULTISTARTS distinct ones.
 
     A stable sort keeps exact ties in grid order, so the first start is the
     first ball of the best value; when no value is positive, it is the only
     start.
     """
     values = fixed_rule_objective(profile, ds, rs, params, unit=profile.support_radius)
-    order = np.argsort(-values, kind="stable")[:POOL_SIZE]
+    order = np.argsort(-values, kind="stable")
     vals = values[order]
     # the values fall along order, so the pool is a prefix
     cut = max(1, int(np.count_nonzero((vals >= POOL_FRACTION * vals[0]) & (vals > 0.0))))
@@ -576,13 +574,17 @@ def _search_points(profile: RadialProfile, pts, params: AmbientParams):
 
     A profile whose smallest ball, of radius R_MIN_FRAC T, has a volume
     r^n below the smallest normal float is refused with a ValueError: its
-    averages would divide by zero.
+    averages would divide by zero.  So is a radius s whose covering ball
+    has a volume omega_n (s + T)^n of 2^1023 or more, half the overflow.
     """
     T = profile.support_radius
     r_min = R_MIN_FRAC * T
     for s in pts:
         if not 0.0 <= s < np.inf:
             raise ValueError(f"evaluation radius must be finite and nonnegative, got {s}")
+        if math.log2(params.omega_n) + params.n * math.log2(s + T) >= 1023.0:
+            raise ValueError(f"evaluation radius s = {s:g} is too large for n = {params.n}: "
+                             "the volume of the covering ball, of radius s + T, overflows")
     if r_min ** params.n < np.finfo(float).tiny:
         raise ValueError(f"support radius T = {T:g} is too small for n = {params.n}: the "
                          f"volume of a ball of radius {R_MIN_FRAC:g} T underflows")
@@ -647,12 +649,9 @@ def _region_label(contact: Contact, s: float) -> str:
     return "E3"
 
 
-def _build_profile(profile: RadialProfile, pts, results, params: AmbientParams,
-                   formula=None) -> MaximalProfile:
+def _build_profile(profile: RadialProfile, pts, results, params: AmbientParams) -> MaximalProfile:
     """The MaximalProfile of the results at the radii pts, every field at
-    once: each sweep ends here.  formula, when given, is the results'
-    derivative_by_formula channel, which :func:`_formula_channel` computes
-    otherwise."""
+    once, the formula channel in one batch: each sweep ends here."""
     values = np.array([res.value for res in results])
     d = np.array([res.ball.d for res in results])
     r = np.array([res.ball.r for res in results])
@@ -670,27 +669,21 @@ def _build_profile(profile: RadialProfile, pts, results, params: AmbientParams,
     flags[1:] |= pairs
     return MaximalProfile(grid=pts, values=values, results=results,
                           deriv_fd=derivative_by_fd(pts, values),
-                          deriv_formula=(_formula_channel(profile, results, params)
-                                         if formula is None else formula),
+                          deriv_formula=_formula_channel(profile, results, params),
                           corner_flags=flags)
 
 
 def _formula_channel(profile: RadialProfile, results, params: AmbientParams) -> np.ndarray:
-    """:func:`derivative_by_formula` of every result, bit for bit, with the
-    axial gradient averages of the boundary rows in one
-    :func:`_panel_sums` batch: a row's sum does not depend on the others."""
+    """r^beta * (axial gradient average), Python's power, at each result's
+    boundary ball with d != 0, in one :func:`gradient_axial_averages` batch,
+    and 0.0 at the others: m' at each point, by the boundary formula."""
     out = np.zeros(len(results))
     rows = [i for i, res in enumerate(results)
             if res.contact.kind != "interior" and res.ball.d != 0.0]
     if rows:
-        d = np.array([results[i].ball.d for i in rows])
-        r = np.array([results[i].ball.r for i in rows])
-        fun = lambda t, d, r: profile.slope(t) * cap_first_moment(t, d, r, params)
-        sums = _panel_sums(profile, params.n, np.maximum(d - r, 0.0),
-                           np.minimum(d + r, profile.support_radius), d, r, fun)
-        # the one-row sum of _ball_integral starts at 0.0; the power is Python's
-        out[rows] = [ri ** params.beta * (0.0 + avg) for ri, avg in
-                     zip(r.tolist(), (sums / (params.omega_n * r**params.n)).tolist())]
+        r = [float(results[i].ball.r) for i in rows]
+        avgs = gradient_axial_averages(profile, [results[i].ball.d for i in rows], r, params)
+        out[rows] = [ri ** params.beta * avg for ri, avg in zip(r, avgs.tolist())]
     return out
 
 
@@ -773,15 +766,13 @@ def _search_forked(profile: RadialProfile, pts, params: AmbientParams):
 
 def derivative_by_formula(profile: RadialProfile, result: BestBallResult,
                           params: AmbientParams) -> float:
-    """Signed radial derivative r^beta * (axial gradient average).
+    """Signed radial derivative r^beta * (axial gradient average): the row
+    of a one-result :func:`_formula_channel`.
 
     Exactly zero at interior contact; at boundary contact the sign agrees
     with sign(d - s) whenever the derivative is nonzero.
     """
-    if result.contact.kind == "interior":
-        return 0.0
-    ball = result.ball
-    return ball.r ** params.beta * gradient_axial_component(profile, ball, params)
+    return float(_formula_channel(profile, [result], params)[0])
 
 
 def derivative_by_fd(grid, values) -> np.ndarray:

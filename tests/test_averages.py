@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from maxvar.averages import (LevelSetWeight, RadialWeight, ball_average,
                              batch_objective, fixed_rule_objective,
-                             gradient_axial_component,
+                             gradient_axial_averages, gradient_axial_component,
                              gradient_radial_moment, sphere_average,
                              weighted_gradient_average)
 import maxvar
@@ -128,6 +128,28 @@ class TestGradientAxial:
             expected = (tent_profile.value(d + r) - tent_profile.value(abs(d - r))) \
                 / (2.0 * r)
             assert val == pytest.approx(float(expected), abs=1e-15)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_batch_is_each_one_ball_call_bit_for_bit(self, n):
+        # one batch holds centered balls, balls past the support, balls
+        # tangent to within 1e-9 and with an edge within 1e-9 T of a knot
+        params = AmbientParams(n, 0.5)
+        rng = np.random.default_rng(400 + n)
+        prof = random_profile(rng, 12)
+        T = prof.support_radius
+        r = T * 10.0 ** rng.uniform(-3.0, 0.3, size=120)
+        d = rng.uniform(0.0, 1.5 * T, size=120)
+        d[:10] = 0.0
+        d[10:20] = T + r[10:20] * rng.uniform(1.0, 2.0, size=10)
+        d[20:40] = r[20:40] * (1.0 + rng.choice([-1e-9, 1e-9], size=20))
+        knots = rng.choice(prof.knots_t[1:-1], size=20)
+        d[40:60] = knots + r[40:60] + rng.uniform(-1e-9, 1e-9, size=20) * T
+        batch = gradient_axial_averages(prof, d, r, params)
+        lone = np.array([gradient_axial_component(prof, AxisBall(di, ri), params)
+                         for di, ri in zip(d.tolist(), r.tolist())])
+        assert np.array_equal(batch.view(np.int64), lone.view(np.int64))
+        assert np.all(batch[:20] == 0.0) and np.count_nonzero(batch[20:]) > 80
 
 
 class TestGradientRadialMoment:

@@ -93,6 +93,20 @@ class TestEval:
         assert rc == 2 and captured.out == ""
         assert "T = 1e-200" in captured.err and "n = 2" in captured.err
 
+    def test_far_radius_is_searched_and_a_farther_one_is_an_input_error(self, tent_json,
+                                                                         capsys):
+        # at s = 1e10 the cap kernel's quotient overflowed; at s = 1e70 and
+        # n = 5 the covering ball's volume does
+        rc = main(["eval", "--n", "3", "--beta", "0.5", "--profile", tent_json, "--s", "1e10"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        row = [l for l in captured.out.splitlines() if not l.startswith("#")][1].split(",")
+        assert 0.0 < float(row[1]) < np.inf
+        rc = main(["eval", "--n", "5", "--beta", "0.5", "--profile", tent_json, "--s", "1e70"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "s = 1e+70 is too large for n = 5" in captured.err
+
     @pytest.mark.parametrize("knots, s", [([[0, 1], [1e-140, 0]], "3e-141,5e-140"),
                                           ([[0, 1], [1, 0]], "1e-300")])
     def test_tiny_support_or_radius_is_searched(self, tmp_path, capsys, knots, s):

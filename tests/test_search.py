@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import warnings
 from functools import partial
 from pathlib import Path
@@ -333,6 +334,31 @@ class TestSearch:
         for s in (0.3 * T, 5.0 * T):
             base = search(tent(), s / T, params).value
             assert rel_err(search(prof, s, params).value / T**0.5, base) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_far_radii_search_without_overflow(self, n):
+        # the cap kernel's quotient overflowed from s = 1e5 T on, a warning
+        # that the suite's filter turns into a failure; far out the best
+        # ball is the least one that covers the support and s
+        params = AmbientParams(n, 0.5)
+        for prof in (tent(), two_bump()):
+            T = prof.support_radius
+            for s in (1e5 * T, 1e10 * T, 1e40 * T):
+                res = search(prof, s, params)
+                cover = (0.5 * (s + T)) ** (params.beta - n) * l1_norm(prof, params) \
+                    / params.omega_n
+                assert res.converged and rel_err(res.ball.r, 0.5 * (s + T)) <= 1e-6
+                assert rel_err(res.value, cover) <= 1e-6
+
+    def test_radius_whose_covering_ball_volume_overflows_is_refused(self):
+        # omega_n (s + T)^n must stay below 2^1023: past it fixed_rule_objective
+        # overflowed in its power or its product
+        for n, searched, refused in ((5, 1e60, 1e62), (2, 1e150, 1e154)):
+            params = AmbientParams(n, 0.5)
+            assert 0.0 < search(tent(), searched, params).value < np.inf
+            message = re.escape(f"s = {refused:g} is too large for n = {n}")
+            with pytest.raises(ValueError, match=message):
+                search(tent(), refused, params)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
     def test_never_below_the_centered_maximum(self, n):
