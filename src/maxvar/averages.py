@@ -10,34 +10,20 @@ nodes are exact.  At even n the cap kernels have square-root ends there,
 which t = |d - r| + L sin^2(phi), L = d + r - |d - r|, makes smooth; the
 panels take n + 14 nodes in phi, graded geometrically toward the feature
 that a near-tangent ball puts at phi = 0.  The rule has no tolerance and
-no budget, and a single ball is a batch of one row.  The search ranks its
-coarse grid, runs its compass and reports its values by this one rule;
-the boundary formula's m' of a sweep is one gradient_axial_averages batch.
+no budget.  Every ball average is a batch of _ball_averages, which alone
+turns a ball into its row [max(0, d - r), min(d + r, T)] and divides by
+omega_n r^n; a single ball is a batch of one.  The search's objective,
+fixed_rule_objective, and a sweep's boundary-formula m' are such batches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .core import AmbientParams, RadialProfile
 from .geometry import AxisBall, cap_area, cap_first_moment, sin_power_total
-
-
-@dataclass(frozen=True)
-class RadialWeight:
-    """Weight w(t) = t / s."""
-
-    s: float
-
-
-@dataclass(frozen=True)
-class LevelSetWeight:
-    """Weight = indicator of a union of radius intervals."""
-
-    intervals: tuple
 
 
 # at even n the cap panels take n plus this many Gauss nodes in phi: the
@@ -162,20 +148,29 @@ def _run_sums(knots, n: int, lo, hi, ds, rs, fun, cap):
     return np.bincount(index, weights=fun(t, ds[index], rs[index]) * weight, minlength=rows)
 
 
-def _ball_integral(profile: RadialProfile, ball: AxisBall, params: AmbientParams, fun,
-                   intervals=None) -> float:
-    """Integral of fun(t, d, r) over the ball, per volume, or over its part
-    with |y| in the union of the radius intervals, one row per interval so
-    that an indicator weight leaves every integrand continuous.  One ball
-    is a batch of one: the arithmetic is :func:`_objective`'s, bit for bit."""
-    d, r = ball.d, ball.r
-    lo, hi = max(0.0, d - r), min(d + r, profile.support_radius)
-    # an empty or inverted row has no panels
-    pieces = [(lo, hi)] if intervals is None else intervals
-    rows = [(max(lo, a), min(hi, b), d, r) for a, b in pieces]
-    los, his, ds, rs = np.array(rows, dtype=float).reshape(-1, 4).T.copy()
-    sums = _panel_sums(profile, params.n, los, his, ds, rs, fun)
-    return sum((sums / (params.omega_n * rs**params.n)).tolist(), 0.0)
+def _ball_averages(profile: RadialProfile, ds, rs, params: AmbientParams, fun,
+                   lo=None, hi=None):
+    """Per ball B(d_i e, r_i), the integral of fun(t, d, r) over its row
+    [max(0, d - r), min(d + r, T)], cut to [lo_i, hi_i] where given, divided
+    by the volume omega_n r^n: the module's one row-and-volume convention.
+    An empty or inverted row has no panels and reads 0."""
+    ds, rs = np.asarray(ds, dtype=float), np.asarray(rs, dtype=float)
+    row_lo, row_hi = np.maximum(ds - rs, 0.0), np.minimum(ds + rs, profile.support_radius)
+    if lo is not None:
+        row_lo, row_hi = np.maximum(row_lo, lo), np.minimum(row_hi, hi)
+    sums = _panel_sums(profile, params.n, row_lo, row_hi, ds, rs, fun)
+    return sums / (params.omega_n * rs**params.n)
+
+
+def _one_ball(profile: RadialProfile, ball: AxisBall, params: AmbientParams, fun,
+              intervals=None) -> float:
+    """:func:`_ball_averages` of one ball, or of one row per radius interval,
+    so that an indicator weight leaves every integrand continuous, summed
+    from 0.0 (-0.0 reads 0.0)."""
+    rows = (None, None) if intervals is None else np.array(intervals, float).reshape(-1, 2).T
+    k = 1 if intervals is None else len(rows[0])
+    avgs = _ball_averages(profile, [ball.d] * k, [ball.r] * k, params, fun, *rows)
+    return sum(avgs.tolist(), 0.0)
 
 
 def ball_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
@@ -183,7 +178,7 @@ def ball_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
     """Integral average of |f| over the ball (qcfg is ignored: the rule has
     no tolerance)."""
     fun = lambda t, d, r: profile.value(t) * cap_area(t, d, r, params)
-    return _ball_integral(profile, ball, params, fun)
+    return _one_ball(profile, ball, params, fun)
 
 
 def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams) -> float:
@@ -218,14 +213,11 @@ def sphere_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams
 
 
 def gradient_axial_averages(profile: RadialProfile, ds, rs, params: AmbientParams):
-    """Axial component of the average gradient over each ball B(d_i e, r_i):
-    one :func:`_panel_sums` row [max(0, d - r), min(d + r, T)] per ball, per
-    volume, summed from 0.0 as :func:`_ball_integral` sums (-0.0 reads 0.0)."""
-    ds, rs = np.asarray(ds, dtype=float), np.asarray(rs, dtype=float)
+    """Axial component of the average gradient over each ball B(d_i e, r_i),
+    one :func:`_ball_averages` batch summed from 0.0 as :func:`_one_ball`
+    sums."""
     fun = lambda t, d, r: profile.slope(t) * cap_first_moment(t, d, r, params)
-    sums = _panel_sums(profile, params.n, np.maximum(ds - rs, 0.0),
-                       np.minimum(ds + rs, profile.support_radius), ds, rs, fun)
-    return 0.0 + sums / (params.omega_n * rs**params.n)
+    return 0.0 + _ball_averages(profile, ds, rs, params, fun)
 
 
 def gradient_axial_component(profile: RadialProfile, ball: AxisBall,
@@ -245,25 +237,18 @@ def gradient_radial_moment(profile: RadialProfile, ball: AxisBall,
                            params: AmbientParams) -> float:
     """Average of Df(y) . y over the ball."""
     fun = lambda t, d, r: profile.slope(t) * t * cap_area(t, d, r, params)
-    return _ball_integral(profile, ball, params, fun)
+    return _one_ball(profile, ball, params, fun)
 
 
 def weighted_gradient_average(profile: RadialProfile, ball: AxisBall, params: AmbientParams,
-                              weight=None) -> float:
-    """Average of |Df(y)| w(|y|) over the ball.
-
-    weight: None for w = 1, :class:`RadialWeight` for w(t) = t/s, or
-    :class:`LevelSetWeight` for an indicator of radius intervals.
-    """
-    if isinstance(weight, RadialWeight):
-        wfun = lambda t: t / weight.s
-    elif weight is None or isinstance(weight, LevelSetWeight):
-        wfun = lambda t: 1.0
-    else:
-        raise TypeError(f"unsupported weight {weight!r}")
-    fun = lambda t, d, r: np.abs(profile.slope(t)) * wfun(t) * cap_area(t, d, r, params)
-    intervals = weight.intervals if isinstance(weight, LevelSetWeight) else None
-    return _ball_integral(profile, ball, params, fun, intervals)
+                              s=None, intervals=None) -> float:
+    """Average of |Df(y)| w(|y|) over the ball: w = 1, or w(t) = t / s given
+    s, times the indicator of the union of the radius intervals given them
+    (no interval reads 0.0)."""
+    def fun(t, d, r):
+        grad = np.abs(profile.slope(t))
+        return (grad if s is None else grad * (t / s)) * cap_area(t, d, r, params)
+    return _one_ball(profile, ball, params, fun, intervals)
 
 
 def fixed_rule_objective(profile: RadialProfile, ds, rs, params: AmbientParams,
@@ -272,19 +257,16 @@ def fixed_rule_objective(profile: RadialProfile, ds, rs, params: AmbientParams,
     default r^beta * ball-average: the search's one evaluator, which ranks
     the coarse grid and runs the compass in units of T (unit = T).
 
-    :func:`_panel_sums` with the rule of :func:`ball_average`, whose value
-    times numpy's (r / unit)^beta it equals bit for bit at every n.  At odd
+    One :func:`_ball_averages` batch of :func:`ball_average`'s integrand,
+    whose value times numpy's (r / unit)^beta it equals bit for bit at every n.  At odd
     n the rule is exact.  At even n the full-sphere panels are exact too,
     and the cap panels take n + _CAP_EXTRA nodes in phi: against the quad
     oracle the relative error stays below 1e-12 at n = 2, for r / T from
     1e-4 to 2 and up to 40 knots, near-tangent balls included.
     """
-    ds = np.asarray(ds, dtype=float)
-    rs = np.asarray(rs, dtype=float)
     fun = lambda t, d, r: profile.value(t) * cap_area(t, d, r, params)
-    sums = _panel_sums(profile, params.n, np.maximum(ds - rs, 0.0),
-                       np.minimum(ds + rs, profile.support_radius), ds, rs, fun)
-    return (rs / unit)**params.beta * (sums / (params.omega_n * rs**params.n))
+    rs = np.asarray(rs, dtype=float)
+    return (rs / unit)**params.beta * _ball_averages(profile, ds, rs, params, fun)
 
 
 # the name perfbench's warm-up, accuracy record and tracer read

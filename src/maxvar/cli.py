@@ -90,28 +90,29 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _sweep_rows(mp) -> list[dict]:
-    rows = []
-    for i, (s, res) in enumerate(zip(mp.grid, mp.results)):
-        rows.append({
-            "s": float(s), "value": res.value, "d": res.ball.d, "r": res.ball.r,
+def _result_row(s, res) -> dict:
+    """The columns of one search result that eval and sweep both print."""
+    return {"s": s, "value": res.value, "d": res.ball.d, "r": res.ball.r,
             "contact": res.contact.kind, "c": res.contact.c, "region": res.region,
-            "dmdr_fd": float(mp.deriv_fd[i]), "dmdr_formula": float(mp.deriv_formula[i]),
-            "corner_flag": bool(mp.corner_flags[i]), "converged": res.converged,
-        })
-    return rows
+            "converged": res.converged}
 
 
-SWEEP_COLUMNS = ("s", "value", "d", "r", "contact", "c", "region",
-                 "dmdr_fd", "dmdr_formula", "corner_flag")
+def _sweep_rows(mp) -> list[dict]:
+    return [{**_result_row(float(s), res), "dmdr_fd": float(mp.deriv_fd[i]),
+             "dmdr_formula": float(mp.deriv_formula[i]), "corner_flag": bool(mp.corner_flags[i])}
+            for i, (s, res) in enumerate(zip(mp.grid, mp.results))]
 
 
-def _rows_to_csv(rows, header) -> str:
-    lines = list(header)
-    lines.append(",".join(SWEEP_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in SWEEP_COLUMNS))
-    return "\n".join(lines) + "\n"
+EVAL_COLUMNS = ("s", "value", "d", "r", "contact", "c", "region", "converged")
+SWEEP_COLUMNS = (*EVAL_COLUMNS[:-1], "dmdr_fd", "dmdr_formula", "corner_flag")
+FAMILY_COLUMNS = ("name", "n", "beta", "q", "ratio", "lq_norm_dm", "l1_norm_df",
+                  "refinement_deviation", "dilation_deviation", "corners")
+
+
+def _csv(header, columns, rows) -> str:
+    """The header lines, then a table of the rows' columns."""
+    rows = (",".join(_fmt(row[k]) for k in columns) for row in rows)
+    return "\n".join([*header, ",".join(columns), *rows]) + "\n"
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -201,17 +202,10 @@ def _cmd_eval(args) -> int:
     params = AmbientParams(args.n, args.beta)
     profile = _load_profile_file(args.profile)
     # every radius is searched, and so checked, before anything is printed
-    results = [(s, search(profile, s, params)) for s in map(float, args.s.split(","))]
-    print("\n".join(_header_lines("eval", args, ("n", "beta", "profile", "seed"))))
-    print("s,value,d,r,contact,c,region,converged")
-    status = EXIT_OK
-    for s, res in results:
-        if not res.converged:
-            status = EXIT_NONCONVERGED
-        print(",".join(_fmt(v) for v in (
-            s, res.value, res.ball.d, res.ball.r, res.contact.kind,
-            res.contact.c, res.region, res.converged)))
-    return status
+    rows = [_result_row(s, search(profile, s, params)) for s in map(float, args.s.split(","))]
+    header = _header_lines("eval", args, ("n", "beta", "profile", "seed"))
+    _emit(_csv(header, EVAL_COLUMNS, rows), None)
+    return EXIT_OK if all(r["converged"] for r in rows) else EXIT_NONCONVERGED
 
 
 def _cmd_sweep(args) -> int:
@@ -223,7 +217,7 @@ def _cmd_sweep(args) -> int:
     status = EXIT_OK if all(r["converged"] for r in rows) else EXIT_NONCONVERGED
     header = _header_lines("sweep", args, ("n", "beta", "profile", "grid", "seed"))
     if args.format == "csv":
-        _emit(_rows_to_csv(rows, header), args.out)
+        _emit(_csv(header, SWEEP_COLUMNS, rows), args.out)
     else:
         _emit(json.dumps({"meta": {"n": args.n, "beta": args.beta, "grid": grid.label(),
                                    "seed": args.seed}, "rows": rows},
@@ -288,9 +282,11 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
-# a family spec's fields and their JSON types; every field may be left out
-FAMILY_SPEC = {"profiles": dict, "random": dict, "n": int, "betas": list,
-               "grid_count": int, "refine": bool, "dilate": bool}
+# a family spec's fields and those of its random part, each with its default,
+# whose JSON type a given value must have; every field may be left out
+FAMILY_SPEC = {"profiles": {}, "random": {}, "n": 2, "betas": [0.5],
+               "grid_count": GridSpec.STANDARD_POINTS, "refine": False, "dilate": False}
+RANDOM_SPEC = {"count": 0, "knots": 6}
 _JSON_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number",
                bool: "true or false"}
 
@@ -304,68 +300,55 @@ def _check_json(what: str, value, kind):
 
 
 def _load_family_spec(path: str) -> dict:
-    """The family spec at path, each field of FAMILY_SPEC checked, with each
-    profile a knot list, each beta a number and the random count and knots
-    integers; it must select a profile and a beta."""
+    """The family spec at path with every default filled in, each field of
+    FAMILY_SPEC and RANDOM_SPEC checked, with each profile a knot list and
+    each beta a number; it must select a profile and a beta."""
     p = Path(path)
     if not p.exists():
         raise ValueError(f"family spec file not found: {path}")
     spec = json.loads(p.read_text())
     _check_json("family spec", spec, dict)
-    for key, kind in FAMILY_SPEC.items():
+    for key, default in FAMILY_SPEC.items():
         if key in spec:
-            _check_json(key, spec[key], kind)
-    for name, knots in spec.get("profiles", {}).items():
+            _check_json(key, spec[key], type(default))
+    spec = {**FAMILY_SPEC, **spec}
+    for name, knots in spec["profiles"].items():
         _check_json(f"profiles.{name}", knots, list)
-    for i, beta in enumerate(spec.get("betas", [])):
+    for i, beta in enumerate(spec["betas"]):
         _check_json(f"betas[{i}]", beta, float)
-    for key in ("count", "knots"):
-        if key in spec.get("random", {}):
-            _check_json(f"random.{key}", spec["random"][key], int)
-    count = spec.get("random", {}).get("count", 0)
-    if count < 0:
-        raise ValueError(f"random.count must be 0 or more, got {count}")
-    if not (spec.get("profiles") or count):
+    for key, default in RANDOM_SPEC.items():
+        if key in spec["random"]:
+            _check_json(f"random.{key}", spec["random"][key], type(default))
+    spec["random"] = rnd = {**RANDOM_SPEC, **spec["random"]}
+    if rnd["count"] < 0:
+        raise ValueError(f"random.count must be 0 or more, got {rnd['count']}")
+    if not (spec["profiles"] or rnd["count"]):
         raise ValueError("family spec selects no profile: give profiles or a positive random.count")
-    if not spec.get("betas", [0.5]):
+    if not spec["betas"]:
         raise ValueError("family spec selects no beta: betas is empty")
     return spec
 
 
 def _cmd_family(args) -> int:
     spec = _load_family_spec(args.spec)
-    members = {name: load_profile(knots)
-               for name, knots in spec.get("profiles", {}).items()}
-    rnd = spec.get("random", {})
-    if rnd:
-        rng = np.random.default_rng(args.seed)
-        for i in range(int(rnd.get("count", 0))):
-            members[f"random_{i:02d}"] = random_profile(rng, int(rnd.get("knots", 6)))
-    params_list = [AmbientParams(int(spec.get("n", 2)), float(b))
-                   for b in spec.get("betas", [0.5])]
-    rows, maxima = family_sweep(members, params_list,
-                                grid_count=int(spec.get("grid_count", 64)),
-                                include_refinement=bool(spec.get("refine", False)),
-                                include_dilation=bool(spec.get("dilate", False)))
+    members = {name: load_profile(knots) for name, knots in spec["profiles"].items()}
+    rng = np.random.default_rng(args.seed)
+    for i in range(spec["random"]["count"]):
+        members[f"random_{i:02d}"] = random_profile(rng, spec["random"]["knots"])
+    params_list = [AmbientParams(spec["n"], float(b)) for b in spec["betas"]]
+    rows, maxima = family_sweep(members, params_list, spec["grid_count"], spec["refine"],
+                                spec["dilate"])
     header = _header_lines("family", args, ("spec", "seed"))
+    table = [{"name": r["name"], **r["report"].as_dict()} for r in rows]
     if args.format == "json":
-        payload = {"rows": [{"name": r["name"], **r["report"].as_dict()} for r in rows],
+        payload = {"rows": table,
                    "max_ratio": {f"{k[0]},{_fmt(k[1])}": v for k, v in maxima.items()}}
         _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
     else:
-        lines = list(header)
-        lines.append("name,n,beta,q,ratio,lq_norm_dm,l1_norm_df,"
-                     "refinement_deviation,dilation_deviation,corners")
-        for r in rows:
-            rep = r["report"]
-            lines.append(",".join(_fmt(v) for v in (
-                r["name"], rep.n, rep.beta, rep.q, rep.ratio, rep.lq_norm_dm,
-                rep.l1_norm_df, rep.refinement_deviation, rep.dilation_deviation,
-                rep.corner_count)))
-        for key in sorted(maxima):
-            lines.append(f"# max_ratio n={key[0]} beta={_fmt(key[1])}: "
-                         f"{_fmt(maxima[key])}")
-        _emit("\n".join(lines) + "\n", args.out)
+        notes = "".join(f"# max_ratio n={k[0]} beta={_fmt(k[1])}: {_fmt(maxima[k])}\n"
+                        for k in sorted(maxima))
+        table = [{**row, "corners": row["corner_count"]} for row in table]
+        _emit(_csv(header, FAMILY_COLUMNS, table) + notes, args.out)
     return EXIT_OK
 
 

@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .averages import (LevelSetWeight, RadialWeight, ball_average,
-                       gradient_axial_component, gradient_radial_moment,
+from .averages import (ball_average, gradient_axial_component, gradient_radial_moment,
                        sphere_average, weighted_gradient_average)
 from .core import AmbientParams, RadialProfile, level_intervals
 from .families import random_profile
@@ -176,7 +175,7 @@ def check_inner_bound(profile: RadialProfile, result: BestBallResult,
     if ball.d + ball.r > s * (1.0 + 1e-6):
         return _not_applicable(name, "ball not inside B(0, s)", inputs)
     lhs = abs(gradient_axial_component(profile, ball, params))
-    rhs = weighted_gradient_average(profile, ball, params, weight=RadialWeight(s))
+    rhs = weighted_gradient_average(profile, ball, params, s=s)
     passed = lhs <= rhs + INEQ_SLACK * max(lhs, rhs, 1e-300)
     return _report(name, lhs, rhs, passed, INEQ_SLACK, inputs,
                    residuals=(max(lhs - rhs, 0.0), abs(lhs - rhs) / max(lhs, rhs, 1e-300)))
@@ -201,8 +200,7 @@ def check_key_lemma(profile: RadialProfile, result: BestBallResult,
     window = (max(0.0, ball.d - 2.0 * ball.r), ball.d + 2.0 * ball.r)
     level = level_intervals(profile, 0.5 * avg, 2.0 * avg, window)
     doubled = AxisBall(ball.d, 2.0 * ball.r)
-    rhs0 = weighted_gradient_average(profile, doubled, params,
-                                     weight=LevelSetWeight(tuple(level)))
+    rhs0 = weighted_gradient_average(profile, doubled, params, intervals=level)
     lhs = abs(gradient_axial_component(profile, ball, params))
     passed = (lhs <= 1e-8) or (rhs0 > 0.0)
     ratio = lhs / rhs0 if rhs0 > 0.0 else (0.0 if lhs <= 1e-8 else np.inf)
@@ -358,7 +356,7 @@ def annulus_suite(seed: int, count: int = 50):
 
 def suite_outcome(reports) -> dict:
     """Tally a report list; controls count as failures when they pass, and
-    an empty list, which checks nothing, is not ok."""
+    a list in which no report applies, which checks nothing, is not ok."""
     counts = {"passed": 0, "failed": 0, "not_applicable": 0, "controls_ok": 0,
               "controls_bad": 0}
     for rep in reports:
@@ -373,7 +371,8 @@ def suite_outcome(reports) -> dict:
             counts["passed"] += 1
         else:
             counts["failed"] += 1
-    counts["ok"] = bool(reports) and counts["failed"] == 0 and counts["controls_bad"] == 0
+    counts["ok"] = len(reports) > counts["not_applicable"] and counts["failed"] == 0 \
+        and counts["controls_bad"] == 0
     return counts
 
 
@@ -394,4 +393,8 @@ def format_reports(reports) -> str:
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([rep.as_dict() for rep in reports], sort_keys=True, indent=1)
+    """The report list as strict JSON, which has no NaN or Infinity: a float
+    that is not finite (a side of a report that does not apply, say) reads null."""
+    rows = json.loads(json.dumps([rep.as_dict() for rep in reports]),
+                      parse_constant=lambda token: None)  # NaN, Infinity, -Infinity
+    return json.dumps(rows, sort_keys=True, indent=1, allow_nan=False)

@@ -161,8 +161,10 @@ class GridSpec:
         out[1::2] = mids
         return out
 
+    STANDARD_POINTS = 64  # of standard(), from 1e-2 T to 8 T
+
     @staticmethod
-    def standard(profile: RadialProfile, count: int = 64) -> "GridSpec":
+    def standard(profile: RadialProfile, count: int = STANDARD_POINTS) -> "GridSpec":
         T = profile.support_radius
         return GridSpec(1e-2 * T, 8.0 * T, count, log=True)
 

@@ -160,7 +160,7 @@ def _finite(ratio: float, grid: str) -> float:
     return ratio
 
 
-def family_sweep(members: dict, params_list, grid_count: int = 64,
+def family_sweep(members: dict, params_list, grid_count: int = GridSpec.STANDARD_POINTS,
                  include_refinement: bool = True,
                  include_dilation: bool = True):
     """variation_report across a family; returns rows plus per-(n, beta) maxima."""

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from maxvar.averages import (LevelSetWeight, RadialWeight, ball_average,
-                             batch_objective, fixed_rule_objective,
+from maxvar.averages import (ball_average, batch_objective, fixed_rule_objective,
                              gradient_axial_averages, gradient_axial_component,
                              gradient_radial_moment, sphere_average,
                              weighted_gradient_average)
 import maxvar
+from maxvar.averages import _ball_averages
 from maxvar.core import AmbientParams, l1_norm, load_profile
 from maxvar.families import random_profile, tent, two_bump
-from maxvar.geometry import AxisBall
+from maxvar.geometry import AxisBall, cap_area, cap_first_moment
 from maxvar.identities import check_affine_family, check_annulus_average, check_divergence
 from maxvar.oracles import oracle_mc_ball_average
 from maxvar.quadrature import IDENTITY_QUADRATURE as Q
@@ -152,6 +152,65 @@ class TestGradientAxial:
         assert np.all(batch[:20] == 0.0) and np.count_nonzero(batch[20:]) > 80
 
 
+class TestOneBallAverageBody:
+    """Every ball average is a batch of _ball_averages: one batch gives each
+    ball's one-ball value bit for bit, whatever else the batch holds."""
+
+    S = 0.7  # the radius of the weight t / s
+
+    @staticmethod
+    def kernels(prof, params, s):
+        """Each one-ball entry point with its integrand, as the module writes it."""
+        slope = lambda t: np.abs(prof.slope(t))
+        return {
+            "value": (lambda t, d, r: prof.value(t) * cap_area(t, d, r, params),
+                      lambda ball: ball_average(prof, ball, params)),
+            "axial": (lambda t, d, r: prof.slope(t) * cap_first_moment(t, d, r, params),
+                      lambda ball: gradient_axial_component(prof, ball, params)),
+            "radial": (lambda t, d, r: prof.slope(t) * t * cap_area(t, d, r, params),
+                       lambda ball: gradient_radial_moment(prof, ball, params)),
+            "abs": (lambda t, d, r: slope(t) * cap_area(t, d, r, params),
+                    lambda ball: weighted_gradient_average(prof, ball, params)),
+            "abs_t_over_s": (lambda t, d, r: slope(t) * (t / s) * cap_area(t, d, r, params),
+                             lambda ball: weighted_gradient_average(prof, ball, params, s=s)),
+        }
+
+    @staticmethod
+    def balls(prof, seed):
+        # centered balls, balls past the support, near-tangent balls and others
+        rng = np.random.default_rng(seed)
+        T = prof.support_radius
+        r = T * 10.0 ** rng.uniform(-3.0, 0.3, size=40)
+        d = rng.uniform(0.0, 1.5 * T, size=40)
+        d[:8] = 0.0
+        d[8:16] = T + r[8:16] * rng.uniform(1.0, 2.0, size=8)
+        d[16:28] = r[16:28] * (1.0 + rng.choice([-1e-9, 1e-9], size=12))
+        return d, r
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_batch_is_each_one_ball_value_bit_for_bit(self, n):
+        params = AmbientParams(n, 0.5)
+        prof = random_profile(np.random.default_rng(600 + n), 9)
+        d, r = self.balls(prof, 700 + n)
+        for name, (fun, one) in self.kernels(prof, params, self.S).items():
+            batch = 0.0 + _ball_averages(prof, d, r, params, fun)
+            lone = np.array([one(AxisBall(di, ri)) for di, ri in zip(d.tolist(), r.tolist())])
+            assert np.array_equal(batch.view(np.int64), lone.view(np.int64)), name
+            assert np.count_nonzero(batch[16:]) >= 12, name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_interval_over_everything_is_the_whole_ball(self, n):
+        params = AmbientParams(n, 0.5)
+        prof = random_profile(np.random.default_rng(800 + n), 7)
+        d, r = self.balls(prof, 900 + n)
+        for ball in map(AxisBall, d.tolist(), r.tolist()):
+            for s in (None, self.S):
+                whole = weighted_gradient_average(prof, ball, params, s=s)
+                every = weighted_gradient_average(prof, ball, params, s=s,
+                                                  intervals=((0.0, np.inf),))
+                assert np.float64(every).view(np.int64) == np.float64(whole).view(np.int64)
+
+
 class TestGradientRadialMoment:
     def test_constant_zero(self, params3):
         prof = const_profile()
@@ -184,15 +243,13 @@ class TestWeightedGradient:
         assert val == pytest.approx(1.0, rel=1e-10)
 
     def test_empty_level_set(self, params2, tent_profile):
-        val = weighted_gradient_average(tent_profile, AxisBall(0.4, 0.3), params2,
-                                        weight=LevelSetWeight(()))
+        val = weighted_gradient_average(tent_profile, AxisBall(0.4, 0.3), params2, intervals=())
         assert val == 0.0
 
     def test_level_set_against_monte_carlo(self, params2, tent_profile):
         ball = AxisBall(0.5, 0.25)
         piece = ((0.3, 0.6),)
-        det = weighted_gradient_average(tent_profile, ball, params2,
-                                        weight=LevelSetWeight(piece))
+        det = weighted_gradient_average(tent_profile, ball, params2, intervals=piece)
         rng2 = np.random.default_rng(31)
         m = 1_000_000
         dirs = rng2.normal(size=(m, 2))
@@ -206,10 +263,8 @@ class TestWeightedGradient:
 
     def test_radial_weight_scaling(self, params2, tent_profile):
         ball = AxisBall(0.5, 0.25)
-        v1 = weighted_gradient_average(tent_profile, ball, params2,
-                                       weight=RadialWeight(1.0))
-        v2 = weighted_gradient_average(tent_profile, ball, params2,
-                                       weight=RadialWeight(2.0))
+        v1 = weighted_gradient_average(tent_profile, ball, params2, s=1.0)
+        v2 = weighted_gradient_average(tent_profile, ball, params2, s=2.0)
         assert v1 == pytest.approx(2.0 * v2, rel=1e-12)
 
 
@@ -383,8 +438,7 @@ def five_averages(profile, ball, params, s):
             "sphere": sphere_average(profile, ball, params),
             "axial": gradient_axial_component(profile, ball, params),
             "radial": gradient_radial_moment(profile, ball, params),
-            "weighted": weighted_gradient_average(profile, ball, params,
-                                                  weight=RadialWeight(s))}
+            "weighted": weighted_gradient_average(profile, ball, params, s=s)}
 
 
 class TestExactRuleOracle:
@@ -427,10 +481,9 @@ class TestExactRuleOracle:
             cuts = np.sort(rng2.uniform(0.0, T, size=5))
             pieces = tuple(zip(np.concatenate(([0.0], cuts)), np.concatenate((cuts, [T]))))
             whole = weighted_gradient_average(prof, ball, params)
-            split = weighted_gradient_average(prof, ball, params,
-                                              weight=LevelSetWeight(pieces))
+            split = weighted_gradient_average(prof, ball, params, intervals=pieces)
             assert rel_err(split, whole) <= 1e-13
-            radial = weighted_gradient_average(prof, ball, params, weight=RadialWeight(1.0))
+            radial = weighted_gradient_average(prof, ball, params, s=1.0)
             oracle = quad_averages(prof, ball.d, ball.r, n, 1.0)["weighted"]
             assert rel_err(radial, oracle) <= 1e-12
 
@@ -492,7 +545,7 @@ class TestGradedCapsAgainstQuad:
         ball = AxisBall(r * (1.0 + 1e-4), r)
         cut = ball.d - r + 1e-6 * (2.0 * r)
         whole = weighted_gradient_average(prof, ball, params2)
-        pieces = [weighted_gradient_average(prof, ball, params2, weight=LevelSetWeight((iv,)))
+        pieces = [weighted_gradient_average(prof, ball, params2, intervals=(iv,))
                   for iv in ((0.0, cut), (cut, T))]
         assert abs(sum(pieces) - whole) <= self.TOL * whole
 

@@ -234,6 +234,14 @@ class TestVerify:
         assert rc == 1
         assert '"ok": false' in out and '"passed": 0' in out
 
+    def test_suite_that_applies_to_no_ball_fails(self, tent_json, capsys):
+        # no best ball on the tent is small enough for the key lemma
+        rc = main(["verify", "--n", "2", "--beta", "0.5", "--profile", tent_json,
+                   "--suite", "keylemma", "--grid", "0.01:8:12:log"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert '"not_applicable": 5' in out and '"ok": false' in out
+
 
 class TestRatio:
     def test_report_emitted(self, tent_json, tmp_path):

@@ -167,12 +167,10 @@ class TestInnerBound:
 
     def test_monotone_profile_weight_ordering(self, params2_mod, tent_mod):
         # t/s >= t/s' for s <= s': larger weight, larger bound
-        from maxvar.averages import weighted_gradient_average, RadialWeight
+        from maxvar.averages import weighted_gradient_average
         ball = AxisBall(0.3, 0.2)
-        w1 = weighted_gradient_average(tent_mod, ball, params2_mod,
-                                       weight=RadialWeight(0.5))
-        w2 = weighted_gradient_average(tent_mod, ball, params2_mod,
-                                       weight=RadialWeight(1.0))
+        w1 = weighted_gradient_average(tent_mod, ball, params2_mod, s=0.5)
+        w2 = weighted_gradient_average(tent_mod, ball, params2_mod, s=1.0)
         assert w1 >= w2
 
 
@@ -298,6 +296,36 @@ class TestSuitePlumbing:
     def test_empty_report_list_is_not_ok(self):
         outcome = suite_outcome([])
         assert not outcome["ok"] and outcome["passed"] == 0
+
+    def test_list_with_no_applicable_report_is_not_ok(self, params2_mod, tent_mod):
+        skipped = [check_annulus_average(tent_mod, AxisBall(0.5, 0.4), params2_mod, Q)] * 3
+        assert not suite_outcome(skipped)["ok"]
+        applied = check_annulus_average(tent_mod, AxisBall(0.6, 0.2), params2_mod, Q)
+        assert suite_outcome(skipped + [applied])["ok"]
+
+    def test_json_is_strict_json(self, params2_mod, tent_mod, monkeypatch):
+        from maxvar import identities
+        from maxvar.geometry import classify_contact
+        from maxvar.search import BestBallResult
+        skipped = check_annulus_average(tent_mod, AxisBall(0.5, 0.4), params2_mod, Q)
+        annulus = check_annulus_average(tent_mod, AxisBall(0.6, 0.2), params2_mod, Q)
+        # an empty level set leaves the key lemma's right side 0 under a nonzero gradient
+        monkeypatch.setattr(identities, "level_intervals", lambda *args: [])
+        ball = AxisBall(0.5, 0.1)
+        res = BestBallResult(s=0.6, value=0.0, ball=ball, contact=classify_contact(ball, 0.6, 1e-6),
+                             region="E2", objective_evals=0, converged=True)
+        lemma = check_key_lemma(tent_mod, res, params2_mod)
+        assert not skipped.applicable and annulus.applicable and lemma.applicable
+        assert lemma.info["ratio"] == np.inf
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        import json
+        data = json.loads(reports_to_json([skipped, annulus, lemma]), parse_constant=refuse)
+        assert data[0]["lhs"] is None and data[0]["tolerance"] is None
+        assert data[1]["abs_residual"] is None and data[1]["lhs"] == annulus.lhs
+        assert data[2]["info"]["ratio"] is None and data[2]["lhs"] == lemma.lhs
 
     def test_formatting_roundtrip(self, params2_mod, tent_mod):
         rep = check_divergence(tent_mod, AxisBall(0.3, 0.5), params2_mod, Q)
